@@ -28,7 +28,9 @@ from .envelope import (
 )
 from .errors import CatoptrixError
 from .infinity import ObserverPolar, infinity_reflection
-from .interior import ellipse_params, minimizing_root
+# ellipse_params is unused here but stays a cli attribute: the traced
+# benchmark run (bench/layers.py) wraps cli.ellipse_params
+from .interior import _ellipse_of, ellipse_params, minimizing_root  # noqa: F401
 from .numeric import unit_from_angle
 from .oracle import OracleConfig, oracle_infinity_path, oracle_quartic_discriminant, oracle_smetric
 from .quartic import RootNature, infinity_real_coeffs, real_quartic_invariants
@@ -170,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_interior(args: argparse.Namespace) -> dict[str, Any]:
     inputs = {"z1": _pair(args.z1), "z2": _pair(args.z2)}
     result = minimizing_root(args.z1, args.z2)
-    ellipse = ellipse_params(args.z1, args.z2)
+    ellipse = _ellipse_of(result, args.z1, args.z2)
     diagnostics: dict[str, Any] = {
         "candidates": [_pair(w) for w in result.candidates.roots],
         "on_circle": list(result.on_circle_mask),

@@ -135,6 +135,26 @@ def _select_minimizing(
     return w, fs, mask, tuple(t[0] for t in ties)
 
 
+def _result(
+    z1: complex,
+    z2: complex,
+    roots: RootSet,
+    dropped: bool,
+    sel: tuple[complex, float, tuple[bool, ...], tuple[int, ...]],
+) -> ReflectionResult:
+    w, fs, mask, ties = sel
+    return ReflectionResult(
+        w=w,
+        s_value=abs(z1 - z2) / fs,
+        focal_sum=fs,
+        candidates=roots,
+        on_circle_mask=mask,
+        reflection_residual=_reflection_residual(z1, z2, w),
+        tie_indices=ties,
+        degree_dropped=dropped,
+    )
+
+
 def minimizing_root(
     z1: complex, z2: complex, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ReflectionResult:
@@ -155,17 +175,7 @@ def minimizing_root(
     sel = _select_minimizing(z1, z2, roots, tol)
     if sel is None:
         raise NoRootOnCircle("no root passed the unit-circle test")
-    w, fs, mask, ties = sel
-    return ReflectionResult(
-        w=w,
-        s_value=abs(z1 - z2) / fs,
-        focal_sum=fs,
-        candidates=roots,
-        on_circle_mask=mask,
-        reflection_residual=_reflection_residual(z1, z2, w),
-        tie_indices=ties,
-        degree_dropped=dropped,
-    )
+    return _result(z1, z2, roots, dropped, sel)
 
 
 def s_metric(z1: complex, z2: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -186,7 +196,11 @@ def ellipse_params(
 
     The eccentricity equals the triangular ratio metric of the pair.
     """
-    result = minimizing_root(z1, z2, tol)
+    return _ellipse_of(minimizing_root(z1, z2, tol), z1, z2)
+
+
+def _ellipse_of(result: ReflectionResult, z1: complex, z2: complex) -> EllipseParams:
+    """The maximal inscribed ellipse of a solved pair, without solving again."""
     c = result.focal_sum
     d = abs(ensure_point(z1) - ensure_point(z2))
     major = c / 2.0
@@ -222,14 +236,4 @@ def exterior_reflection(
     sel = _select_minimizing(z1, z2, roots, tol, visible=tuple(visible))
     if sel is None:
         return None
-    w, fs, mask, ties = sel
-    return ReflectionResult(
-        w=w,
-        s_value=abs(z1 - z2) / fs,
-        focal_sum=fs,
-        candidates=roots,
-        on_circle_mask=mask,
-        reflection_residual=_reflection_residual(z1, z2, w),
-        tie_indices=ties,
-        degree_dropped=dropped,
-    )
+    return _result(z1, z2, roots, dropped, sel)

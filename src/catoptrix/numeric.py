@@ -16,6 +16,7 @@ from .errors import NonFinitePoint
 __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
+    "VISIBILITY_SLACK",
     "ensure_point",
     "ensure_real",
     "on_unit_circle",
@@ -48,6 +49,11 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+# how far inside the circle a sight segment may dip and still count as
+# clearing it; the scalar segment_clears_disk and the oracle's array mask
+# both read it, so the two visibility filters agree
+VISIBILITY_SLACK = 1e-9
 
 
 def ensure_point(z: complex, name: str = "point") -> complex:
@@ -105,7 +111,7 @@ def segment_min_distance_to_origin(p: complex, q: complex) -> float:
     return abs(p + t * d)
 
 
-def segment_clears_disk(p: complex, q: complex, slack: float = 1e-9) -> bool:
+def segment_clears_disk(p: complex, q: complex, slack: float = VISIBILITY_SLACK) -> bool:
     """True iff the segment [p, q] does not enter the open unit disk.
 
     Endpoints on the circle itself count as clearing; slack absorbs the

@@ -2,7 +2,9 @@
 
 These routines are deliberately plain: dense boundary grids refined by
 golden-section search, and a Sylvester-resultant discriminant. They exist to
-be trusted, not to be fast.
+be trusted, not to be fast. The grids are scanned in fixed-size numpy blocks,
+which picks the same grid point as a point-by-point loop; the scan shares no
+code with the closed-form solvers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from .errors import (
     PointOutsideDomain,
 )
 from .infinity import ObserverPolar
-from .numeric import ensure_point, ensure_real, segment_clears_disk, unit_from_angle
+from .numeric import (
+    VISIBILITY_SLACK,
+    ensure_point,
+    ensure_real,
+    segment_clears_disk,
+    unit_from_angle,
+)
 
 __all__ = [
     "OracleConfig",
@@ -33,6 +41,9 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# grid angles per numpy block: enough to amortise numpy's per-call cost, few
+# enough that a scan's temporaries stay O(block) for any grid size
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -86,10 +97,28 @@ def golden_section_min(
     return x, y, b - a
 
 
-def _grid_angles(n: int) -> list[float]:
-    # ascending samples of (-pi, pi]
-    step = math.tau / n
-    return [-math.pi + (k + 1) * step for k in range(n)]
+def _grid_argmin(
+    start: float,
+    step: float,
+    k_lo: int,
+    k_hi: int,
+    values: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[int, float]:
+    """First k in [k_lo, k_hi) minimizing values(cos phi, sin phi) at
+    phi = start + k*step, or (-1, inf) when every value is inf.
+
+    Scans _BLOCK angles at a time and keeps the first strict minimum across
+    blocks, so the pick matches a loop over k that keeps the first of equal
+    values.
+    """
+    best_k, best = -1, math.inf
+    for k0 in range(k_lo, k_hi, _BLOCK):
+        phi = start + np.arange(k0, min(k0 + _BLOCK, k_hi)) * step
+        v = values(np.cos(phi), np.sin(phi))
+        j = int(np.argmin(v))
+        if v[j] < best:
+            best_k, best = k0 + j, float(v[j])
+    return best_k, best
 
 
 def oracle_smetric(
@@ -112,17 +141,14 @@ def oracle_smetric(
         w = cmath.exp(1j * phi)
         return abs(z1 - w) + abs(w - z2)
 
-    angles = _grid_angles(cfg.grid)
-    best_k = 0
-    best_fs = focal_sum(angles[0])
-    for k in range(1, cfg.grid):
-        fs = focal_sum(angles[k])
-        if fs < best_fs:
-            best_fs = fs
-            best_k = k
-    h = math.tau / cfg.grid
-    phi0 = angles[best_k]
-    phi, fs, _ = golden_section_min(focal_sum, phi0 - h, phi0 + h, cfg.refine_iters)
+    def focal_sums(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return np.hypot(z1.real - c, z1.imag - s) + np.hypot(c - z2.real, s - z2.imag)
+
+    # ascending samples -pi + k*step, k = 1..n, of (-pi, pi]
+    step = math.tau / cfg.grid
+    best_k, best_fs = _grid_argmin(-math.pi, step, 1, cfg.grid + 1, focal_sums)
+    phi0 = -math.pi + best_k * step
+    phi, fs, _ = golden_section_min(focal_sum, phi0 - step, phi0 + step, cfg.refine_iters)
     if best_fs < fs:
         phi, fs = phi0, best_fs
     return unit_from_angle(phi), dist / fs
@@ -149,25 +175,27 @@ def oracle_infinity_path(
         w = cmath.exp(1j * phi)
         return segment_clears_disk(w, f)
 
+    def reachable_defects(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        dx = f.real - c
+        dy = f.imag - s
+        # segment_clears_disk(w, f) per angle; a zero-length segment (dd == 0)
+        # gets t = 0 and so the distance |w|, as in the scalar helper
+        dd = dx * dx + dy * dy
+        t = np.clip(-(c * dx + s * dy) / np.where(dd == 0.0, 1.0, dd), 0.0, 1.0)
+        clear = np.hypot(c + t * dx, s + t * dy) >= 1.0 - VISIBILITY_SLACK
+        return np.where(clear, np.hypot(dx, dy) - c, math.inf)
+
     n = cfg.grid
     step = math.pi / n
-    angles = [-math.pi / 2.0 + k * step for k in range(n + 1)]
-    best_k = -1
-    best_g = math.inf
-    for k, phi in enumerate(angles):
-        if not valid(phi):
-            continue
-        g = defect(phi)
-        if g < best_g:
-            best_g = g
-            best_k = k
+    start = -math.pi / 2.0
+    best_k, best_g = _grid_argmin(start, step, 0, n + 1, reachable_defects)
     if best_k < 0:
         raise InvalidObserver("no reachable boundary point for this observer")
-    lo = angles[max(0, best_k - 1)]
-    hi = angles[min(n, best_k + 1)]
+    lo = start + max(0, best_k - 1) * step
+    hi = start + min(n, best_k + 1) * step
     phi, g, _ = golden_section_min(defect, lo, hi, cfg.refine_iters)
     if not valid(phi) or best_g < g:
-        phi, g = angles[best_k], best_g
+        phi, g = start + best_k * step, best_g
     return unit_from_angle(phi), g
 
 

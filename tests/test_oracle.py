@@ -15,6 +15,7 @@ from catoptrix import (
     oracle_smetric,
     real_quartic_invariants,
 )
+from catoptrix.numeric import segment_clears_disk
 from catoptrix.errors import (
     CoincidentPoints,
     DegenerateLeadingCoefficient,
@@ -136,3 +137,86 @@ def test_discriminant_sign_agreement_bulk():
 def test_discriminant_rejects_degenerate():
     with pytest.raises(DegenerateLeadingCoefficient):
         oracle_quartic_discriminant(0, 1, 2, 3, 4)
+
+
+def _reference_smetric(z1, z2, cfg):
+    # the point-by-point scan the numpy blocks replaced, refinement included
+    def focal_sum(phi):
+        w = cmath.exp(1j * phi)
+        return abs(z1 - w) + abs(w - z2)
+
+    step = math.tau / cfg.grid
+    angles = [-math.pi + (k + 1) * step for k in range(cfg.grid)]
+    best_k = 0
+    best_fs = focal_sum(angles[0])
+    for k in range(1, cfg.grid):
+        fs = focal_sum(angles[k])
+        if fs < best_fs:
+            best_fs = fs
+            best_k = k
+    phi0 = angles[best_k]
+    phi, fs, _ = golden_section_min(focal_sum, phi0 - step, phi0 + step, cfg.refine_iters)
+    if best_fs < fs:
+        phi, fs = phi0, best_fs
+    return complex(math.cos(phi), math.sin(phi)), abs(z1 - z2) / fs
+
+
+def _reference_infinity_path(obs, cfg):
+    f = obs.point
+
+    def defect(phi):
+        w = cmath.exp(1j * phi)
+        return abs(f - w) - w.real
+
+    def valid(phi):
+        return segment_clears_disk(cmath.exp(1j * phi), f)
+
+    n = cfg.grid
+    step = math.pi / n
+    angles = [-math.pi / 2.0 + k * step for k in range(n + 1)]
+    best_k = -1
+    best_g = math.inf
+    for k, phi in enumerate(angles):
+        if not valid(phi):
+            continue
+        g = defect(phi)
+        if g < best_g:
+            best_g = g
+            best_k = k
+    if best_k < 0:
+        raise InvalidObserver("no reachable boundary point for this observer")
+    lo = angles[max(0, best_k - 1)]
+    hi = angles[min(n, best_k + 1)]
+    phi, g, _ = golden_section_min(defect, lo, hi, cfg.refine_iters)
+    if not valid(phi) or best_g < g:
+        phi, g = angles[best_k], best_g
+    return complex(math.cos(phi), math.sin(phi)), g
+
+
+@pytest.mark.parametrize("grid", [10_007, 100_000])  # not a multiple of the block; the default
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        ("smetric", (0.5, -0.5)),  # two grid minima of equal focal sum
+        ("smetric", ((1 - 1e-9) * cmath.exp(0.7j), 0.2 - 0.1j)),  # near the rim
+        ("smetric", (1e-9, -1e-9)),  # focal sum 2 to the last bit on most of the grid
+        ("infinity", (2.0, math.pi / 2)),
+        ("infinity", (1 + 1e-9, 0.4)),  # no reachable point on the coarser grid
+    ],
+    ids=["diametral", "near-rim", "flat", "theta-half-pi", "r-1e-9"],
+)
+def test_blocked_scan_matches_reference_loop(oracle, args, grid):
+    cfg = OracleConfig(grid=grid)
+    if oracle == "smetric":
+        blocked, reference = oracle_smetric, _reference_smetric
+    else:
+        blocked, reference = oracle_infinity_path, _reference_infinity_path
+        args = (ObserverPolar(*args),)
+
+    def outcome(fn):
+        try:
+            return fn(*args, cfg)
+        except InvalidObserver as exc:
+            return str(exc)
+
+    assert outcome(blocked) == outcome(reference)
