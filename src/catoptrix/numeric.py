@@ -8,6 +8,7 @@ polishing.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -59,7 +60,7 @@ VISIBILITY_SLACK = 1e-9
 def ensure_point(z: complex, name: str = "point") -> complex:
     """Validate that both components of z are finite and return z as complex."""
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise NonFinitePoint(f"{name} has non-finite component: {z!r}")
     return z
 

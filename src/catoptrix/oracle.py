@@ -5,6 +5,11 @@ golden-section search, and a Sylvester-resultant discriminant. They exist to
 be trusted, not to be fast. The grids are scanned in fixed-size numpy blocks,
 which picks the same grid point as a point-by-point loop; the scan shares no
 code with the closed-form solvers.
+
+numpy is imported inside the functions that use it, not at module level. Only
+these oracles need it, and importing it costs more than the rest of the
+package together, so ``import catoptrix`` and every non-oracle CLI command
+run without loading it; the first oracle call pays that cost once.
 """
 
 from __future__ import annotations
@@ -12,9 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import (
     CoincidentPoints,
@@ -30,6 +33,9 @@ from .numeric import (
     segment_clears_disk,
     unit_from_angle,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OracleConfig",
@@ -111,6 +117,8 @@ def _grid_argmin(
     blocks, so the pick matches a loop over k that keeps the first of equal
     values.
     """
+    import numpy as np
+
     best_k, best = -1, math.inf
     for k0 in range(k_lo, k_hi, _BLOCK):
         phi = start + np.arange(k0, min(k0 + _BLOCK, k_hi)) * step
@@ -129,6 +137,8 @@ def oracle_smetric(
 
     Returns the maximizing boundary point and the metric value.
     """
+    import numpy as np
+
     z1 = ensure_point(z1, "z1")
     z2 = ensure_point(z2, "z2")
     if abs(z1) >= 1.0 or abs(z2) >= 1.0:
@@ -163,6 +173,8 @@ def oracle_infinity_path(
     The arc is the lit half Re w >= 0 restricted to points whose segment to
     the observer stays out of the open unit disk. Returns (w, path defect).
     """
+    import numpy as np
+
     if abs(obs.theta) > math.pi / 2.0 + 1e-12:
         raise InvalidObserver("oracle is defined for |theta| <= pi/2")
     f = obs.point
@@ -205,6 +217,8 @@ def oracle_quartic_discriminant(a: float, b: float, c: float, d: float, e: float
     With this row layout the normalization constant is exactly +1: on x^4 - 1
     the determinant route gives -256, matching the closed-form discriminant.
     """
+    import numpy as np
+
     a = ensure_real(a, "a")
     if a == 0.0:
         raise DegenerateLeadingCoefficient("leading coefficient a is zero")

@@ -29,6 +29,9 @@ __all__ = [
 
 _MAX_POLISH_ITERATIONS = 50
 _CLOSE_PAIR_THRESHOLD = 1e-7
+# primitive cube roots of unity, for Cardano's second and third roots
+_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
+_OMEGA2 = _OMEGA.conjugate()
 
 
 @dataclass(frozen=True)
@@ -144,9 +147,7 @@ def _solve_monic_cubic(b: complex, c: complex, d: complex) -> tuple[complex, com
     if u == 0:
         return -shift, -shift, -shift
     v = -p / (3.0 * u)
-    omega = complex(-0.5, math.sqrt(3.0) / 2.0)
-    omega2 = omega.conjugate()
-    return (u + v - shift, omega * u + omega2 * v - shift, omega2 * u + omega * v - shift)
+    return (u + v - shift, _OMEGA * u + _OMEGA2 * v - shift, _OMEGA2 * u + _OMEGA * v - shift)
 
 
 def _ferrari(coeffs: tuple[complex, ...]) -> list[complex]:
@@ -186,37 +187,30 @@ def _polish(coeffs: tuple[complex, ...], w: complex, base_bound: float) -> tuple
 
     The acceptance bound grows with |root|^degree: below that, float64 cannot
     even evaluate the polynomial, so a flat bound would be unreachable for
-    roots far outside the unit disk.
+    roots far outside the unit disk. A non-finite residual never passes it.
     """
     deriv_stall = 1e-290
     degree = len(coeffs) - 1
-
-    def bound_at(z: complex) -> float:
-        return base_bound * max(1.0, abs(z)) ** degree
-
     best_w = w
-    best_res = abs(_horner(coeffs, w))
-    iters = 0
+    best_res = math.inf
     cur = w
-    for _ in range(_MAX_POLISH_ITERATIONS):
+    for iters in range(_MAX_POLISH_ITERATIONS + 1):
         f, df = _horner_pair(coeffs, cur)
         res = abs(f)
         if res < best_res:
             best_res = res
             best_w = cur
-        if res <= bound_at(cur) or abs(df) < deriv_stall:
+        if (
+            iters == _MAX_POLISH_ITERATIONS
+            or res <= base_bound * max(1.0, abs(cur)) ** degree
+            or abs(df) < deriv_stall
+        ):
             break
         cur = cur - f / df
-        iters += 1
-    else:
-        f = _horner(coeffs, cur)
-        if abs(f) < best_res:
-            best_res = abs(f)
-            best_w = cur
-    if best_res > bound_at(best_w):
+    bound = base_bound * max(1.0, abs(best_w)) ** degree
+    if not (math.isfinite(best_res) and best_res <= bound):
         raise NoConvergence(
-            f"root polishing stalled at residual {best_res:.3e} "
-            f"(bound {bound_at(best_w):.3e})"
+            f"root polishing stalled at residual {best_res:.3e} (bound {bound:.3e})"
         )
     return best_w, best_res, iters
 
@@ -226,7 +220,7 @@ def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex], tol: Tole
     polished = [_polish(coeffs, w, bound) for w in roots]
     polished.sort(key=lambda t: (cmath.phase(t[0]), abs(t[0])))
     rs = tuple(t[0] for t in polished)
-    res = tuple(abs(_horner(coeffs, w)) for w in rs)
+    res = tuple(t[1] for t in polished)
     its = tuple(t[2] for t in polished)
     n = len(rs)
     min_sep = math.inf
@@ -248,36 +242,44 @@ def solve_quartic(q: QuarticCoeffs, tol: Tolerances = DEFAULT_TOLERANCES) -> Roo
     Raises
     ------
     DegenerateLeadingCoefficient if q.c4 == 0, NoConvergence if a root cannot
-    be polished below the residual bound within 50 Newton steps.
+    be polished below the residual bound within 50 Newton steps, or if the
+    coefficients are so badly scaled that float64 overflows on the way.
     """
     if q.c4 == 0:
         raise DegenerateLeadingCoefficient("quartic leading coefficient is zero")
     coeffs = q.as_tuple()
-    return _sorted_rootset(coeffs, _ferrari(coeffs), tol)
+    try:
+        return _sorted_rootset(coeffs, _ferrari(coeffs), tol)
+    except OverflowError as exc:
+        raise NoConvergence(f"float overflow while solving: {exc}") from exc
 
 
 def polished_roots(coeffs: tuple[complex, ...], tol: Tolerances = DEFAULT_TOLERANCES) -> RootSet:
     """Roots of a polynomial of degree 1..4 given as (c_n, ..., c_0), c_n != 0.
 
     Used for the degree-dropped instances of the reflection quartics; the
-    degree-4 case routes through the Ferrari chain.
+    degree-4 case routes through the Ferrari chain. Raises NoConvergence as
+    solve_quartic does.
     """
     coeffs = tuple(complex(c) for c in coeffs)
     if not coeffs or coeffs[0] == 0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
     deg = len(coeffs) - 1
     lead = coeffs[0]
-    if deg == 1:
-        raw = [-coeffs[1] / lead]
-    elif deg == 2:
-        raw = list(_solve_monic_quadratic(coeffs[1] / lead, coeffs[2] / lead))
-    elif deg == 3:
-        raw = list(_solve_monic_cubic(coeffs[1] / lead, coeffs[2] / lead, coeffs[3] / lead))
-    elif deg == 4:
-        raw = _ferrari(coeffs)
-    else:
-        raise ValueError(f"degree {deg} not supported")
-    return _sorted_rootset(coeffs, raw, tol)
+    try:
+        if deg == 1:
+            raw = [-coeffs[1] / lead]
+        elif deg == 2:
+            raw = list(_solve_monic_quadratic(coeffs[1] / lead, coeffs[2] / lead))
+        elif deg == 3:
+            raw = list(_solve_monic_cubic(coeffs[1] / lead, coeffs[2] / lead, coeffs[3] / lead))
+        elif deg == 4:
+            raw = _ferrari(coeffs)
+        else:
+            raise ValueError(f"degree {deg} not supported")
+        return _sorted_rootset(coeffs, raw, tol)
+    except OverflowError as exc:
+        raise NoConvergence(f"float overflow while solving: {exc}") from exc
 
 
 def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) -> RealQuarticNature:

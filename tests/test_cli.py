@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
@@ -174,3 +178,37 @@ def test_oracle_discriminant_command():
     record = json.loads(out)
     assert rc == 0
     assert abs(record["results"]["resultant_delta"] - (-256.0)) < 1e-9
+
+
+def test_numpy_loads_only_for_the_oracles():
+    # a fresh interpreter, because this one has numpy loaded already
+    code = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import catoptrix, catoptrix.cli
+        from catoptrix.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            rcs = [
+                main(["interior", "--z1", "0.37,0.11", "--z2", "-0.25,0.42"]),
+                main(["infinity", "--r", "2", "--theta", "0.7", "--verify"]),
+                main(["envelope", "--a", "2", "--samples", "16"]),
+                main(["directrix", "--a", "2", "--phi", "0.3"]),
+            ]
+        assert rcs == [0, 0, 0, 0], rcs
+        assert "numpy" not in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["oracle", "discriminant", "--coeffs", "1,0,0,0,-1"])
+        assert rc == 0, rc
+        assert "numpy" in sys.modules
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

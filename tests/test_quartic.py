@@ -19,7 +19,7 @@ from catoptrix import (
     real_quartic_invariants,
     solve_quartic,
 )
-from catoptrix.errors import DegenerateLeadingCoefficient, InvalidObserver
+from catoptrix.errors import DegenerateLeadingCoefficient, InvalidObserver, NoConvergence
 from catoptrix.oracle import oracle_quartic_discriminant
 
 
@@ -60,6 +60,21 @@ def test_degenerate_leading_coefficient():
         solve_quartic(QuarticCoeffs(0, 1, 0, 0, -1))
     with pytest.raises(DegenerateLeadingCoefficient):
         polished_roots((0j, 1 + 0j))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1e-100, 1e100, 0, 0, 1),  # the closed form yields NaN roots
+        (1, 1e80, 0, 0, 1),  # A ** 4 overflows in the closed form
+        (1e40, 1e110, 0, 0, 1),  # p(root) overflows to inf
+    ],
+)
+def test_badly_scaled_coefficients_raise_no_convergence(coeffs):
+    with pytest.raises(NoConvergence):
+        solve_quartic(QuarticCoeffs(*coeffs))
+    with pytest.raises(NoConvergence):
+        polished_roots(coeffs)
 
 
 def test_infinity_quartic_roots_match_companion_oracle():
