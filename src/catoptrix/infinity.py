@@ -8,11 +8,18 @@ whose four roots all lie on the unit circle. Root selection follows the
 physics: the incoming horizontal ray must hit the lit side first, the
 reflected segment must clear the mirror, and among the survivors the
 plane-wave path functional |f - w| - Re w is minimal.
+
+The quartic for -theta is the conjugate of the one for theta, so every
+observer is solved at theta_c = |theta| and the roots are conjugated back.
+infinity_reflection and verify_circle_theorem share that canonical solve,
+and the most recent one is kept, so verifying the observer just reflected
+(or reflecting its mirror image at -theta) solves no second time.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -119,6 +126,18 @@ def _reality_residual(f: complex, w: complex) -> float:
     return abs(((f - w) / (w * w)).imag)
 
 
+@functools.lru_cache(maxsize=1)
+def _canonical_roots(r: float, theta_c: float, tol: Tolerances) -> RootSet:
+    """Roots of the reflection quartic for the observer r*e^{i*theta_c},
+    theta_c = |theta|, shared by infinity_reflection and verify_circle_theorem.
+
+    One entry serves "reflect, then verify" (or theta, then -theta) for the
+    same observer. The key holds every input of the solve, RootSet is
+    immutable, and a NoConvergence is not cached: the next call solves again.
+    """
+    return solve_quartic(infinity_quartic_coeffs(ObserverPolar(r, theta_c)), tol)
+
+
 def infinity_reflection(
     obs: ObserverPolar, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> InfinityResult:
@@ -132,8 +151,7 @@ def infinity_reflection(
     """
     theta = obs.theta
     theta_c = abs(theta)
-    canonical = ObserverPolar(obs.r, theta_c) if theta != theta_c else obs
-    roots_c = solve_quartic(infinity_quartic_coeffs(canonical), tol)
+    roots_c = _canonical_roots(obs.r, theta_c, tol)
 
     if theta == 0.0:
         w = 1.0 + 0j
@@ -141,7 +159,7 @@ def infinity_reflection(
         degenerate = True
     else:
         degenerate = False
-        f_c = canonical.point
+        f_c = obs.r * cmath.exp(1j * theta_c)
         candidates: list[tuple[complex, float]] = []
         for root in roots_c.roots:
             if not on_unit_circle(root, tol):
@@ -169,10 +187,10 @@ def infinity_reflection(
         all_roots = _conjugated_rootset(roots_c) if theta < 0.0 else roots_c
 
     images: Optional[tuple[float, float, float, float]]
-    if any(abs(root - 1.0) < _ROOT_AT_ONE_EPS for root in all_roots.roots):
-        images = None
-    else:
+    try:
         images = mobius_real_image(all_roots)
+    except RootAtOne:
+        images = None
 
     f = obs.point
     return InfinityResult(
@@ -203,6 +221,12 @@ def verify_circle_theorem(obs: ObserverPolar, tol: Tolerances = DEFAULT_TOLERANC
     """Check, by two independent routes, that all four reflection roots lie
     on the unit circle: the real-coefficient image quartic must classify as
     FourRealDistinct and the solved roots must pass the circle test.
+
+    The circle test runs on the canonical solve at |theta| that
+    infinity_reflection uses, so verifying an observer just reflected costs
+    no second solve. That serves theta < 0 as well: its quartic is the
+    conjugate one, its roots are the conjugates, and |conj(w)| == |w|
+    exactly.
     """
     if obs.theta == 0.0 or abs(obs.theta) == math.pi:
         raise DegenerateLeadingCoefficient(
@@ -213,5 +237,5 @@ def verify_circle_theorem(obs: ObserverPolar, tol: Tolerances = DEFAULT_TOLERANC
     )
     if nature.classification is not RootNature.FOUR_REAL_DISTINCT:
         return False
-    roots = solve_quartic(infinity_quartic_coeffs(obs), tol)
+    roots = _canonical_roots(obs.r, abs(obs.theta), tol)
     return all(on_unit_circle(w, tol) for w in roots.roots)

@@ -187,7 +187,8 @@ def _polish(coeffs: tuple[complex, ...], w: complex, base_bound: float) -> tuple
 
     The acceptance bound grows with |root|^degree: below that, float64 cannot
     even evaluate the polynomial, so a flat bound would be unreachable for
-    roots far outside the unit disk. A non-finite residual never passes it.
+    roots far outside the unit disk. A non-finite residual never passes it,
+    and it ends the iteration at once: Newton cannot leave inf or NaN.
     """
     deriv_stall = 1e-290
     degree = len(coeffs) - 1
@@ -204,6 +205,7 @@ def _polish(coeffs: tuple[complex, ...], w: complex, base_bound: float) -> tuple
             iters == _MAX_POLISH_ITERATIONS
             or res <= base_bound * max(1.0, abs(cur)) ** degree
             or abs(df) < deriv_stall
+            or not math.isfinite(res)
         ):
             break
         cur = cur - f / df

@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
+import catoptrix.infinity as infinity_module
 from catoptrix import (
     InfinityResult,
     ObserverPolar,
     OracleConfig,
     RootSet,
+    Tolerances,
     infinity_quartic_coeffs,
     infinity_reflection,
     mobius_real_image,
+    on_unit_circle,
     oracle_infinity_path,
     solve_quartic,
     verify_circle_theorem,
@@ -21,6 +24,7 @@ from catoptrix import (
 from catoptrix.errors import (
     DegenerateLeadingCoefficient,
     InvalidObserver,
+    NoConvergence,
     RootAtOne,
     ShadowRegion,
 )
@@ -189,6 +193,70 @@ def test_verify_circle_theorem():
         verify_circle_theorem(ObserverPolar(2.0, 0.0))
     with pytest.raises(DegenerateLeadingCoefficient):
         verify_circle_theorem(ObserverPolar(2.0, math.pi))
+
+
+def _edge_observers():
+    rng = np.random.default_rng(79)
+    pairs = [(1.0 + 1e-9, 0.7), (1.0 + 1e-9, math.pi / 2), (1e3, 0.3), (1e3, math.pi - 1e-6)]
+    pairs += [(2.0, math.pi / 2 + d) for d in (-1e-9, 0.0, 1e-9)]
+    pairs += [(3.0, math.pi - d) for d in (1e-9, 1e-6, 1e-3)]
+    pairs += [(1.0 + 10 ** rng.uniform(-9, 3), rng.uniform(1e-4, math.pi - 1e-4)) for _ in range(200)]
+    return pairs
+
+
+def test_verify_circle_theorem_matches_direct_solve():
+    # the shared canonical solve at |theta| decides as a solve at theta does,
+    # both when the observer was just reflected and for its mirror image
+    for r, theta in _edge_observers():
+        plus, minus = ObserverPolar(r, theta), ObserverPolar(r, -theta)
+        try:
+            infinity_reflection(plus)
+        except ShadowRegion:
+            pass
+        for obs in (plus, minus):
+            direct = all(on_unit_circle(w) for w in solve_quartic(infinity_quartic_coeffs(obs)).roots)
+            assert verify_circle_theorem(obs) == direct, (r, obs.theta)
+
+
+def test_reflect_then_verify_solves_once(monkeypatch):
+    calls = []
+
+    def counting(q, tol):
+        calls.append(q)
+        return solve_quartic(q, tol)
+
+    monkeypatch.setattr(infinity_module, "solve_quartic", counting)
+
+    def solves(*steps):
+        before = len(calls)
+        for step in steps:
+            step()
+        return len(calls) - before
+
+    a = ObserverPolar(2.0625, 0.6015625)
+    assert solves(lambda: infinity_reflection(a), lambda: verify_circle_theorem(a)) == 1
+    b, b_minus = ObserverPolar(3.125, 1.3125), ObserverPolar(3.125, -1.3125)
+    assert solves(lambda: infinity_reflection(b), lambda: infinity_reflection(b_minus)) == 1
+    assert solves(lambda: verify_circle_theorem(b_minus), lambda: infinity_reflection(b)) == 0
+    c, d = ObserverPolar(1.5, 0.25), ObserverPolar(1.5, 0.375)
+    assert solves(lambda: infinity_reflection(c), lambda: infinity_reflection(d)) == 2
+    tight = Tolerances(residual_tol=1e-11)
+    assert solves(lambda: verify_circle_theorem(d), lambda: verify_circle_theorem(d, tight)) == 1
+
+
+def test_failed_solve_is_not_kept(monkeypatch):
+    calls = []
+
+    def failing(q, tol):
+        calls.append(q)
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(infinity_module, "solve_quartic", failing)
+    obs = ObserverPolar(2.25, 0.8125)
+    for _ in range(2):
+        with pytest.raises(NoConvergence):
+            infinity_reflection(obs)
+    assert len(calls) == 2
 
 
 def test_shadow_region():

@@ -77,6 +77,23 @@ def test_badly_scaled_coefficients_raise_no_convergence(coeffs):
         polished_roots(coeffs)
 
 
+def test_polish_stops_at_a_nan_start_root(monkeypatch):
+    # Newton cannot leave NaN: the first non-finite p(w) ends the solve
+    from catoptrix import quartic
+
+    calls = []
+    horner_pair = quartic._horner_pair
+
+    def counting(coeffs, w):
+        calls.append(w)
+        return horner_pair(coeffs, w)
+
+    monkeypatch.setattr(quartic, "_horner_pair", counting)
+    with pytest.raises(NoConvergence, match="stalled at residual inf"):
+        solve_quartic(QuarticCoeffs(1e-100, 1e100, 0, 0, 1))
+    assert len(calls) <= 1
+
+
 def test_infinity_quartic_roots_match_companion_oracle():
     # observer r=2, theta=pi/3: all roots on the circle, values cross-checked
     obs = ObserverPolar(2.0, math.pi / 3)
