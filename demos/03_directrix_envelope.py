@@ -12,7 +12,6 @@ import math
 from pathlib import Path
 
 from catoptrix import (
-    EnvelopeCurve,
     directrix,
     envelope_implicit,
     envelope_param,
@@ -39,8 +38,7 @@ print(f"  tangency point  = {tangency_point(a, w):.6f}")
 print(f"  focus-directrix property: dist(w, line) = {point_line_distance(w, line):.12f}"
       f" vs |w - a| = {abs(w - a):.12f}")
 
-curve = EnvelopeCurve.for_focus(a)
-print(f"\nenvelope: z = 2 e^(i t) - a e^(2 i t);  reachable arc phi_max = {curve.phi_max:.12f}"
+print(f"\nenvelope: z = 2 e^(i t) - a e^(2 i t);  reachable arc phi_max = {valid_arc(a):.12f}"
       f" (= pi/3 for a = 2)")
 
 print("\nparametric points land on the implicit quartic curve:")

@@ -8,9 +8,7 @@ paired with an independent brute-force oracle.
 """
 
 from .envelope import (
-    EnvelopeCurve,
     LineCoeffs,
-    ParabolaSpec,
     directrix,
     e1_isolated_point,
     envelope_implicit,
@@ -81,7 +79,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "DegenerateLeadingCoefficient",
     "EllipseParams",
-    "EnvelopeCurve",
     "InfinityResult",
     "InvalidFocus",
     "InvalidObserver",
@@ -92,7 +89,6 @@ __all__ = [
     "NotOnCircle",
     "ObserverPolar",
     "OracleConfig",
-    "ParabolaSpec",
     "PointInsideDomain",
     "PointOutsideDomain",
     "QuarticCoeffs",

@@ -14,12 +14,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidFocus, NotOnCircle
-from .numeric import DEFAULT_TOLERANCES, Tolerances, ensure_point, ensure_real, unit_from_angle
+from .numeric import DEFAULT_TOLERANCES, Tolerances, ensure_point, ensure_real
 
 __all__ = [
     "LineCoeffs",
-    "ParabolaSpec",
-    "EnvelopeCurve",
     "tangent_line",
     "mirror_point",
     "directrix",
@@ -94,20 +92,6 @@ def point_line_distance(p: complex, line: LineCoeffs) -> float:
     n = line.normalized()
     v = n.alpha * p
     return abs(v + v.conjugate() + n.gamma) / (2.0 * abs(n.alpha))
-
-
-@dataclass(frozen=True)
-class ParabolaSpec:
-    """Parabola tangent to the unit circle at `tangency` with focus on the
-    real axis; `directrix` is the corresponding directrix line."""
-
-    focus: complex
-    tangency: complex
-    directrix: LineCoeffs
-
-    @classmethod
-    def from_focus_and_tangency(cls, a: float, w: complex) -> "ParabolaSpec":
-        return cls(focus=complex(a, 0.0), tangency=w, directrix=directrix(a, w))
 
 
 def _check_on_circle(w: complex, tol: Tolerances) -> complex:
@@ -203,27 +187,3 @@ def valid_arc(a: float) -> float:
     asin(sqrt(a^2 - 1)/a), in (0, pi/2)."""
     a = _check_focus(a)
     return math.asin(math.sqrt(a * a - 1.0) / a)
-
-
-@dataclass(frozen=True)
-class EnvelopeCurve:
-    """The directrix envelope for a fixed observer, queryable both ways."""
-
-    a: float
-    phi_max: float
-
-    @classmethod
-    def for_focus(cls, a: float) -> "EnvelopeCurve":
-        return cls(a=_check_focus(a), phi_max=valid_arc(a))
-
-    def point(self, theta: float) -> complex:
-        return envelope_param(self.a, theta)
-
-    def implicit_residual(self, z: complex) -> float:
-        return envelope_implicit(self.a, z)
-
-    def limacon_form_residual(self, x: float, y: float) -> float:
-        return limacon_residual(self.a, x, y)
-
-    def directrix_at(self, theta: float) -> LineCoeffs:
-        return directrix(self.a, unit_from_angle(theta))

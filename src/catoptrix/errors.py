@@ -34,7 +34,12 @@ class CoincidentPoints(CatoptrixError):
 
 
 class NoRootOnCircle(CatoptrixError):
-    """No candidate root passed the unit-circle test; tolerance or regime failure."""
+    """No candidate root passed the unit-circle test (or, for a plane wave,
+    the physical filters).
+
+    Every interior pair has at least two on-circle roots, the minimum and the
+    maximum of the focal sum, so for minimizing_root this marks a tolerance
+    tighter than the polished roots can meet, not a property of the pair."""
 
 
 class InvalidObserver(CatoptrixError):

@@ -9,11 +9,11 @@ physics: the incoming horizontal ray must hit the lit side first, the
 reflected segment must clear the mirror, and among the survivors the
 plane-wave path functional |f - w| - Re w is minimal.
 
-The quartic for -theta is the conjugate of the one for theta, so every
-observer is solved at theta_c = |theta| and the roots are conjugated back.
-infinity_reflection and verify_circle_theorem share that canonical solve,
-and the most recent one is kept, so verifying the observer just reflected
-(or reflecting its mirror image at -theta) solves no second time.
+Every observer is solved in its own frame. The quartic for -theta is the
+conjugate of the one for theta, so the selection window mirrors with the
+sign of theta. infinity_reflection and verify_circle_theorem share the most
+recent solve, so verifying the observer just reflected solves no second
+time.
 """
 
 from __future__ import annotations
@@ -109,33 +109,20 @@ def infinity_quartic_coeffs(obs: ObserverPolar) -> QuarticCoeffs:
     )
 
 
-def _conjugated_rootset(roots: RootSet) -> RootSet:
-    order = sorted(
-        range(len(roots.roots)),
-        key=lambda k: (cmath.phase(roots.roots[k].conjugate()), abs(roots.roots[k])),
-    )
-    return RootSet(
-        roots=tuple(roots.roots[k].conjugate() for k in order),
-        residuals=tuple(roots.residuals[k] for k in order),
-        polish_iterations=tuple(roots.polish_iterations[k] for k in order),
-        min_separation=roots.min_separation,
-    )
-
-
 def _reality_residual(f: complex, w: complex) -> float:
     return abs(((f - w) / (w * w)).imag)
 
 
 @functools.lru_cache(maxsize=1)
-def _canonical_roots(r: float, theta_c: float, tol: Tolerances) -> RootSet:
-    """Roots of the reflection quartic for the observer r*e^{i*theta_c},
-    theta_c = |theta|, shared by infinity_reflection and verify_circle_theorem.
+def _roots(obs: ObserverPolar, tol: Tolerances) -> RootSet:
+    """Roots of the reflection quartic of obs, shared by infinity_reflection
+    and verify_circle_theorem.
 
-    One entry serves "reflect, then verify" (or theta, then -theta) for the
-    same observer. The key holds every input of the solve, RootSet is
-    immutable, and a NoConvergence is not cached: the next call solves again.
+    One entry serves "reflect, then verify" for the same observer. The key
+    holds every input of the solve, RootSet is immutable, and a NoConvergence
+    is not cached: the next call solves again.
     """
-    return solve_quartic(infinity_quartic_coeffs(ObserverPolar(r, theta_c)), tol)
+    return solve_quartic(infinity_quartic_coeffs(obs), tol)
 
 
 def infinity_reflection(
@@ -143,60 +130,54 @@ def infinity_reflection(
 ) -> InfinityResult:
     """Physical reflection point for a plane wave arriving from the +x side.
 
-    Negative angles reduce to positive ones by conjugation. theta = 0 is the
-    degenerate on-axis case with w = 1. For |theta| <= pi/2 the selected root
-    has phi in [0, pi/2] (up to conjugation); for observers beyond pi/2 a
-    root is returned only if one survives the physical filters, otherwise
-    ShadowRegion is raised.
+    theta = 0 is the degenerate on-axis case with w = 1. For |theta| <= pi/2
+    the selected root has phi in [0, pi/2] for theta > 0 and in [-pi/2, 0]
+    for theta < 0; for observers beyond pi/2 a root is returned only if one
+    survives the physical filters, otherwise ShadowRegion is raised.
     """
     theta = obs.theta
-    theta_c = abs(theta)
-    roots_c = _canonical_roots(obs.r, theta_c, tol)
+    roots = _roots(obs, tol)
+    f = obs.point
 
     if theta == 0.0:
         w = 1.0 + 0j
-        all_roots = roots_c
         degenerate = True
     else:
         degenerate = False
-        f_c = obs.r * cmath.exp(1j * theta_c)
         candidates: list[tuple[complex, float]] = []
-        for root in roots_c.roots:
+        for root in roots.roots:
             if not on_unit_circle(root, tol):
                 continue
             wp = project_to_circle(root)
-            phi = cmath.phase(wp)
-            if theta_c <= math.pi / 2.0 and not (
+            # the window mirrors with the observer: phi is measured toward it
+            phi = cmath.phase(wp) if theta > 0.0 else -cmath.phase(wp)
+            if abs(theta) <= math.pi / 2.0 and not (
                 -_ANGLE_SLACK <= phi <= math.pi / 2.0 + _ANGLE_SLACK
             ):
                 continue
             if wp.real < -tol.unit_circle_tol:
                 continue  # unlit: the incoming ray hits the far side first
-            if not segment_clears_disk(wp, f_c):
+            if not segment_clears_disk(wp, f):
                 continue
-            candidates.append((wp, abs(f_c - wp) - wp.real))
+            candidates.append((wp, abs(f - wp) - wp.real))
         if not candidates:
-            if theta_c > math.pi / 2.0:
+            if abs(theta) > math.pi / 2.0:
                 raise ShadowRegion(
                     f"no physically valid reflection for theta = {theta:.6g}"
                 )
             raise NoRootOnCircle("no root passed the physical filters")
         w = min(candidates, key=lambda t: t[1])[0]
-        if theta < 0.0:
-            w = w.conjugate()
-        all_roots = _conjugated_rootset(roots_c) if theta < 0.0 else roots_c
 
     images: Optional[tuple[float, float, float, float]]
     try:
-        images = mobius_real_image(all_roots)
+        images = mobius_real_image(roots)
     except RootAtOne:
         images = None
 
-    f = obs.point
     return InfinityResult(
         w=w,
         phi=cmath.phase(w),
-        all_roots=all_roots,
+        all_roots=roots,
         mobius_images=images,
         path_defect=abs(f - w) - w.real,
         reality_residual=_reality_residual(f, w),
@@ -222,11 +203,8 @@ def verify_circle_theorem(obs: ObserverPolar, tol: Tolerances = DEFAULT_TOLERANC
     on the unit circle: the real-coefficient image quartic must classify as
     FourRealDistinct and the solved roots must pass the circle test.
 
-    The circle test runs on the canonical solve at |theta| that
-    infinity_reflection uses, so verifying an observer just reflected costs
-    no second solve. That serves theta < 0 as well: its quartic is the
-    conjugate one, its roots are the conjugates, and |conj(w)| == |w|
-    exactly.
+    The circle test runs on the solve that infinity_reflection uses, so
+    verifying an observer just reflected costs no second solve.
     """
     if obs.theta == 0.0 or abs(obs.theta) == math.pi:
         raise DegenerateLeadingCoefficient(
@@ -237,5 +215,5 @@ def verify_circle_theorem(obs: ObserverPolar, tol: Tolerances = DEFAULT_TOLERANC
     )
     if nature.classification is not RootNature.FOUR_REAL_DISTINCT:
         return False
-    roots = _canonical_roots(obs.r, abs(obs.theta), tol)
+    roots = _roots(obs, tol)
     return all(on_unit_circle(w, tol) for w in roots.roots)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (
     CoincidentPoints,
@@ -115,16 +115,16 @@ def _select_minimizing(
     z2: complex,
     roots: RootSet,
     tol: Tolerances,
-    visible: Optional[tuple[bool, ...]] = None,
+    visible: Optional[Callable[[complex], bool]] = None,
 ) -> Optional[tuple[complex, float, tuple[bool, ...], tuple[int, ...]]]:
     mask = tuple(on_unit_circle(w, tol) for w in roots.roots)
     best: list[tuple[int, complex, float]] = []
     for k, w in enumerate(roots.roots):
         if not mask[k]:
             continue
-        if visible is not None and not visible[k]:
-            continue
         wp = project_to_circle(w)
+        if visible is not None and not visible(wp):
+            continue
         best.append((k, wp, abs(z1 - wp) + abs(z2 - wp)))
     if not best:
         return None
@@ -226,14 +226,11 @@ def exterior_reflection(
     if abs(z1 - z2) < _COINCIDENT_EPS:
         raise CoincidentPoints("points coincide")
     roots, dropped = _candidate_roots(z1, z2, tol)
-    visible = []
-    for w in roots.roots:
-        if abs(w) == 0.0:
-            visible.append(False)
-            continue
-        wp = project_to_circle(w)
-        visible.append(segment_clears_disk(z1, wp) and segment_clears_disk(z2, wp))
-    sel = _select_minimizing(z1, z2, roots, tol, visible=tuple(visible))
+
+    def visible(wp: complex) -> bool:
+        return segment_clears_disk(z1, wp) and segment_clears_disk(z2, wp)
+
+    sel = _select_minimizing(z1, z2, roots, tol, visible)
     if sel is None:
         return None
     return _result(z1, z2, roots, dropped, sel)

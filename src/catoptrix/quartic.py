@@ -1,9 +1,11 @@
-"""Closed-form quartic solving with Newton polishing, and real-quartic root classification.
+"""Closed-form quartic solving with joint root polishing, and real-quartic root classification.
 
 The solver runs the Cardano-Ferrari chain in complex arithmetic (so complex
-coefficients are first class), then polishes every root with Newton steps on
-the original polynomial. Closed form alone loses digits near repeated roots;
-the polish restores them.
+coefficients are first class), then polishes all roots together with
+Aberth-Ehrlich steps on the original polynomial. Closed form alone loses
+digits near repeated roots and when the coefficients span many orders of
+magnitude; the polish restores them, and polishing the roots jointly keeps
+two closed-form starts from converging onto one root.
 """
 
 from __future__ import annotations
@@ -182,45 +184,71 @@ def _ferrari(coeffs: tuple[complex, ...]) -> list[complex]:
     return [y - shift for y in ys]
 
 
-def _polish(coeffs: tuple[complex, ...], w: complex, base_bound: float) -> tuple[complex, float, int]:
-    """Newton-polish one root; returns (root, residual, iterations used).
+def _stalled(residual: float, w: complex, base_bound: float, degree: int) -> NoConvergence:
+    bound = base_bound * max(1.0, abs(w)) ** degree
+    return NoConvergence(f"root polishing stalled at residual {residual:.3e} (bound {bound:.3e})")
+
+
+def _polish(
+    coeffs: tuple[complex, ...], roots: list[complex], base_bound: float
+) -> tuple[list[complex], list[float], list[int]]:
+    """Polish all roots together; returns (roots, residuals, iterations used).
+
+    Each step moves every root still above its bound by the Aberth-Ehrlich
+    correction N / (1 - N * sum_{j != k} 1/(w_k - w_j)), N = p(w_k)/p'(w_k).
+    The sum repels each root from the others, so two starts in one basin
+    cannot both converge onto the same root, as independent Newton steps can
+    (Aberth, Math. Comp. 27, 1973). A root already within its bound does not
+    move.
 
     The acceptance bound grows with |root|^degree: below that, float64 cannot
     even evaluate the polynomial, so a flat bound would be unreachable for
     roots far outside the unit disk. A non-finite residual never passes it,
-    and it ends the iteration at once: Newton cannot leave inf or NaN.
+    and it ends the polish at once: no step can leave inf or NaN.
     """
     deriv_stall = 1e-290
     degree = len(coeffs) - 1
-    best_w = w
-    best_res = math.inf
-    cur = w
-    for iters in range(_MAX_POLISH_ITERATIONS + 1):
-        f, df = _horner_pair(coeffs, cur)
-        res = abs(f)
-        if res < best_res:
-            best_res = res
-            best_w = cur
-        if (
-            iters == _MAX_POLISH_ITERATIONS
-            or res <= base_bound * max(1.0, abs(cur)) ** degree
-            or abs(df) < deriv_stall
-            or not math.isfinite(res)
-        ):
+    cur = list(roots)
+    best = list(roots)
+    best_res = [math.inf] * len(cur)
+    iters = [0] * len(cur)
+    pending = range(len(cur))
+    for step in range(_MAX_POLISH_ITERATIONS + 1):
+        moving = []
+        for k in pending:
+            w = cur[k]
+            f, df = _horner_pair(coeffs, w)
+            res = abs(f)
+            if not math.isfinite(res):
+                raise _stalled(best_res[k], best[k], base_bound, degree)
+            if res < best_res[k]:
+                best_res[k] = res
+                best[k] = w
+            iters[k] = step
+            if not (
+                step == _MAX_POLISH_ITERATIONS
+                or res <= base_bound * max(1.0, abs(w)) ** degree
+                or abs(df) < deriv_stall
+            ):
+                moving.append((k, f / df))
+        if not moving:
             break
-        cur = cur - f / df
-    bound = base_bound * max(1.0, abs(best_w)) ** degree
-    if not (math.isfinite(best_res) and best_res <= bound):
-        raise NoConvergence(
-            f"root polishing stalled at residual {best_res:.3e} (bound {bound:.3e})"
-        )
-    return best_w, best_res, iters
+        for k, newton in moving:
+            w = cur[k]
+            # an exact duplicate start is skipped: it would divide by zero
+            repel = sum(1.0 / (w - v) for v in cur if v != w)
+            denom = 1.0 - newton * repel
+            cur[k] = w - (newton / denom if denom != 0 else newton)
+        pending = [k for k, _ in moving]
+    for k, w in enumerate(best):
+        if not best_res[k] <= base_bound * max(1.0, abs(w)) ** degree:
+            raise _stalled(best_res[k], w, base_bound, degree)
+    return best, best_res, iters
 
 
 def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex], tol: Tolerances) -> RootSet:
-    bound = tol.residual_tol * max(1.0, max(abs(c) for c in coeffs))
-    polished = [_polish(coeffs, w, bound) for w in roots]
-    polished.sort(key=lambda t: (cmath.phase(t[0]), abs(t[0])))
+    bound = tol.residual_tol * max(abs(c) for c in coeffs)
+    polished = sorted(zip(*_polish(coeffs, roots, bound)), key=lambda t: (cmath.phase(t[0]), abs(t[0])))
     rs = tuple(t[0] for t in polished)
     res = tuple(t[1] for t in polished)
     its = tuple(t[2] for t in polished)
@@ -244,7 +272,7 @@ def solve_quartic(q: QuarticCoeffs, tol: Tolerances = DEFAULT_TOLERANCES) -> Roo
     Raises
     ------
     DegenerateLeadingCoefficient if q.c4 == 0, NoConvergence if a root cannot
-    be polished below the residual bound within 50 Newton steps, or if the
+    be polished below the residual bound within 50 polish steps, or if the
     coefficients are so badly scaled that float64 overflows on the way.
     """
     if q.c4 == 0:

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from catoptrix import (
-    EnvelopeCurve,
     LineCoeffs,
-    ParabolaSpec,
     directrix,
     e1_isolated_point,
     envelope_implicit,
@@ -210,19 +208,3 @@ def test_line_coeffs_validation_and_normalization():
     # normalization preserves the zero set
     z = tangency_point(3.0, unit_from_angle(0.7))
     assert abs(norm(z)) < 1e-9
-
-
-def test_parabola_spec_invariant():
-    spec = ParabolaSpec.from_focus_and_tangency(2.0, unit_from_angle(0.3))
-    d = point_line_distance(spec.tangency, spec.directrix)
-    assert abs(d - abs(spec.tangency - spec.focus)) < 1e-9
-
-
-def test_envelope_curve_wrapper():
-    curve = EnvelopeCurve.for_focus(2.0)
-    assert abs(curve.phi_max - math.pi / 3) < 1e-12  # asin(sqrt(3)/2)
-    z = curve.point(0.5)
-    assert abs(curve.implicit_residual(z)) < 1e-9
-    assert abs(curve.limacon_form_residual(z.real, z.imag)) < 1e-9
-    line = curve.directrix_at(0.5)
-    assert point_line_distance(z, line) < 1e-9

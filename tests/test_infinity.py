@@ -116,8 +116,13 @@ def test_conjugation_symmetry():
     rng = np.random.default_rng(59)
     for _ in range(300):
         r = float(rng.uniform(1.001, 100.0))
-        theta = float(rng.uniform(1e-4, math.pi / 2))
-        plus = infinity_reflection(ObserverPolar(r, theta))
+        theta = float(rng.uniform(1e-4, math.pi))
+        try:
+            plus = infinity_reflection(ObserverPolar(r, theta))
+        except ShadowRegion:
+            with pytest.raises(ShadowRegion):
+                infinity_reflection(ObserverPolar(r, -theta))
+            continue
         minus = infinity_reflection(ObserverPolar(r, -theta))
         assert abs(minus.w - plus.w.conjugate()) < 1e-9
         assert abs(minus.path_defect - plus.path_defect) < 1e-9
@@ -205,8 +210,8 @@ def _edge_observers():
 
 
 def test_verify_circle_theorem_matches_direct_solve():
-    # the shared canonical solve at |theta| decides as a solve at theta does,
-    # both when the observer was just reflected and for its mirror image
+    # the solve shared with infinity_reflection decides as a direct solve
+    # does, both when the observer was just reflected and when it was not
     for r, theta in _edge_observers():
         plus, minus = ObserverPolar(r, theta), ObserverPolar(r, -theta)
         try:
@@ -235,9 +240,10 @@ def test_reflect_then_verify_solves_once(monkeypatch):
 
     a = ObserverPolar(2.0625, 0.6015625)
     assert solves(lambda: infinity_reflection(a), lambda: verify_circle_theorem(a)) == 1
+    # each sign is an observer of its own, solved in its own frame
     b, b_minus = ObserverPolar(3.125, 1.3125), ObserverPolar(3.125, -1.3125)
-    assert solves(lambda: infinity_reflection(b), lambda: infinity_reflection(b_minus)) == 1
-    assert solves(lambda: verify_circle_theorem(b_minus), lambda: infinity_reflection(b)) == 0
+    assert solves(lambda: infinity_reflection(b), lambda: infinity_reflection(b_minus)) == 2
+    assert solves(lambda: verify_circle_theorem(b_minus)) == 0
     c, d = ObserverPolar(1.5, 0.25), ObserverPolar(1.5, 0.375)
     assert solves(lambda: infinity_reflection(c), lambda: infinity_reflection(d)) == 2
     tight = Tolerances(residual_tol=1e-11)
@@ -260,12 +266,15 @@ def test_failed_solve_is_not_kept(monkeypatch):
 
 
 def test_shadow_region():
-    with pytest.raises(ShadowRegion):
-        infinity_reflection(ObserverPolar(2.0, 3.0))
-    # just past pi/2 the upper lit arc still reaches the observer
+    for theta in (3.0, -3.0):
+        with pytest.raises(ShadowRegion):
+            infinity_reflection(ObserverPolar(2.0, theta))
+    # just past pi/2 the upper lit arc still reaches the observer, and the
+    # lower one its mirror image
     res = infinity_reflection(ObserverPolar(2.0, 1.7))
     assert isinstance(res, InfinityResult)
     assert res.reality_residual < 1e-9
+    assert infinity_reflection(ObserverPolar(2.0, -1.7)).w == res.w.conjugate()
 
 
 def test_oracle_agreement_random_observers():

@@ -83,6 +83,53 @@ def test_minimizing_root_matches_boundary_oracle():
     assert abs(res.s_value - ORACLE_S_04_03I) < 1e-9
 
 
+# pairs near the origin where a closed-form root lands just off the circle
+# or two polish starts share one basin; a polish that misses this raises
+# NoRootOnCircle on the first and returns the focal-sum maximum on the others
+NEAR_ORIGIN_PAIRS = [
+    (0.0002307166302938166 - 0.001243391230998268j, 0.00023052382670505484 - 0.0012424099936283312j),
+    (0.0017212669998022568 + 0.0003389481429941294j, 0.0017216517438242204 + 0.0003387569078024896j),
+    (1.9211273177963823e-08 - 2.1641075130671792e-08j, -0.2480138666847906 + 0.6694455923896773j),
+]
+
+
+@pytest.mark.parametrize("z1, z2", NEAR_ORIGIN_PAIRS)
+def test_minimizing_root_near_the_origin_matches_oracle(z1, z2):
+    _, s_oracle = oracle_smetric(z1, z2)
+    assert abs(minimizing_root(z1, z2).s_value - s_oracle) <= 1e-9 * s_oracle
+
+
+def _polar(rng, rho):
+    return rho * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+
+def _assert_finds_the_minimum(z1, z2):
+    # the focal sum is smooth on the circle, so its minimum and maximum are
+    # both on-circle roots; a dense grid bounds the minimum from above
+    res = minimizing_root(z1, z2)
+    assert sum(res.on_circle_mask) >= 2, (z1, z2)
+    w = np.exp(1j * np.linspace(-math.pi, math.pi, 8192, endpoint=False))
+    grid_min = float(np.min(np.abs(z1 - w) + np.abs(z2 - w)))
+    assert res.focal_sum <= grid_min + 1e-12, (z1, z2)
+
+
+def test_minimizing_root_with_a_point_next_to_the_origin():
+    rng = np.random.default_rng(97)
+    for _ in range(500):
+        z1 = _polar(rng, 10.0 ** rng.uniform(-12.0, -1.0))
+        z2 = _polar(rng, math.sqrt(rng.uniform(0.0, 0.98 ** 2)))
+        _assert_finds_the_minimum(z1, z2)
+
+
+def test_minimizing_root_near_coincident_near_the_origin():
+    rng = np.random.default_rng(101)
+    for _ in range(500):
+        rho = 10.0 ** rng.uniform(-4.0, -1.0)
+        z1 = _polar(rng, rho)
+        z2 = z1 + _polar(rng, rho * 10.0 ** rng.uniform(-4.0, -1.0))
+        _assert_finds_the_minimum(z1, z2)
+
+
 def test_minimizing_root_domain_errors():
     with pytest.raises(PointOutsideDomain):
         minimizing_root(1.2, 0.5)
