@@ -5,6 +5,10 @@ JSON record to stdout (fixed field order, 17-significant-digit reals, so
 identical flags give byte-identical output); human-readable messages go to
 stderr. Exit code 0 on success, 2 on domain errors, with the error code in
 the record's status field.
+
+Each subcommand imports the library modules it runs when it runs, so a
+process loads only those: ``svg`` only under ``--svg``, and ``oracle``, with
+numpy, only for ``catoptrix oracle``.
 """
 
 from __future__ import annotations
@@ -16,26 +20,23 @@ import math
 import sys
 from typing import Any, Optional, Sequence
 
-from . import svg as _svg
-from .envelope import (
-    directrix,
-    envelope_implicit,
-    envelope_param,
-    mirror_point,
-    point_line_distance,
-    tangency_point,
-    valid_arc,
-)
 from .errors import CatoptrixError
-from .infinity import ObserverPolar, infinity_reflection
-# ellipse_params is unused here but stays a cli attribute: the traced
-# benchmark run (bench/layers.py) wraps cli.ellipse_params
-from .interior import _ellipse_of, ellipse_params, minimizing_root  # noqa: F401
-from .numeric import unit_from_angle
-from .oracle import OracleConfig, oracle_infinity_path, oracle_quartic_discriminant, oracle_smetric
-from .quartic import RootNature, infinity_real_coeffs, real_quartic_invariants
 
 __all__ = ["main"]
+
+
+def __getattr__(name: str) -> Any:
+    # bench/layers.py traces the library by wrapping names on this module
+    # (cli.minimizing_root, cli.oracle_smetric, ...), so every name the
+    # package exports resolves here as well. The runners import from the
+    # defining modules at call time and so call the wrapped functions too.
+    # A solve trace built into the library (ROADMAP.md) would delete this.
+    import catoptrix
+
+    if name in catoptrix.__all__:
+        return getattr(catoptrix, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _VALUE_FLAGS = {
     "--z1", "--z2", "--r", "--theta", "--a", "--phi", "--samples",
@@ -170,6 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_interior(args: argparse.Namespace) -> dict[str, Any]:
+    from .interior import _ellipse_of, minimizing_root
+
     inputs = {"z1": _pair(args.z1), "z2": _pair(args.z2)}
     result = minimizing_root(args.z1, args.z2)
     ellipse = _ellipse_of(result, args.z1, args.z2)
@@ -183,8 +186,10 @@ def _run_interior(args: argparse.Namespace) -> dict[str, Any]:
         "svg": None,
     }
     if args.svg:
+        from .svg import interior_figure
+
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg.interior_figure(args.z1, args.z2, result, ellipse))
+            fh.write(interior_figure(args.z1, args.z2, result, ellipse))
         diagnostics["svg"] = args.svg
     return {
         "command": "interior",
@@ -206,6 +211,9 @@ def _run_interior(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _run_infinity(args: argparse.Namespace) -> dict[str, Any]:
+    from .infinity import ObserverPolar, infinity_reflection
+    from .quartic import RootNature, infinity_real_coeffs, real_quartic_invariants
+
     theta = math.radians(args.theta) if args.degrees else args.theta
     inputs = {"r": float(args.r), "theta": float(theta)}
     obs = ObserverPolar(args.r, theta)
@@ -227,8 +235,10 @@ def _run_infinity(args: argparse.Namespace) -> dict[str, Any]:
             "mobius_images": list(result.mobius_images) if result.mobius_images else None,
         }
     if args.svg:
+        from .svg import infinity_figure
+
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg.infinity_figure(obs, result))
+            fh.write(infinity_figure(obs, result))
         diagnostics["svg"] = args.svg
     return {
         "command": "infinity",
@@ -248,6 +258,8 @@ def _run_infinity(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _envelope_rows(a: float, samples: int) -> list[tuple[float, float, float, float]]:
+    from .envelope import envelope_implicit, envelope_param
+
     rows = []
     for k in range(samples):
         theta = -math.pi + math.tau * (k + 1) / samples
@@ -257,6 +269,8 @@ def _envelope_rows(a: float, samples: int) -> list[tuple[float, float, float, fl
 
 
 def _run_envelope(args: argparse.Namespace) -> dict[str, Any]:
+    from .envelope import valid_arc
+
     inputs = {"a": float(args.a), "samples": int(args.samples)}
     if args.samples < 1:
         raise ValueError("samples must be positive")
@@ -276,13 +290,17 @@ def _run_envelope(args: argparse.Namespace) -> dict[str, Any]:
                 )
         diagnostics["csv"] = args.csv
     if args.svg:
+        from .envelope import directrix
+        from .numeric import unit_from_angle
+        from .svg import envelope_figure
+
         thetas = [-math.pi + math.tau * (k + 1) / 720 for k in range(721)]
         lines = []
         k = max(0, args.directrices)
         for j in range(k):
             lines.append(directrix(args.a, unit_from_angle(-math.pi + math.tau * (j + 1) / k)))
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg.envelope_figure(args.a, thetas, lines))
+            fh.write(envelope_figure(args.a, thetas, lines))
         diagnostics["svg"] = args.svg
     return {
         "command": "envelope",
@@ -297,6 +315,9 @@ def _run_envelope(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _run_directrix(args: argparse.Namespace) -> dict[str, Any]:
+    from .envelope import directrix, mirror_point, point_line_distance, tangency_point
+    from .numeric import unit_from_angle
+
     phi = math.radians(args.phi) if args.degrees else args.phi
     inputs = {"a": float(args.a), "phi": float(phi)}
     w = unit_from_angle(phi)
@@ -328,6 +349,11 @@ def _run_directrix(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _run_oracle(args: argparse.Namespace) -> dict[str, Any]:
+    from .infinity import ObserverPolar, infinity_reflection
+    from .interior import minimizing_root
+    from .oracle import OracleConfig, oracle_infinity_path, oracle_quartic_discriminant, oracle_smetric
+    from .quartic import infinity_real_coeffs, real_quartic_invariants
+
     if args.oracle_command == "smetric":
         cfg = OracleConfig(grid=args.grid, refine_iters=args.refine_iters)
         inputs = {

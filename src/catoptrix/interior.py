@@ -48,7 +48,8 @@ class ReflectionResult:
     """Chosen reflection point with full diagnostics.
 
     w                    selected boundary point (projected onto the circle)
-    s_value              |z1 - z2| / focal_sum, in [0, 1)
+    s_value              |z1 - z2| / focal_sum, in [0, 1]; it rounds to 1 only
+                         for a point about an ulp from the rim
     focal_sum            |z1 - w| + |z2 - w|
     candidates           every root of the reflection polynomial
     on_circle_mask       which candidates passed the unit-circle test
@@ -143,9 +144,14 @@ def _result(
     sel: tuple[complex, float, tuple[bool, ...], tuple[int, ...]],
 ) -> ReflectionResult:
     w, fs, mask, ties = sel
+    # the focal sum can round an ulp below |z1 - z2| for a point about an ulp
+    # from the rim; the triangle inequality bounds it, so s <= 1 and the
+    # ellipse's c^2 - d^2 >= 0 hold exactly
+    d = abs(z1 - z2)
+    fs = max(fs, d)
     return ReflectionResult(
         w=w,
-        s_value=abs(z1 - z2) / fs,
+        s_value=d / fs,
         focal_sum=fs,
         candidates=roots,
         on_circle_mask=mask,

@@ -180,21 +180,38 @@ def test_oracle_discriminant_command():
     assert abs(record["results"]["resultant_delta"] - (-256.0)) < 1e-9
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_numpy_loads_only_for_the_oracles():
-    # a fresh interpreter, because this one has numpy loaded already
+    # a fresh interpreter, because this one has numpy loaded already; each
+    # command loads only the modules it runs, and svg and oracle none of them
     code = textwrap.dedent(
         """
         import contextlib, io, sys
         import catoptrix, catoptrix.cli
         from catoptrix.cli import main
-        with contextlib.redirect_stdout(io.StringIO()):
-            rcs = [
-                main(["interior", "--z1", "0.37,0.11", "--z2", "-0.25,0.42"]),
-                main(["infinity", "--r", "2", "--theta", "0.7", "--verify"]),
-                main(["envelope", "--a", "2", "--samples", "16"]),
-                main(["directrix", "--a", "2", "--phi", "0.3"]),
-            ]
-        assert rcs == [0, 0, 0, 0], rcs
+
+        def loaded():
+            return {m.split(".")[1] for m in sys.modules if m.startswith("catoptrix.")}
+
+        assert loaded() == {"cli", "errors"}, loaded()
+        steps = [
+            (["interior", "--z1", "0.37,0.11", "--z2", "-0.25,0.42"], {"numeric", "quartic", "interior"}),
+            (["infinity", "--r", "2", "--theta", "0.7", "--verify"], {"infinity"}),
+            (["envelope", "--a", "2", "--samples", "16"], {"envelope"}),
+            (["directrix", "--a", "2", "--phi", "0.3"], set()),
+        ]
+        expected = {"cli", "errors"}
+        for argv, added in steps:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(argv)
+            assert rc == 0, (argv, rc)
+            expected |= added
+            assert loaded() == expected, (argv, loaded())
         assert "numpy" not in sys.modules
         with contextlib.redirect_stdout(io.StringIO()):
             rc = main(["oracle", "discriminant", "--coeffs", "1,0,0,0,-1"])
@@ -202,13 +219,29 @@ def test_numpy_loads_only_for_the_oracles():
         assert "numpy" in sys.modules
         """
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# python -m catoptrix.cli, as users and the benchmark run it: cli is then
+# __main__, and its call-time relative imports must still resolve
+MODULE_CASES = [
+    *(pytest.param(name, argv, id=name) for name, argv in GOLDEN_CASES),
+    pytest.param(None, ["oracle", "discriminant", "--coeffs", "1,0,0,0,-1"], id="oracle-discriminant"),
+    pytest.param(None, ["infinity", "--r", "0.5", "--theta", "0.785"], id="domain-error"),
+]
+
+
+@pytest.mark.parametrize("name,argv", MODULE_CASES)
+def test_python_m_matches_in_process(name, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "catoptrix.cli", *argv], env=_src_env(), capture_output=True, timeout=60
+    )
+    rc, out, _ = _run(argv)
+    assert proc.returncode == rc
+    assert proc.stdout == out.encode("utf-8")
+    if name is not None:
+        assert proc.stdout == (GOLDEN_DIR / name).read_bytes()
+

@@ -1,7 +1,10 @@
 """Finite-source reflection: minimizing root, metric, ellipse, exterior variant."""
 
 import cmath
+import io
+import json
 import math
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from catoptrix import (
     oracle_smetric,
     s_metric,
 )
+from catoptrix.cli import main as cli_main
 from catoptrix.errors import (
     CoincidentPoints,
     NoRootOnCircle,
@@ -97,6 +101,28 @@ NEAR_ORIGIN_PAIRS = [
 def test_minimizing_root_near_the_origin_matches_oracle(z1, z2):
     _, s_oracle = oracle_smetric(z1, z2)
     assert abs(minimizing_root(z1, z2).s_value - s_oracle) <= 1e-9 * s_oracle
+
+
+# a point about an ulp from the rim, where the focal sum rounds an ulp below
+# |z1 - z2|: s came out 1.0000000000000002 and the ellipse raised a bare
+# ValueError from sqrt(c^2 - d^2 < 0)
+RIM_PAIRS = [
+    (0.9924792859046481 + 0.12241269154054134j, 0.7667998832700993 - 0.6183106449829997j),
+    (0.34507686275857363 - 0.9385744290085365j, -0.8757947356047254 - 0.39138451097350324j),
+]
+
+
+@pytest.mark.parametrize("z1, z2", RIM_PAIRS)
+def test_minimizing_root_an_ulp_from_the_rim(z1, z2):
+    res = minimizing_root(z1, z2)
+    assert res.s_value <= 1.0
+    _, s_oracle = oracle_smetric(z1, z2)
+    assert abs(res.s_value - s_oracle) <= 1e-15
+    assert ellipse_params(z1, z2).eccentricity == res.s_value
+    argv = ["interior", "--z1", f"{z1.real!r},{z1.imag!r}", "--z2", f"{z2.real!r},{z2.imag!r}"]
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli_main(argv) == 0
+    assert json.loads(out.getvalue())["results"]["s"] == res.s_value
 
 
 def _polar(rng, rho):
