@@ -2,9 +2,9 @@
 
 Subcommands: interior, infinity, envelope, directrix, oracle. Each prints one
 JSON record to stdout (fixed field order, 17-significant-digit reals, so
-identical flags give byte-identical output); human-readable messages go to
-stderr. Exit code 0 on success, 2 on domain errors, with the error code in
-the record's status field.
+identical flags give byte-identical output; a NaN or infinite real prints as
+null); human-readable messages go to stderr. Exit code 0 on success, 2 on
+domain errors, with the error code in the record's status field.
 
 Each subcommand imports the library modules it runs when it runs, so a
 process loads only those: ``svg`` only under ``--svg``, and ``oracle``, with
@@ -49,7 +49,7 @@ def _fmt_float(x: float) -> str:
 
 
 def _emit(obj: Any) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-digit reals."""
+    """Deterministic JSON: insertion-ordered keys, 17-digit reals, NaN/inf as null."""
     if obj is None:
         return "null"
     if obj is True:
@@ -61,7 +61,7 @@ def _emit(obj: Any) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        return _fmt_float(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -119,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("interior", help="reflection point and metric for two points in the disk")
     p_int.add_argument("--z1", type=_parse_point, required=True, metavar="RE,IM")
     p_int.add_argument("--z2", type=_parse_point, required=True, metavar="RE,IM")
-    p_int.add_argument("--json", action="store_true", help="emit JSON (the default)")
     p_int.add_argument("--svg", metavar="PATH", default=None)
 
     p_inf = sub.add_parser("infinity", help="reflection point for a plane wave from the +x side")
@@ -127,7 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--theta", type=float, required=True, help="observer angle (radians)")
     p_inf.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
     p_inf.add_argument("--verify", action="store_true", help="add the two-route circle check")
-    p_inf.add_argument("--json", action="store_true", help="emit JSON (the default)")
     p_inf.add_argument("--svg", metavar="PATH", default=None)
 
     p_env = sub.add_parser("envelope", help="sample the directrix-envelope limacon")
@@ -136,13 +134,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_env.add_argument("--csv", metavar="PATH", default=None)
     p_env.add_argument("--svg", metavar="PATH", default=None)
     p_env.add_argument("--directrices", type=int, default=0, help="directrix lines to overlay in the SVG")
-    p_env.add_argument("--json", action="store_true", help="emit JSON (the default)")
 
     p_dir = sub.add_parser("directrix", help="directrix of the tangential parabola at w = e^{i*phi}")
     p_dir.add_argument("--a", type=float, required=True)
     p_dir.add_argument("--phi", type=float, required=True)
     p_dir.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
-    p_dir.add_argument("--json", action="store_true", help="emit JSON (the default)")
 
     p_or = sub.add_parser("oracle", help="brute-force cross-checks")
     or_sub = p_or.add_subparsers(dest="oracle_command", required=True)
@@ -428,7 +424,7 @@ _RUNNERS = {
 
 
 def _echo_inputs(args: argparse.Namespace) -> dict[str, Any]:
-    skip = {"command", "oracle_command", "json", "svg", "csv", "verify", "degrees", "directrices"}
+    skip = {"command", "oracle_command", "svg", "csv", "verify", "degrees", "directrices"}
     echoed: dict[str, Any] = {}
     for key, value in sorted(vars(args).items()):
         if key in skip or value is None:

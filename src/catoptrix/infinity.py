@@ -4,10 +4,12 @@ The observer sits at f = r*e^{i*theta}, r > 1. The reflection point solves
 
     r*e^{-i*theta}*w^4 - w^3 + w - r*e^{i*theta} = 0,
 
-whose four roots all lie on the unit circle. Root selection follows the
-physics: the incoming horizontal ray must hit the lit side first, the
-reflected segment must clear the mirror, and among the survivors the
-plane-wave path functional |f - w| - Re w is minimal.
+whose four roots all lie on the unit circle. It is the finite-pair quartic
+divided by conj(z2) in the limit z2 -> +infinity, and the path functional
+|f - w| - Re w is that limit of the focal sum minus z2, so root selection is
+the finite pair's rule, numeric._argmin_on_circle, with the path functional
+as the cost. The physics is the filter: the incoming horizontal ray must hit
+the lit side first and the reflected segment must clear the mirror.
 
 Every observer is solved in its own frame. The quartic for -theta is the
 conjugate of the one for theta, so the selection window mirrors with the
@@ -28,9 +30,9 @@ from .errors import DegenerateLeadingCoefficient, InvalidObserver, NoRootOnCircl
 from .numeric import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _argmin_on_circle,
     ensure_real,
     on_unit_circle,
-    project_to_circle,
     segment_clears_disk,
     wrap_angle,
 )
@@ -133,7 +135,8 @@ def infinity_reflection(
     theta = 0 is the degenerate on-axis case with w = 1. For |theta| <= pi/2
     the selected root has phi in [0, pi/2] for theta > 0 and in [-pi/2, 0]
     for theta < 0; for observers beyond pi/2 a root is returned only if one
-    survives the physical filters, otherwise ShadowRegion is raised.
+    survives the physical filters, otherwise ShadowRegion is raised. Ties of
+    the path functional break as in minimizing_root.
     """
     theta = obs.theta
     roots = _roots(obs, tol)
@@ -144,29 +147,26 @@ def infinity_reflection(
         degenerate = True
     else:
         degenerate = False
-        candidates: list[tuple[complex, float]] = []
-        for root in roots.roots:
-            if not on_unit_circle(root, tol):
-                continue
-            wp = project_to_circle(root)
+
+        def keep(wp: complex) -> bool:
             # the window mirrors with the observer: phi is measured toward it
             phi = cmath.phase(wp) if theta > 0.0 else -cmath.phase(wp)
             if abs(theta) <= math.pi / 2.0 and not (
                 -_ANGLE_SLACK <= phi <= math.pi / 2.0 + _ANGLE_SLACK
             ):
-                continue
-            if wp.real < -tol.unit_circle_tol:
-                continue  # unlit: the incoming ray hits the far side first
-            if not segment_clears_disk(wp, f):
-                continue
-            candidates.append((wp, abs(f - wp) - wp.real))
-        if not candidates:
+                return False
+            # unlit when the incoming ray hits the far side first
+            return wp.real >= -tol.unit_circle_tol and segment_clears_disk(wp, f)
+
+        mask = tuple(on_unit_circle(root, tol) for root in roots.roots)
+        sel = _argmin_on_circle(roots.roots, mask, lambda wp: abs(f - wp) - wp.real, keep)
+        if sel is None:
             if abs(theta) > math.pi / 2.0:
                 raise ShadowRegion(
                     f"no physically valid reflection for theta = {theta:.6g}"
                 )
             raise NoRootOnCircle("no root passed the physical filters")
-        w = min(candidates, key=lambda t: t[1])[0]
+        w = sel[0]
 
     images: Optional[tuple[float, float, float, float]]
     try:

@@ -4,7 +4,8 @@ Solves the degree-4 reflection equation, selects the minimizing root (the
 boundary point minimizing the focal sum |z1 - w| + |z2 - w|), and derives the
 triangular ratio metric and the parameters of the maximal inscribed ellipse.
 The exterior variant keeps the same equation but additionally requires both
-sight segments to clear the mirror.
+sight segments to clear the mirror. Both select with the rule the plane-wave
+problem uses too, numeric._argmin_on_circle, with the focal sum as the cost.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .errors import (
 from .numeric import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _argmin_on_circle,
     ensure_point,
     on_unit_circle,
-    project_to_circle,
     segment_clears_disk,
 )
 from .quartic import QuarticCoeffs, RootSet, polished_roots, solve_quartic
@@ -40,7 +41,6 @@ __all__ = [
 ]
 
 _COINCIDENT_EPS = 1e-14
-_FOCAL_TIE_EPS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,48 +102,26 @@ def _reflection_residual(z1: complex, z2: complex, w: complex) -> float:
     return abs((((z1 - w) * (z2 - w)) / (w * w)).imag)
 
 
-def _candidate_roots(z1: complex, z2: complex, tol: Tolerances) -> tuple[RootSet, bool]:
+def _reflect(
+    z1: complex, z2: complex, tol: Tolerances, keep: Optional[Callable[[complex], bool]] = None
+) -> Optional[ReflectionResult]:
+    """The pair's root of least focal sum that keep accepts, or None; the
+    callers check the domain."""
+    if abs(z1 - z2) < _COINCIDENT_EPS:
+        raise CoincidentPoints("points coincide")
     q = interior_quartic_coeffs(z1, z2)
-    if q.c4 == 0:
+    dropped = q.c4 == 0
+    if dropped:
         # one point at the origin: the quartic term vanishes and the cubic
         # remainder is exact, so solve it directly instead of perturbing
-        return polished_roots((q.c3, q.c2, q.c1, q.c0), tol), True
-    return solve_quartic(q, tol), False
-
-
-def _select_minimizing(
-    z1: complex,
-    z2: complex,
-    roots: RootSet,
-    tol: Tolerances,
-    visible: Optional[Callable[[complex], bool]] = None,
-) -> Optional[tuple[complex, float, tuple[bool, ...], tuple[int, ...]]]:
+        roots = polished_roots((q.c3, q.c2, q.c1, q.c0), tol)
+    else:
+        roots = solve_quartic(q, tol)
     mask = tuple(on_unit_circle(w, tol) for w in roots.roots)
-    best: list[tuple[int, complex, float]] = []
-    for k, w in enumerate(roots.roots):
-        if not mask[k]:
-            continue
-        wp = project_to_circle(w)
-        if visible is not None and not visible(wp):
-            continue
-        best.append((k, wp, abs(z1 - wp) + abs(z2 - wp)))
-    if not best:
+    sel = _argmin_on_circle(roots.roots, mask, lambda wp: abs(z1 - wp) + abs(z2 - wp), keep)
+    if sel is None:
         return None
-    fs_min = min(t[2] for t in best)
-    ties = [t for t in best if t[2] <= fs_min + _FOCAL_TIE_EPS]
-    # deterministic pick among equal focal sums: largest Im, then largest Re
-    k, w, fs = max(ties, key=lambda t: (t[1].imag, t[1].real))
-    return w, fs, mask, tuple(t[0] for t in ties)
-
-
-def _result(
-    z1: complex,
-    z2: complex,
-    roots: RootSet,
-    dropped: bool,
-    sel: tuple[complex, float, tuple[bool, ...], tuple[int, ...]],
-) -> ReflectionResult:
-    w, fs, mask, ties = sel
+    w, fs, ties = sel
     # the focal sum can round an ulp below |z1 - z2| for a point about an ulp
     # from the rim; the triangle inequality bounds it, so s <= 1 and the
     # ellipse's c^2 - d^2 >= 0 hold exactly
@@ -167,32 +145,26 @@ def minimizing_root(
     """Reflection point for two points inside the unit disk.
 
     Among the on-circle roots of the reflection equation, returns the one
-    minimizing the focal sum |z1 - w| + |z2 - w|. Ties are broken toward the
-    largest imaginary part, then the largest real part; the whole tie set is
-    reported in tie_indices.
+    minimizing the focal sum |z1 - w| + |z2 - w|. Focal sums within 1e-10 of
+    the least tie; the tie is broken toward the largest imaginary part, then
+    the largest real part, and the whole tie set is reported in tie_indices.
     """
     z1 = ensure_point(z1, "z1")
     z2 = ensure_point(z2, "z2")
     if abs(z1) >= 1.0 or abs(z2) >= 1.0:
         raise PointOutsideDomain("both points must lie in the open unit disk")
-    if abs(z1 - z2) < _COINCIDENT_EPS:
-        raise CoincidentPoints("points coincide")
-    roots, dropped = _candidate_roots(z1, z2, tol)
-    sel = _select_minimizing(z1, z2, roots, tol)
-    if sel is None:
+    result = _reflect(z1, z2, tol)
+    if result is None:
         raise NoRootOnCircle("no root passed the unit-circle test")
-    return _result(z1, z2, roots, dropped, sel)
+    return result
 
 
 def s_metric(z1: complex, z2: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Triangular ratio metric of the unit disk; 0 for coincident points."""
-    z1 = ensure_point(z1, "z1")
-    z2 = ensure_point(z2, "z2")
-    if abs(z1) >= 1.0 or abs(z2) >= 1.0:
-        raise PointOutsideDomain("both points must lie in the open unit disk")
-    if abs(z1 - z2) < _COINCIDENT_EPS:
+    try:
+        return minimizing_root(z1, z2, tol).s_value
+    except CoincidentPoints:
         return 0.0
-    return minimizing_root(z1, z2, tol).s_value
 
 
 def ellipse_params(
@@ -229,14 +201,8 @@ def exterior_reflection(
     z2 = ensure_point(z2, "z2")
     if abs(z1) <= 1.0 or abs(z2) <= 1.0:
         raise PointInsideDomain("both points must lie outside the closed unit disk")
-    if abs(z1 - z2) < _COINCIDENT_EPS:
-        raise CoincidentPoints("points coincide")
-    roots, dropped = _candidate_roots(z1, z2, tol)
 
     def visible(wp: complex) -> bool:
         return segment_clears_disk(z1, wp) and segment_clears_disk(z2, wp)
 
-    sel = _select_minimizing(z1, z2, roots, tol, visible)
-    if sel is None:
-        return None
-    return _result(z1, z2, roots, dropped, sel)
+    return _reflect(z1, z2, tol, visible)

@@ -3,7 +3,8 @@
 All angles are in radians and all lengths are dimensionless (unit mirror
 radius). Points of the plane are plain ``complex`` values; the helpers here
 validate them at API boundaries so NaN/Inf never propagate into root
-polishing.
+polishing. ``_argmin_on_circle`` is the one rule by which both reflection
+quartics, the finite pair's and the plane wave's, pick their answer.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from .errors import NonFinitePoint
 
@@ -55,6 +57,9 @@ DEFAULT_TOLERANCES = Tolerances()
 # clearing it; the scalar segment_clears_disk and the oracle's array mask
 # both read it, so the two visibility filters agree
 VISIBILITY_SLACK = 1e-9
+
+# costs within this of the least one count as a tie
+_COST_TIE_EPS = 1e-10
 
 
 def ensure_point(z: complex, name: str = "point") -> complex:
@@ -119,3 +124,28 @@ def segment_clears_disk(p: complex, q: complex, slack: float = VISIBILITY_SLACK)
     numerical drift of projected roots.
     """
     return segment_min_distance_to_origin(p, q) >= 1.0 - slack
+
+
+def _argmin_on_circle(
+    roots: Sequence[complex],
+    mask: Sequence[bool],
+    cost: Callable[[complex], float],
+    keep: Optional[Callable[[complex], bool]] = None,
+) -> Optional[tuple[complex, float, tuple[int, ...]]]:
+    """(w, cost, tie_indices) of the least-cost projection of a masked root
+    that keep accepts, or None when none is left. Costs within _COST_TIE_EPS
+    of the least tie; among them the largest Im, then the largest Re, wins.
+    """
+    best: list[tuple[float, int, complex]] = []
+    for k, w in enumerate(roots):
+        if mask[k]:
+            wp = project_to_circle(w)
+            if keep is None or keep(wp):
+                best.append((cost(wp), k, wp))
+    if len(best) < 2:
+        # nothing to tie, the plane wave's usual case
+        return (best[0][2], best[0][0], (best[0][1],)) if best else None
+    least = min(best)[0]
+    ties = [t for t in best if t[0] <= least + _COST_TIE_EPS]
+    c, _, w = max(ties, key=lambda t: (t[2].imag, t[2].real))
+    return w, c, tuple(t[1] for t in ties)

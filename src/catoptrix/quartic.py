@@ -260,6 +260,25 @@ def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex], tol: Tole
     return RootSet(roots=rs, residuals=res, polish_iterations=its, min_separation=min_sep)
 
 
+def _solve(coeffs: tuple[complex, ...], tol: Tolerances) -> RootSet:
+    """Closed-form starts for degree 1..4, then the joint polish; float
+    overflow on the way becomes NoConvergence."""
+    deg = len(coeffs) - 1
+    lead = coeffs[0]
+    try:
+        if deg == 1:
+            raw = [-coeffs[1] / lead]
+        elif deg == 2:
+            raw = list(_solve_monic_quadratic(coeffs[1] / lead, coeffs[2] / lead))
+        elif deg == 3:
+            raw = list(_solve_monic_cubic(coeffs[1] / lead, coeffs[2] / lead, coeffs[3] / lead))
+        else:
+            raw = _ferrari(coeffs)
+        return _sorted_rootset(coeffs, raw, tol)
+    except OverflowError as exc:
+        raise NoConvergence(f"float overflow while solving: {exc}") from exc
+
+
 def solve_quartic(q: QuarticCoeffs, tol: Tolerances = DEFAULT_TOLERANCES) -> RootSet:
     """Solve a complex-coefficient quartic.
 
@@ -277,11 +296,7 @@ def solve_quartic(q: QuarticCoeffs, tol: Tolerances = DEFAULT_TOLERANCES) -> Roo
     """
     if q.c4 == 0:
         raise DegenerateLeadingCoefficient("quartic leading coefficient is zero")
-    coeffs = q.as_tuple()
-    try:
-        return _sorted_rootset(coeffs, _ferrari(coeffs), tol)
-    except OverflowError as exc:
-        raise NoConvergence(f"float overflow while solving: {exc}") from exc
+    return _solve(q.as_tuple(), tol)
 
 
 def polished_roots(coeffs: tuple[complex, ...], tol: Tolerances = DEFAULT_TOLERANCES) -> RootSet:
@@ -295,21 +310,9 @@ def polished_roots(coeffs: tuple[complex, ...], tol: Tolerances = DEFAULT_TOLERA
     if not coeffs or coeffs[0] == 0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
     deg = len(coeffs) - 1
-    lead = coeffs[0]
-    try:
-        if deg == 1:
-            raw = [-coeffs[1] / lead]
-        elif deg == 2:
-            raw = list(_solve_monic_quadratic(coeffs[1] / lead, coeffs[2] / lead))
-        elif deg == 3:
-            raw = list(_solve_monic_cubic(coeffs[1] / lead, coeffs[2] / lead, coeffs[3] / lead))
-        elif deg == 4:
-            raw = _ferrari(coeffs)
-        else:
-            raise ValueError(f"degree {deg} not supported")
-        return _sorted_rootset(coeffs, raw, tol)
-    except OverflowError as exc:
-        raise NoConvergence(f"float overflow while solving: {exc}") from exc
+    if not 1 <= deg <= 4:
+        raise ValueError(f"degree {deg} not supported")
+    return _solve(coeffs, tol)
 
 
 def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) -> RealQuarticNature:

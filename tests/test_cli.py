@@ -76,6 +76,26 @@ def test_domain_error_exit_code_and_record():
     assert "error" in record and "InvalidObserver" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv,field,echoed",
+    [
+        (["interior", "--z1", "nan,0", "--z2", "0.3,0"], "z1", [None, 0]),
+        (["infinity", "--r", "inf", "--theta", "0.3"], "r", None),
+    ],
+    ids=["nan-point", "inf-radius"],
+)
+def test_non_finite_input_echoes_as_null(argv, field, echoed):
+    rc, out, _ = _run(argv)
+    assert rc == 2
+    record = json.loads(out, parse_constant=_reject_constant)
+    assert record["status"] == "NonFinitePoint"
+    assert record["inputs"][field] == echoed
+
+
 def test_shadow_region_error_code():
     rc, out, _ = _run(["infinity", "--r", "2", "--theta", "3.0"])
     assert rc == 2

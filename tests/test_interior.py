@@ -22,6 +22,7 @@ from catoptrix import (
 from catoptrix.cli import main as cli_main
 from catoptrix.errors import (
     CoincidentPoints,
+    NonFinitePoint,
     NoRootOnCircle,
     PointInsideDomain,
     PointOutsideDomain,
@@ -181,8 +182,17 @@ def test_s_metric_collinear_family():
         assert abs(s_metric(0, x) - x / (2.0 - x)) < 1e-12
 
 
-def test_s_metric_coincident_is_zero():
-    assert s_metric(0.3 + 0.2j, 0.3 + 0.2j) == 0.0
+@pytest.mark.parametrize(
+    "z,expected",
+    [(0.3 + 0.2j, 0.0), (1.2 + 0j, PointOutsideDomain), (complex(math.nan, 0.2), NonFinitePoint)],
+    ids=["inside", "outside", "nan"],
+)
+def test_s_metric_coincident_points(z, expected):
+    if expected == 0.0:
+        assert s_metric(z, z) == 0.0
+    else:
+        with pytest.raises(expected):
+            s_metric(z, z)
 
 
 def test_s_metric_in_unit_interval():
