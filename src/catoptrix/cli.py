@@ -1,10 +1,16 @@
 """Command-line frontend.
 
-Subcommands: interior, infinity, envelope, directrix, oracle. Each prints one
-JSON record to stdout (fixed field order, 17-significant-digit reals, so
-identical flags give byte-identical output; a NaN or infinite real prints as
-null); human-readable messages go to stderr. Exit code 0 on success, 2 on
-domain errors, with the error code in the record's status field.
+Subcommands: interior, infinity, envelope, directrix, oracle (smetric,
+infinity, discriminant). Every exit prints one JSON record to stdout (fixed
+field order, 17-significant-digit reals, so identical flags give
+byte-identical output; a NaN or infinite real prints as null); human-readable
+messages go to stderr. Runners return their results and diagnostics, and
+``main`` alone writes the record: ``command`` (``oracle-smetric`` and so on
+for the oracles), ``inputs`` (one echo of the parsed flags, angles in
+radians), ``results``, ``diagnostics``, ``status`` and, unless the status is
+ok, ``error``. Exit code 0 on ok, 2 on any other status: a domain error's
+code, InvalidArgument, OSError (a file that cannot be written) or UsageError
+(argparse rejected the flags; the record's other fields are null).
 
 Each subcommand imports the library modules it runs when it runs, so a
 process loads only those: ``svg`` only under ``--svg``, and ``oracle``, with
@@ -18,7 +24,7 @@ import cmath
 import json
 import math
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, NoReturn, Optional, Sequence
 
 from .errors import CatoptrixError
 
@@ -108,8 +114,19 @@ def _join_flag_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+class _UsageError(Exception):
+    """A flag argparse rejects; main turns it into a UsageError record."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers inherit the class, so every level raises instead of exiting
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catoptrix",
         description="Reflection points on the unit-circle mirror, the "
         "triangular ratio metric, and the directrix-envelope limacon.",
@@ -125,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--r", type=float, required=True)
     p_inf.add_argument("--theta", type=float, required=True, help="observer angle (radians)")
     p_inf.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
-    p_inf.add_argument("--verify", action="store_true", help="add the two-route circle check")
+    p_inf.add_argument("--verify", action="store_true", help="add image-quartic invariants, Moebius images")
     p_inf.add_argument("--svg", metavar="PATH", default=None)
 
     p_env = sub.add_parser("envelope", help="sample the directrix-envelope limacon")
@@ -166,10 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_interior(args: argparse.Namespace) -> dict[str, Any]:
+def _run_interior(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
     from .interior import _ellipse_of, minimizing_root
 
-    inputs = {"z1": _pair(args.z1), "z2": _pair(args.z2)}
     result = minimizing_root(args.z1, args.z2)
     ellipse = _ellipse_of(result, args.z1, args.z2)
     diagnostics: dict[str, Any] = {
@@ -188,31 +204,23 @@ def _run_interior(args: argparse.Namespace) -> dict[str, Any]:
             fh.write(interior_figure(args.z1, args.z2, result, ellipse))
         diagnostics["svg"] = args.svg
     return {
-        "command": "interior",
-        "inputs": inputs,
-        "results": {
-            "w": _pair(result.w),
-            "s": result.s_value,
-            "focal_sum": result.focal_sum,
-            "ellipse": {
-                "focal_sum": ellipse.focal_sum,
-                "major": ellipse.major,
-                "minor": ellipse.minor,
-                "eccentricity": ellipse.eccentricity,
-            },
+        "w": _pair(result.w),
+        "s": result.s_value,
+        "focal_sum": result.focal_sum,
+        "ellipse": {
+            "focal_sum": ellipse.focal_sum,
+            "major": ellipse.major,
+            "minor": ellipse.minor,
+            "eccentricity": ellipse.eccentricity,
         },
-        "diagnostics": diagnostics,
-        "status": "ok",
-    }
+    }, diagnostics
 
 
-def _run_infinity(args: argparse.Namespace) -> dict[str, Any]:
+def _run_infinity(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
     from .infinity import ObserverPolar, infinity_reflection
     from .quartic import RootNature, infinity_real_coeffs, real_quartic_invariants
 
-    theta = math.radians(args.theta) if args.degrees else args.theta
-    inputs = {"r": float(args.r), "theta": float(theta)}
-    obs = ObserverPolar(args.r, theta)
+    obs = ObserverPolar(args.r, args.theta)
     result = infinity_reflection(obs)
     diagnostics: dict[str, Any] = {
         "root_moduli": [abs(w) for w in result.all_roots.roots],
@@ -237,20 +245,14 @@ def _run_infinity(args: argparse.Namespace) -> dict[str, Any]:
             fh.write(infinity_figure(obs, result))
         diagnostics["svg"] = args.svg
     return {
-        "command": "infinity",
-        "inputs": inputs,
-        "results": {
-            "w": _pair(result.w),
-            "phi": result.phi,
-            "path_defect": result.path_defect,
-            "reality_residual": result.reality_residual,
-            "degenerate_axis": result.degenerate_axis,
-            "roots": [_pair(w) for w in result.all_roots.roots],
-            "mobius_images": list(result.mobius_images) if result.mobius_images else None,
-        },
-        "diagnostics": diagnostics,
-        "status": "ok",
-    }
+        "w": _pair(result.w),
+        "phi": result.phi,
+        "path_defect": result.path_defect,
+        "reality_residual": result.reality_residual,
+        "degenerate_axis": result.degenerate_axis,
+        "roots": [_pair(w) for w in result.all_roots.roots],
+        "mobius_images": list(result.mobius_images) if result.mobius_images else None,
+    }, diagnostics
 
 
 def _envelope_rows(a: float, samples: int) -> list[tuple[float, float, float, float]]:
@@ -264,10 +266,9 @@ def _envelope_rows(a: float, samples: int) -> list[tuple[float, float, float, fl
     return rows
 
 
-def _run_envelope(args: argparse.Namespace) -> dict[str, Any]:
+def _run_envelope(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
     from .envelope import valid_arc
 
-    inputs = {"a": float(args.a), "samples": int(args.samples)}
     if args.samples < 1:
         raise ValueError("samples must be positive")
     phi_max = valid_arc(args.a)
@@ -280,10 +281,7 @@ def _run_envelope(args: argparse.Namespace) -> dict[str, Any]:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write("theta,x,y,implicit_residual\n")
-            for theta, x, y, res in rows:
-                fh.write(
-                    f"{_fmt_float(theta)},{_fmt_float(x)},{_fmt_float(y)},{_fmt_float(res)}\n"
-                )
+            fh.writelines(",".join(map(_fmt_float, row)) + "\n" for row in rows)
         diagnostics["csv"] = args.csv
     if args.svg:
         from .envelope import directrix
@@ -291,126 +289,76 @@ def _run_envelope(args: argparse.Namespace) -> dict[str, Any]:
         from .svg import envelope_figure
 
         thetas = [-math.pi + math.tau * (k + 1) / 720 for k in range(721)]
-        lines = []
         k = max(0, args.directrices)
-        for j in range(k):
-            lines.append(directrix(args.a, unit_from_angle(-math.pi + math.tau * (j + 1) / k)))
+        lines = [directrix(args.a, unit_from_angle(-math.pi + math.tau * (j + 1) / k)) for j in range(k)]
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(envelope_figure(args.a, thetas, lines))
         diagnostics["svg"] = args.svg
-    return {
-        "command": "envelope",
-        "inputs": inputs,
-        "results": {
-            "phi_max": phi_max,
-            "samples": [list(row) for row in rows],
-        },
-        "diagnostics": diagnostics,
-        "status": "ok",
-    }
+    return {"phi_max": phi_max, "samples": [list(row) for row in rows]}, diagnostics
 
 
-def _run_directrix(args: argparse.Namespace) -> dict[str, Any]:
+def _run_directrix(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
     from .envelope import directrix, mirror_point, point_line_distance, tangency_point
     from .numeric import unit_from_angle
 
-    phi = math.radians(args.phi) if args.degrees else args.phi
-    inputs = {"a": float(args.a), "phi": float(phi)}
-    w = unit_from_angle(phi)
+    w = unit_from_angle(args.phi)
     line = directrix(args.a, w)
     normalized = line.normalized()
-    mirror = mirror_point(args.a, w)
-    contact = tangency_point(args.a, w)
     dist = point_line_distance(w, line)
     focus_dist = abs(w - args.a)
     return {
-        "command": "directrix",
-        "inputs": inputs,
-        "results": {
-            "w": _pair(w),
-            "line": {
-                "alpha": _pair(normalized.alpha),
-                "beta": _pair(normalized.beta),
-                "gamma": _pair(normalized.gamma),
-            },
-            "line_real_form": list(line.real_form()),
-            "mirror_point": _pair(mirror),
-            "tangency_point": _pair(contact),
-            "focus_directrix_distance": dist,
-            "tangency_focus_distance": focus_dist,
+        "w": _pair(w),
+        "line": {
+            "alpha": _pair(normalized.alpha),
+            "beta": _pair(normalized.beta),
+            "gamma": _pair(normalized.gamma),
         },
-        "diagnostics": {"distance_mismatch": abs(dist - focus_dist)},
-        "status": "ok",
+        "line_real_form": list(line.real_form()),
+        "mirror_point": _pair(mirror_point(args.a, w)),
+        "tangency_point": _pair(tangency_point(args.a, w)),
+        "focus_directrix_distance": dist,
+        "tangency_focus_distance": focus_dist,
+    }, {"distance_mismatch": abs(dist - focus_dist)}
+
+
+def _run_oracle_smetric(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
+    from .interior import minimizing_root
+    from .oracle import OracleConfig, oracle_smetric
+
+    w, s = oracle_smetric(args.z1, args.z2, OracleConfig(grid=args.grid, refine_iters=args.refine_iters))
+    closed = minimizing_root(args.z1, args.z2)
+    return {"w": _pair(w), "s": s}, {
+        "closed_form": {"w": _pair(closed.w), "s": closed.s_value},
+        "angle_deviation": abs(cmath.phase(w) - cmath.phase(closed.w)),
+        "s_deviation": abs(s - closed.s_value),
     }
 
 
-def _run_oracle(args: argparse.Namespace) -> dict[str, Any]:
+def _run_oracle_infinity(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
     from .infinity import ObserverPolar, infinity_reflection
-    from .interior import minimizing_root
-    from .oracle import OracleConfig, oracle_infinity_path, oracle_quartic_discriminant, oracle_smetric
-    from .quartic import infinity_real_coeffs, real_quartic_invariants
+    from .oracle import OracleConfig, oracle_infinity_path
 
-    if args.oracle_command == "smetric":
-        cfg = OracleConfig(grid=args.grid, refine_iters=args.refine_iters)
-        inputs = {
-            "z1": _pair(args.z1),
-            "z2": _pair(args.z2),
-            "grid": cfg.grid,
-            "refine_iters": cfg.refine_iters,
-        }
-        w, s = oracle_smetric(args.z1, args.z2, cfg)
-        closed = minimizing_root(args.z1, args.z2)
-        return {
-            "command": "oracle-smetric",
-            "inputs": inputs,
-            "results": {"w": _pair(w), "s": s},
-            "diagnostics": {
-                "closed_form": {"w": _pair(closed.w), "s": closed.s_value},
-                "angle_deviation": abs(cmath.phase(w) - cmath.phase(closed.w)),
-                "s_deviation": abs(s - closed.s_value),
-            },
-            "status": "ok",
-        }
-    if args.oracle_command == "infinity":
-        theta = math.radians(args.theta) if args.degrees else args.theta
-        cfg = OracleConfig(grid=args.grid, refine_iters=args.refine_iters)
-        inputs = {"r": float(args.r), "theta": float(theta), "grid": cfg.grid, "refine_iters": cfg.refine_iters}
-        obs = ObserverPolar(args.r, theta)
-        w, defect = oracle_infinity_path(obs, cfg)
-        closed = infinity_reflection(obs)
-        return {
-            "command": "oracle-infinity",
-            "inputs": inputs,
-            "results": {"w": _pair(w), "phi": cmath.phase(w), "path_defect": defect},
-            "diagnostics": {
-                "closed_form": {"w": _pair(closed.w), "phi": closed.phi},
-                "angle_deviation": abs(cmath.phase(w) - closed.phi),
-            },
-            "status": "ok",
-        }
-    # discriminant
-    if args.coeffs is not None:
-        coeffs = args.coeffs
-    elif args.r is not None and args.theta is not None:
-        theta = math.radians(args.theta) if args.degrees else args.theta
-        coeffs = infinity_real_coeffs(args.r, theta)
-    else:
-        raise ValueError("discriminant needs --coeffs or both --r and --theta")
-    inputs = {"coeffs": [float(c) for c in coeffs]}
-    resultant_delta = oracle_quartic_discriminant(*coeffs)
-    nature = real_quartic_invariants(*coeffs)
-    return {
-        "command": "oracle-discriminant",
-        "inputs": inputs,
-        "results": {"resultant_delta": resultant_delta},
-        "diagnostics": {
-            "closed_form_delta": nature.delta,
-            "p": nature.p,
-            "d": nature.d,
-            "classification": nature.classification.value,
-            "sign_agreement": (resultant_delta > 0) == (nature.delta > 0),
-        },
-        "status": "ok",
+    obs = ObserverPolar(args.r, args.theta)
+    w, defect = oracle_infinity_path(obs, OracleConfig(grid=args.grid, refine_iters=args.refine_iters))
+    closed = infinity_reflection(obs)
+    return {"w": _pair(w), "phi": cmath.phase(w), "path_defect": defect}, {
+        "closed_form": {"w": _pair(closed.w), "phi": closed.phi},
+        "angle_deviation": abs(cmath.phase(w) - closed.phi),
+    }
+
+
+def _run_oracle_discriminant(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
+    from .oracle import oracle_quartic_discriminant
+    from .quartic import real_quartic_invariants
+
+    resultant_delta = oracle_quartic_discriminant(*args.coeffs)
+    nature = real_quartic_invariants(*args.coeffs)
+    return {"resultant_delta": resultant_delta}, {
+        "closed_form_delta": nature.delta,
+        "p": nature.p,
+        "d": nature.d,
+        "classification": nature.classification.value,
+        "sign_agreement": (resultant_delta > 0) == (nature.delta > 0),
     }
 
 
@@ -419,47 +367,71 @@ _RUNNERS = {
     "infinity": _run_infinity,
     "envelope": _run_envelope,
     "directrix": _run_directrix,
-    "oracle": _run_oracle,
+    "oracle-smetric": _run_oracle_smetric,
+    "oracle-infinity": _run_oracle_infinity,
+    "oracle-discriminant": _run_oracle_discriminant,
 }
 
 
+def _prepare(args: argparse.Namespace) -> None:
+    """Put the flags in the form runners and echo share: the oracle's full
+    command name, angles in radians, the discriminant's coefficients."""
+    if args.command == "oracle":
+        args.command = f"oracle-{args.oracle_command}"
+    for key in ("theta", "phi"):
+        if getattr(args, "degrees", False) and getattr(args, key, None) is not None:
+            setattr(args, key, math.radians(getattr(args, key)))
+    if args.command == "oracle-discriminant":
+        if args.coeffs is None:
+            if args.r is None or args.theta is None:
+                raise ValueError("discriminant needs --coeffs or both --r and --theta")
+            from .quartic import infinity_real_coeffs
+
+            args.coeffs = infinity_real_coeffs(args.r, args.theta)
+        args.r = args.theta = None  # the coefficients stand for r and theta
+
+
 def _echo_inputs(args: argparse.Namespace) -> dict[str, Any]:
+    # the parsed inputs, in the parser's definition order (that of vars(args))
     skip = {"command", "oracle_command", "svg", "csv", "verify", "degrees", "directrices"}
-    echoed: dict[str, Any] = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        if isinstance(value, complex):
-            echoed[key] = _pair(value)
-        elif isinstance(value, tuple):
-            echoed[key] = list(value)
-        else:
-            echoed[key] = value
-    return echoed
+    return {
+        key: _pair(value) if isinstance(value, complex) else value
+        for key, value in vars(args).items()
+        if key not in skip and value is not None
+    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(_join_flag_values(argv))
+    args = results = diagnostics = None
+    status = "ok"
     try:
-        record = _RUNNERS[args.command](args)
-    except (CatoptrixError, ValueError) as exc:
-        code = exc.code if isinstance(exc, CatoptrixError) else "InvalidArgument"
-        record = {
-            "command": args.command,
-            "inputs": _echo_inputs(args),
-            "results": None,
-            "diagnostics": None,
-            "status": code,
-            "error": str(exc),
-        }
-        print(_emit(record))
-        print(f"catoptrix {args.command}: {code}: {exc}", file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(_join_flag_values(argv))
+        _prepare(args)
+        results, diagnostics = _RUNNERS[args.command](args)
+    except _UsageError as exc:
+        status, error = "UsageError", str(exc)
+    except CatoptrixError as exc:
+        status, error = exc.code, str(exc)
+    except ValueError as exc:
+        status, error = "InvalidArgument", str(exc)
+    except OSError as exc:
+        status, error = "OSError", str(exc)
+    command = None if args is None else args.command
+    record = {
+        "command": command,
+        "inputs": None if args is None else _echo_inputs(args),
+        "results": results,
+        "diagnostics": diagnostics,
+        "status": status,
+    }
+    if status != "ok":
+        record["error"] = error
+        prog = "catoptrix" if command is None else f"catoptrix {command}"
+        print(f"{prog}: {status}: {error}", file=sys.stderr)
     print(_emit(record))
-    return 0
+    return 0 if status == "ok" else 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """CLI behaviour: golden outputs, determinism, file emission, error paths."""
 
+import argparse
 import io
 import json
 import math
@@ -94,6 +95,85 @@ def test_non_finite_input_echoes_as_null(argv, field, echoed):
     record = json.loads(out, parse_constant=_reject_constant)
     assert record["status"] == "NonFinitePoint"
     assert record["inputs"][field] == echoed
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["interior", "--z1", "0.5,0", "--z2", "-0.5,0", "--json"], "unrecognized arguments: --json"),
+        (["interior", "--z1", "0.5,0"], "required: --z2"),
+        (["interior", "--z1", "abc", "--z2", "0,0"], "expected RE,IM, got 'abc'"),
+    ],
+    ids=["unknown-flag", "missing-z2", "malformed-z1"],
+)
+def test_usage_error_prints_one_record(argv, message):
+    rc, out, err = _run(argv)
+    assert rc == 2
+    assert out.count("\n") == 1
+    record = json.loads(out)
+    assert record["status"] == "UsageError"
+    assert [record[k] for k in ("command", "inputs", "results", "diagnostics")] == [None] * 4
+    assert message in record["error"]
+    assert err.startswith("usage: catoptrix")
+
+
+def test_help_still_exits_zero():
+    with pytest.raises(SystemExit) as info, redirect_stdout(io.StringIO()) as out:
+        main(["interior", "--help"])
+    assert info.value.code == 0
+    assert "--z1" in out.getvalue()
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--svg"])
+def test_unwritable_output_is_an_os_error_record(tmp_path, flag):
+    path = tmp_path / "missing" / "out"
+    rc, out, err = _run(["envelope", "--a", "2", "--samples", "4", flag, str(path)])
+    assert rc == 2
+    record = json.loads(out)
+    assert record["status"] == "OSError"
+    assert record["inputs"] == {"a": 2.0, "samples": 4}
+    assert record["results"] is None and str(path) in record["error"]
+    assert "OSError" in err
+
+
+@pytest.mark.parametrize(
+    "argv,command,inputs",
+    [
+        (
+            ["infinity", "--r", "0.5", "--theta", "45", "--degrees"],
+            "infinity",
+            {"r": 0.5, "theta": math.radians(45)},
+        ),
+        (
+            ["oracle", "smetric", "--z1", "1.5,0", "--z2", "0,0"],
+            "oracle-smetric",
+            {"z1": [1.5, 0.0], "z2": [0.0, 0.0], "grid": 100_000, "refine_iters": 80},
+        ),
+    ],
+    ids=["degrees-echoed-in-radians", "oracle-command-and-order"],
+)
+def test_error_record_echoes_like_success(argv, command, inputs):
+    rc, out, _ = _run(argv)
+    assert rc == 2
+    record = json.loads(out)
+    assert record["command"] == command
+    assert record["inputs"] == inputs
+    assert list(record["inputs"]) == list(inputs)
+
+
+def test_value_flags_match_the_parser():
+    # _join_flag_values glues exactly these flags to their values
+    from catoptrix.cli import _VALUE_FLAGS, _build_parser
+
+    def value_options(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from value_options(sub)
+            elif action.nargs != 0:
+                yield from action.option_strings
+
+    assert set(value_options(_build_parser())) == _VALUE_FLAGS
 
 
 def test_shadow_region_error_code():
@@ -251,6 +331,7 @@ MODULE_CASES = [
     *(pytest.param(name, argv, id=name) for name, argv in GOLDEN_CASES),
     pytest.param(None, ["oracle", "discriminant", "--coeffs", "1,0,0,0,-1"], id="oracle-discriminant"),
     pytest.param(None, ["infinity", "--r", "0.5", "--theta", "0.785"], id="domain-error"),
+    pytest.param(None, ["interior", "--z1", "0.5,0", "--z2", "-0.5,0", "--json"], id="usage-error"),
 ]
 
 
