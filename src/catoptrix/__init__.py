@@ -38,7 +38,7 @@ _EXPORTS = {
         "exterior_reflection", "interior_quartic_coeffs", "minimizing_root",
         "s_metric",
     ),
-    "numeric": ("DEFAULT_TOLERANCES", "Tolerances", "on_unit_circle", "unit_from_angle"),
+    "numeric": ("DEFAULT_TOLERANCES", "on_unit_circle", "unit_from_angle"),
     "oracle": (
         "OracleConfig", "golden_section_min", "oracle_infinity_path",
         "oracle_quartic_discriminant", "oracle_smetric",

@@ -271,6 +271,8 @@ def _run_envelope(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, A
 
     if args.samples < 1:
         raise ValueError("samples must be positive")
+    if args.directrices < 0:
+        raise ValueError("directrices must not be negative")
     phi_max = valid_arc(args.a)
     rows = _envelope_rows(args.a, args.samples)
     diagnostics: dict[str, Any] = {
@@ -289,7 +291,7 @@ def _run_envelope(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, A
         from .svg import envelope_figure
 
         thetas = [-math.pi + math.tau * (k + 1) / 720 for k in range(721)]
-        k = max(0, args.directrices)
+        k = args.directrices
         lines = [directrix(args.a, unit_from_angle(-math.pi + math.tau * (j + 1) / k)) for j in range(k)]
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(envelope_figure(args.a, thetas, lines))
@@ -382,6 +384,8 @@ def _prepare(args: argparse.Namespace) -> None:
         if getattr(args, "degrees", False) and getattr(args, key, None) is not None:
             setattr(args, key, math.radians(getattr(args, key)))
     if args.command == "oracle-discriminant":
+        if args.coeffs is not None and (args.r is not None or args.theta is not None):
+            raise ValueError("discriminant takes --coeffs or --r and --theta, not both")
         if args.coeffs is None:
             if args.r is None or args.theta is None:
                 raise ValueError("discriminant needs --coeffs or both --r and --theta")

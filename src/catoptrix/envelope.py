@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidFocus, NotOnCircle
-from .numeric import DEFAULT_TOLERANCES, Tolerances, ensure_point, ensure_real
+from .numeric import ensure_point, ensure_real, on_unit_circle
 
 __all__ = [
     "LineCoeffs",
@@ -94,9 +94,9 @@ def point_line_distance(p: complex, line: LineCoeffs) -> float:
     return abs(v + v.conjugate() + n.gamma) / (2.0 * abs(n.alpha))
 
 
-def _check_on_circle(w: complex, tol: Tolerances) -> complex:
-    w = ensure_point(w, "w")
-    if abs(abs(w) - 1.0) > tol.unit_circle_tol:
+def _check_on_circle(w: complex) -> complex:
+    w = complex(w)
+    if not on_unit_circle(w):
         raise NotOnCircle(f"|w| = {abs(w)!r} is not on the unit circle")
     return w
 
@@ -108,26 +108,26 @@ def _check_focus(a: float) -> float:
     return a
 
 
-def tangent_line(w: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> LineCoeffs:
+def tangent_line(w: complex) -> LineCoeffs:
     """Tangent to the unit circle at w: z + w^2*conj(z) - 2w = 0."""
-    w = _check_on_circle(w, tol)
+    w = _check_on_circle(w)
     return LineCoeffs(alpha=1.0 + 0j, beta=w * w, gamma=-2.0 * w)
 
 
-def mirror_point(a: float, w: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
+def mirror_point(a: float, w: complex) -> complex:
     """Reflection a* = w*(2 - a*w) of the real point a across tangent_line(w)."""
     a = ensure_real(a, "a")
-    w = _check_on_circle(w, tol)
+    w = _check_on_circle(w)
     return w * (2.0 - a * w)
 
 
-def directrix(a: float, w: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> LineCoeffs:
+def directrix(a: float, w: complex) -> LineCoeffs:
     """Directrix of the parabola tangent to the circle at w with focus a:
 
         (a - w)*z + w^3*(w*a - 1)*conj(z) + 2w^2*a^2 - 3w*(w^2 + 1)*a + 4w^2 = 0.
     """
     a = _check_focus(a)
-    w = _check_on_circle(w, tol)
+    w = _check_on_circle(w)
     return LineCoeffs(
         alpha=a - w,
         beta=w ** 3 * (w * a - 1.0),
@@ -153,10 +153,10 @@ def envelope_param(a: float, theta: float) -> complex:
     return 2.0 * cmath.exp(1j * theta) - a * cmath.exp(2j * theta)
 
 
-def tangency_point(a: float, w: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
+def tangency_point(a: float, w: complex) -> complex:
     """Contact point z = 2w - a*w^2 between the envelope and directrix(a, w)."""
     a = _check_focus(a)
-    w = _check_on_circle(w, tol)
+    w = _check_on_circle(w)
     return 2.0 * w - a * w * w
 
 

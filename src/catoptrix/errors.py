@@ -30,7 +30,8 @@ class PointInsideDomain(CatoptrixError):
 
 
 class CoincidentPoints(CatoptrixError):
-    """The two input points coincide (within 1e-14)."""
+    """The two input points lie within 1e-14 of each other, the one threshold
+    that the solvers and the oracle share (numeric._COINCIDENT_EPS)."""
 
 
 class NoRootOnCircle(CatoptrixError):
@@ -38,8 +39,8 @@ class NoRootOnCircle(CatoptrixError):
     the physical filters).
 
     Every interior pair has at least two on-circle roots, the minimum and the
-    maximum of the focal sum, so for minimizing_root this marks a tolerance
-    tighter than the polished roots can meet, not a property of the pair."""
+    maximum of the focal sum, so for minimizing_root this marks roots polished
+    outside the fixed 1e-9 circle band, not a property of the pair."""
 
 
 class InvalidObserver(CatoptrixError):

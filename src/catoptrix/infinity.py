@@ -29,7 +29,6 @@ from typing import Optional
 from .errors import DegenerateLeadingCoefficient, InvalidObserver, NoRootOnCircle, RootAtOne, ShadowRegion
 from .numeric import (
     DEFAULT_TOLERANCES,
-    Tolerances,
     _argmin_on_circle,
     ensure_real,
     on_unit_circle,
@@ -116,20 +115,18 @@ def _reality_residual(f: complex, w: complex) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _roots(obs: ObserverPolar, tol: Tolerances) -> RootSet:
+def _roots(obs: ObserverPolar) -> RootSet:
     """Roots of the reflection quartic of obs, shared by infinity_reflection
     and verify_circle_theorem.
 
-    One entry serves "reflect, then verify" for the same observer. The key
-    holds every input of the solve, RootSet is immutable, and a NoConvergence
-    is not cached: the next call solves again.
+    One entry serves "reflect, then verify" for the same observer. The key,
+    the observer, is the only input of the solve, RootSet is immutable, and a
+    NoConvergence is not cached: the next call solves again.
     """
-    return solve_quartic(infinity_quartic_coeffs(obs), tol)
+    return solve_quartic(infinity_quartic_coeffs(obs))
 
 
-def infinity_reflection(
-    obs: ObserverPolar, tol: Tolerances = DEFAULT_TOLERANCES
-) -> InfinityResult:
+def infinity_reflection(obs: ObserverPolar) -> InfinityResult:
     """Physical reflection point for a plane wave arriving from the +x side.
 
     theta = 0 is the degenerate on-axis case with w = 1. For |theta| <= pi/2
@@ -139,7 +136,7 @@ def infinity_reflection(
     the path functional break as in minimizing_root.
     """
     theta = obs.theta
-    roots = _roots(obs, tol)
+    roots = _roots(obs)
     f = obs.point
 
     if theta == 0.0:
@@ -156,9 +153,9 @@ def infinity_reflection(
             ):
                 return False
             # unlit when the incoming ray hits the far side first
-            return wp.real >= -tol.unit_circle_tol and segment_clears_disk(wp, f)
+            return wp.real >= -DEFAULT_TOLERANCES.unit_circle_tol and segment_clears_disk(wp, f)
 
-        mask = tuple(on_unit_circle(root, tol) for root in roots.roots)
+        mask = tuple(on_unit_circle(root) for root in roots.roots)
         sel = _argmin_on_circle(roots.roots, mask, lambda wp: abs(f - wp) - wp.real, keep)
         if sel is None:
             if abs(theta) > math.pi / 2.0:
@@ -198,7 +195,7 @@ def mobius_real_image(roots: RootSet) -> tuple[float, ...]:
     return tuple(out)
 
 
-def verify_circle_theorem(obs: ObserverPolar, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def verify_circle_theorem(obs: ObserverPolar) -> bool:
     """Check, by two independent routes, that all four reflection roots lie
     on the unit circle: the real-coefficient image quartic must classify as
     FourRealDistinct and the solved roots must pass the circle test.
@@ -215,5 +212,4 @@ def verify_circle_theorem(obs: ObserverPolar, tol: Tolerances = DEFAULT_TOLERANC
     )
     if nature.classification is not RootNature.FOUR_REAL_DISTINCT:
         return False
-    roots = _roots(obs, tol)
-    return all(on_unit_circle(w, tol) for w in roots.roots)
+    return all(on_unit_circle(w) for w in _roots(obs).roots)

@@ -21,8 +21,7 @@ from .errors import (
     PointOutsideDomain,
 )
 from .numeric import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    _COINCIDENT_EPS,
     _argmin_on_circle,
     ensure_point,
     on_unit_circle,
@@ -39,8 +38,6 @@ __all__ = [
     "ellipse_params",
     "exterior_reflection",
 ]
-
-_COINCIDENT_EPS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ def _reflection_residual(z1: complex, z2: complex, w: complex) -> float:
 
 
 def _reflect(
-    z1: complex, z2: complex, tol: Tolerances, keep: Optional[Callable[[complex], bool]] = None
+    z1: complex, z2: complex, keep: Optional[Callable[[complex], bool]] = None
 ) -> Optional[ReflectionResult]:
     """The pair's root of least focal sum that keep accepts, or None; the
     callers check the domain."""
@@ -114,10 +111,10 @@ def _reflect(
     if dropped:
         # one point at the origin: the quartic term vanishes and the cubic
         # remainder is exact, so solve it directly instead of perturbing
-        roots = polished_roots((q.c3, q.c2, q.c1, q.c0), tol)
+        roots = polished_roots((q.c3, q.c2, q.c1, q.c0))
     else:
-        roots = solve_quartic(q, tol)
-    mask = tuple(on_unit_circle(w, tol) for w in roots.roots)
+        roots = solve_quartic(q)
+    mask = tuple(on_unit_circle(w) for w in roots.roots)
     sel = _argmin_on_circle(roots.roots, mask, lambda wp: abs(z1 - wp) + abs(z2 - wp), keep)
     if sel is None:
         return None
@@ -139,9 +136,7 @@ def _reflect(
     )
 
 
-def minimizing_root(
-    z1: complex, z2: complex, tol: Tolerances = DEFAULT_TOLERANCES
-) -> ReflectionResult:
+def minimizing_root(z1: complex, z2: complex) -> ReflectionResult:
     """Reflection point for two points inside the unit disk.
 
     Among the on-circle roots of the reflection equation, returns the one
@@ -153,28 +148,26 @@ def minimizing_root(
     z2 = ensure_point(z2, "z2")
     if abs(z1) >= 1.0 or abs(z2) >= 1.0:
         raise PointOutsideDomain("both points must lie in the open unit disk")
-    result = _reflect(z1, z2, tol)
+    result = _reflect(z1, z2)
     if result is None:
         raise NoRootOnCircle("no root passed the unit-circle test")
     return result
 
 
-def s_metric(z1: complex, z2: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def s_metric(z1: complex, z2: complex) -> float:
     """Triangular ratio metric of the unit disk; 0 for coincident points."""
     try:
-        return minimizing_root(z1, z2, tol).s_value
+        return minimizing_root(z1, z2).s_value
     except CoincidentPoints:
         return 0.0
 
 
-def ellipse_params(
-    z1: complex, z2: complex, tol: Tolerances = DEFAULT_TOLERANCES
-) -> EllipseParams:
+def ellipse_params(z1: complex, z2: complex) -> EllipseParams:
     """Parameters of the maximal inscribed ellipse with foci z1, z2.
 
     The eccentricity equals the triangular ratio metric of the pair.
     """
-    return _ellipse_of(minimizing_root(z1, z2, tol), z1, z2)
+    return _ellipse_of(minimizing_root(z1, z2), z1, z2)
 
 
 def _ellipse_of(result: ReflectionResult, z1: complex, z2: complex) -> EllipseParams:
@@ -187,9 +180,7 @@ def _ellipse_of(result: ReflectionResult, z1: complex, z2: complex) -> EllipsePa
     return EllipseParams(focal_sum=c, major=major, minor=minor, eccentricity=ecc)
 
 
-def exterior_reflection(
-    z1: complex, z2: complex, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Optional[ReflectionResult]:
+def exterior_reflection(z1: complex, z2: complex) -> Optional[ReflectionResult]:
     """Reflection point for two points outside the closed unit disk.
 
     Same equation and selection as the interior problem, restricted to roots
@@ -205,4 +196,4 @@ def exterior_reflection(
     def visible(wp: complex) -> bool:
         return segment_clears_disk(z1, wp) and segment_clears_disk(z2, wp)
 
-    return _reflect(z1, z2, tol, visible)
+    return _reflect(z1, z2, visible)

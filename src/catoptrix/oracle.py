@@ -27,6 +27,7 @@ from .errors import (
 )
 from .infinity import ObserverPolar
 from .numeric import (
+    _COINCIDENT_EPS,
     VISIBILITY_SLACK,
     ensure_point,
     ensure_real,
@@ -144,7 +145,7 @@ def oracle_smetric(
     if abs(z1) >= 1.0 or abs(z2) >= 1.0:
         raise PointOutsideDomain("both points must lie in the open unit disk")
     dist = abs(z1 - z2)
-    if dist < 1e-14:
+    if dist < _COINCIDENT_EPS:
         raise CoincidentPoints("points coincide")
 
     def focal_sum(phi: float) -> float:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateLeadingCoefficient, InvalidObserver, NoConvergence
-from .numeric import DEFAULT_TOLERANCES, Tolerances, ensure_point, ensure_real
+from .numeric import DEFAULT_TOLERANCES, ensure_point, ensure_real
 
 __all__ = [
     "QuarticCoeffs",
@@ -246,8 +246,8 @@ def _polish(
     return best, best_res, iters
 
 
-def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex], tol: Tolerances) -> RootSet:
-    bound = tol.residual_tol * max(abs(c) for c in coeffs)
+def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex]) -> RootSet:
+    bound = DEFAULT_TOLERANCES.residual_tol * max(abs(c) for c in coeffs)
     polished = sorted(zip(*_polish(coeffs, roots, bound)), key=lambda t: (cmath.phase(t[0]), abs(t[0])))
     rs = tuple(t[0] for t in polished)
     res = tuple(t[1] for t in polished)
@@ -260,7 +260,7 @@ def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex], tol: Tole
     return RootSet(roots=rs, residuals=res, polish_iterations=its, min_separation=min_sep)
 
 
-def _solve(coeffs: tuple[complex, ...], tol: Tolerances) -> RootSet:
+def _solve(coeffs: tuple[complex, ...]) -> RootSet:
     """Closed-form starts for degree 1..4, then the joint polish; float
     overflow on the way becomes NoConvergence."""
     deg = len(coeffs) - 1
@@ -274,19 +274,17 @@ def _solve(coeffs: tuple[complex, ...], tol: Tolerances) -> RootSet:
             raw = list(_solve_monic_cubic(coeffs[1] / lead, coeffs[2] / lead, coeffs[3] / lead))
         else:
             raw = _ferrari(coeffs)
-        return _sorted_rootset(coeffs, raw, tol)
+        return _sorted_rootset(coeffs, raw)
     except OverflowError as exc:
         raise NoConvergence(f"float overflow while solving: {exc}") from exc
 
 
-def solve_quartic(q: QuarticCoeffs, tol: Tolerances = DEFAULT_TOLERANCES) -> RootSet:
-    """Solve a complex-coefficient quartic.
+def solve_quartic(q: QuarticCoeffs) -> RootSet:
+    """Solve a complex-coefficient quartic; q.c4 must be nonzero.
 
-    Parameters
-    ----------
-    q   : coefficients, q.c4 must be nonzero
-    tol : residual_tol bounds the accepted |p(root)|, relative to the largest
-          coefficient magnitude
+    A root is accepted when |p(root)| <= 1e-10 * max|c| * max(1, |root|)^4,
+    the fixed DEFAULT_TOLERANCES.residual_tol relative to the largest
+    coefficient magnitude.
 
     Raises
     ------
@@ -296,10 +294,10 @@ def solve_quartic(q: QuarticCoeffs, tol: Tolerances = DEFAULT_TOLERANCES) -> Roo
     """
     if q.c4 == 0:
         raise DegenerateLeadingCoefficient("quartic leading coefficient is zero")
-    return _solve(q.as_tuple(), tol)
+    return _solve(q.as_tuple())
 
 
-def polished_roots(coeffs: tuple[complex, ...], tol: Tolerances = DEFAULT_TOLERANCES) -> RootSet:
+def polished_roots(coeffs: tuple[complex, ...]) -> RootSet:
     """Roots of a polynomial of degree 1..4 given as (c_n, ..., c_0), c_n != 0.
 
     Used for the degree-dropped instances of the reflection quartics; the
@@ -312,7 +310,7 @@ def polished_roots(coeffs: tuple[complex, ...], tol: Tolerances = DEFAULT_TOLERA
     deg = len(coeffs) - 1
     if not 1 <= deg <= 4:
         raise ValueError(f"degree {deg} not supported")
-    return _solve(coeffs, tol)
+    return _solve(coeffs)
 
 
 def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) -> RealQuarticNature:

@@ -176,6 +176,29 @@ def test_value_flags_match_the_parser():
     assert set(value_options(_build_parser())) == _VALUE_FLAGS
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["oracle", "discriminant", "--coeffs", "1,2,3,4,5", "--r", "3", "--theta", "1"],
+            "discriminant takes --coeffs or --r and --theta, not both",
+        ),
+        (
+            ["envelope", "--a", "2", "--samples", "4", "--directrices", "-3"],
+            "directrices must not be negative",
+        ),
+    ],
+    ids=["coeffs-with-observer", "negative-directrices"],
+)
+def test_conflicting_or_negative_flags_are_invalid(argv, message):
+    rc, out, _ = _run(argv)
+    assert rc == 2
+    record = json.loads(out)
+    assert record["status"] == "InvalidArgument"
+    assert record["error"] == message
+    assert record["results"] is None
+
+
 def test_shadow_region_error_code():
     rc, out, _ = _run(["infinity", "--r", "2", "--theta", "3.0"])
     assert rc == 2

@@ -12,7 +12,6 @@ from catoptrix import (
     ObserverPolar,
     OracleConfig,
     RootSet,
-    Tolerances,
     infinity_quartic_coeffs,
     infinity_reflection,
     mobius_real_image,
@@ -226,9 +225,9 @@ def test_verify_circle_theorem_matches_direct_solve():
 def test_reflect_then_verify_solves_once(monkeypatch):
     calls = []
 
-    def counting(q, tol):
+    def counting(q):
         calls.append(q)
-        return solve_quartic(q, tol)
+        return solve_quartic(q)
 
     monkeypatch.setattr(infinity_module, "solve_quartic", counting)
 
@@ -246,14 +245,12 @@ def test_reflect_then_verify_solves_once(monkeypatch):
     assert solves(lambda: verify_circle_theorem(b_minus)) == 0
     c, d = ObserverPolar(1.5, 0.25), ObserverPolar(1.5, 0.375)
     assert solves(lambda: infinity_reflection(c), lambda: infinity_reflection(d)) == 2
-    tight = Tolerances(residual_tol=1e-11)
-    assert solves(lambda: verify_circle_theorem(d), lambda: verify_circle_theorem(d, tight)) == 1
 
 
 def test_failed_solve_is_not_kept(monkeypatch):
     calls = []
 
-    def failing(q, tol):
+    def failing(q):
         calls.append(q)
         raise NoConvergence("forced")
 

@@ -9,9 +9,9 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+import catoptrix.interior as interior_module
 from catoptrix import (
     OracleConfig,
-    Tolerances,
     ellipse_params,
     exterior_reflection,
     interior_quartic_coeffs,
@@ -166,9 +166,13 @@ def test_minimizing_root_domain_errors():
         minimizing_root(0.3 + 0.2j, 0.3 + 0.2j)
 
 
-def test_no_root_on_circle_with_absurd_tolerance():
+def test_no_root_on_circle_with_absurd_tolerance(monkeypatch):
+    # a circle test that rejects every root: the interior pair has no answer
+    # and the exterior pair no visible one
+    monkeypatch.setattr(interior_module, "on_unit_circle", lambda w: False)
     with pytest.raises(NoRootOnCircle):
-        minimizing_root(0.31 + 0.17j, -0.2 + 0.43j, Tolerances(unit_circle_tol=1e-30))
+        minimizing_root(0.31 + 0.17j, -0.2 + 0.43j)
+    assert exterior_reflection(1.5 + 0j, 2j) is None
 
 
 def test_s_metric_symmetric_family():

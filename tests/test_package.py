@@ -1,6 +1,8 @@
-"""The package's public surface: __all__ and the names it binds agree, and
-importing the package loads none of its modules."""
+"""The package's public surface: __all__ and the names it binds agree, no
+public function takes a tolerance, and importing the package loads none of
+its modules."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -21,6 +23,23 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(catoptrix.__all__)
+
+
+def test_no_public_callable_takes_tol():
+    # the tolerances are the fixed DEFAULT_TOLERANCES, not a per-call option
+    takes_tol = []
+    for name in catoptrix.__all__:
+        value = getattr(catoptrix, name)
+        if not callable(value):
+            continue
+        try:
+            params = inspect.signature(value).parameters
+        except ValueError:
+            continue  # no signature to inspect, as for the exception classes
+        if "tol" in params:
+            takes_tol.append(name)
+    assert takes_tol == []
+    assert "Tolerances" not in catoptrix.__all__
 
 
 def test_import_loads_no_module_and_names_resolve_on_use():
