@@ -4,13 +4,15 @@ Subcommands: interior, infinity, envelope, directrix, oracle (smetric,
 infinity, discriminant). Every exit prints one JSON record to stdout (fixed
 field order, 17-significant-digit reals, so identical flags give
 byte-identical output; a NaN or infinite real prints as null); human-readable
-messages go to stderr. Runners return their results and diagnostics, and
-``main`` alone writes the record: ``command`` (``oracle-smetric`` and so on
+messages go to stderr. Runners do no I/O: each returns results, diagnostics
+and the text of each file its --csv/--svg flags ask for, and ``main`` alone
+writes the files and the record: ``command`` (``oracle-smetric`` and so on
 for the oracles), ``inputs`` (one echo of the parsed flags, angles in
-radians), ``results``, ``diagnostics``, ``status`` and, unless the status is
-ok, ``error``. Exit code 0 on ok, 2 on any other status: a domain error's
-code, InvalidArgument, OSError (a file that cannot be written) or UsageError
-(argparse rejected the flags; the record's other fields are null).
+radians), ``results``, ``diagnostics`` (ending with each output flag's path,
+null if not written), ``status`` and, unless the status is ok, ``error``.
+Exit code 0 on ok, 2 on any other status: a domain error's code,
+InvalidArgument, OSError (a file that cannot be written; ``results`` is null)
+or UsageError (argparse rejected the flags; the record's other fields are null).
 
 Each subcommand imports the library modules it runs when it runs, so a
 process loads only those: ``svg`` only under ``--svg``, and ``oracle``, with
@@ -150,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_env.add_argument("--samples", type=int, default=720)
     p_env.add_argument("--csv", metavar="PATH", default=None)
     p_env.add_argument("--svg", metavar="PATH", default=None)
-    p_env.add_argument("--directrices", type=int, default=0, help="directrix lines to overlay in the SVG")
+    p_env.add_argument("--directrices", type=int, default=None, help="directrix lines to overlay in the SVG")
 
     p_dir = sub.add_parser("directrix", help="directrix of the tangential parabola at w = e^{i*phi}")
     p_dir.add_argument("--a", type=float, required=True)
@@ -183,7 +185,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_interior(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
+_Run = tuple[dict[str, Any], dict[str, Any], dict[str, str]]  # results, diagnostics, file texts
+
+
+def _run_interior(args: argparse.Namespace) -> _Run:
     from .interior import _ellipse_of, minimizing_root
 
     result = minimizing_root(args.z1, args.z2)
@@ -195,14 +200,12 @@ def _run_interior(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, A
         "reflection_residual": result.reflection_residual,
         "tie_indices": list(result.tie_indices),
         "degree_dropped": result.degree_dropped,
-        "svg": None,
     }
+    files = {}
     if args.svg:
         from .svg import interior_figure
 
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(interior_figure(args.z1, args.z2, result, ellipse))
-        diagnostics["svg"] = args.svg
+        files["svg"] = interior_figure(args.z1, args.z2, result, ellipse)
     return {
         "w": _pair(result.w),
         "s": result.s_value,
@@ -213,10 +216,10 @@ def _run_interior(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, A
             "minor": ellipse.minor,
             "eccentricity": ellipse.eccentricity,
         },
-    }, diagnostics
+    }, diagnostics, files
 
 
-def _run_infinity(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
+def _run_infinity(args: argparse.Namespace) -> _Run:
     from .infinity import ObserverPolar, infinity_reflection
     from .quartic import RootNature, infinity_real_coeffs, real_quartic_invariants
 
@@ -226,7 +229,6 @@ def _run_infinity(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, A
         "root_moduli": [abs(w) for w in result.all_roots.roots],
         "residuals": list(result.all_roots.residuals),
         "verify": None,
-        "svg": None,
     }
     if args.verify:
         nature = real_quartic_invariants(*infinity_real_coeffs(obs.r, obs.theta))
@@ -238,12 +240,11 @@ def _run_infinity(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, A
             "four_real_distinct": nature.classification is RootNature.FOUR_REAL_DISTINCT,
             "mobius_images": list(result.mobius_images) if result.mobius_images else None,
         }
+    files = {}
     if args.svg:
         from .svg import infinity_figure
 
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(infinity_figure(obs, result))
-        diagnostics["svg"] = args.svg
+        files["svg"] = infinity_figure(obs, result)
     return {
         "w": _pair(result.w),
         "phi": result.phi,
@@ -252,7 +253,7 @@ def _run_infinity(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, A
         "degenerate_axis": result.degenerate_axis,
         "roots": [_pair(w) for w in result.all_roots.roots],
         "mobius_images": list(result.mobius_images) if result.mobius_images else None,
-    }, diagnostics
+    }, diagnostics, files
 
 
 def _envelope_rows(a: float, samples: int) -> list[tuple[float, float, float, float]]:
@@ -266,40 +267,33 @@ def _envelope_rows(a: float, samples: int) -> list[tuple[float, float, float, fl
     return rows
 
 
-def _run_envelope(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
+def _run_envelope(args: argparse.Namespace) -> _Run:
     from .envelope import valid_arc
 
+    k = args.directrices or 0
     if args.samples < 1:
         raise ValueError("samples must be positive")
-    if args.directrices < 0:
+    if k < 0:
         raise ValueError("directrices must not be negative")
     phi_max = valid_arc(args.a)
     rows = _envelope_rows(args.a, args.samples)
-    diagnostics: dict[str, Any] = {
-        "max_implicit_residual": max(abs(r[3]) for r in rows),
-        "csv": None,
-        "svg": None,
-    }
+    files = {}
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write("theta,x,y,implicit_residual\n")
-            fh.writelines(",".join(map(_fmt_float, row)) + "\n" for row in rows)
-        diagnostics["csv"] = args.csv
+        table = ["theta,x,y,implicit_residual", *(",".join(map(_fmt_float, row)) for row in rows)]
+        files["csv"] = "\n".join(table) + "\n"
     if args.svg:
         from .envelope import directrix
         from .numeric import unit_from_angle
         from .svg import envelope_figure
 
-        thetas = [-math.pi + math.tau * (k + 1) / 720 for k in range(721)]
-        k = args.directrices
+        thetas = [-math.pi + math.tau * (j + 1) / 720 for j in range(721)]
         lines = [directrix(args.a, unit_from_angle(-math.pi + math.tau * (j + 1) / k)) for j in range(k)]
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(envelope_figure(args.a, thetas, lines))
-        diagnostics["svg"] = args.svg
-    return {"phi_max": phi_max, "samples": [list(row) for row in rows]}, diagnostics
+        files["svg"] = envelope_figure(args.a, thetas, lines)
+    diagnostics = {"max_implicit_residual": max(abs(r[3]) for r in rows)}
+    return {"phi_max": phi_max, "samples": [list(row) for row in rows]}, diagnostics, files
 
 
-def _run_directrix(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
+def _run_directrix(args: argparse.Namespace) -> _Run:
     from .envelope import directrix, mirror_point, point_line_distance, tangency_point
     from .numeric import unit_from_angle
 
@@ -320,10 +314,10 @@ def _run_directrix(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, 
         "tangency_point": _pair(tangency_point(args.a, w)),
         "focus_directrix_distance": dist,
         "tangency_focus_distance": focus_dist,
-    }, {"distance_mismatch": abs(dist - focus_dist)}
+    }, {"distance_mismatch": abs(dist - focus_dist)}, {}
 
 
-def _run_oracle_smetric(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
+def _run_oracle_smetric(args: argparse.Namespace) -> _Run:
     from .interior import minimizing_root
     from .oracle import OracleConfig, oracle_smetric
 
@@ -333,10 +327,10 @@ def _run_oracle_smetric(args: argparse.Namespace) -> tuple[dict[str, Any], dict[
         "closed_form": {"w": _pair(closed.w), "s": closed.s_value},
         "angle_deviation": abs(cmath.phase(w) - cmath.phase(closed.w)),
         "s_deviation": abs(s - closed.s_value),
-    }
+    }, {}
 
 
-def _run_oracle_infinity(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
+def _run_oracle_infinity(args: argparse.Namespace) -> _Run:
     from .infinity import ObserverPolar, infinity_reflection
     from .oracle import OracleConfig, oracle_infinity_path
 
@@ -346,10 +340,10 @@ def _run_oracle_infinity(args: argparse.Namespace) -> tuple[dict[str, Any], dict
     return {"w": _pair(w), "phi": cmath.phase(w), "path_defect": defect}, {
         "closed_form": {"w": _pair(closed.w), "phi": closed.phi},
         "angle_deviation": abs(cmath.phase(w) - closed.phi),
-    }
+    }, {}
 
 
-def _run_oracle_discriminant(args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
+def _run_oracle_discriminant(args: argparse.Namespace) -> _Run:
     from .oracle import oracle_quartic_discriminant
     from .quartic import real_quartic_invariants
 
@@ -361,7 +355,7 @@ def _run_oracle_discriminant(args: argparse.Namespace) -> tuple[dict[str, Any], 
         "d": nature.d,
         "classification": nature.classification.value,
         "sign_agreement": (resultant_delta > 0) == (nature.delta > 0),
-    }
+    }, {}
 
 
 _RUNNERS = {
@@ -397,7 +391,7 @@ def _prepare(args: argparse.Namespace) -> None:
 
 def _echo_inputs(args: argparse.Namespace) -> dict[str, Any]:
     # the parsed inputs, in the parser's definition order (that of vars(args))
-    skip = {"command", "oracle_command", "svg", "csv", "verify", "degrees", "directrices"}
+    skip = {"command", "oracle_command", "svg", "csv", "verify", "degrees"}
     return {
         key: _pair(value) if isinstance(value, complex) else value
         for key, value in vars(args).items()
@@ -413,7 +407,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(_join_flag_values(argv))
         _prepare(args)
-        results, diagnostics = _RUNNERS[args.command](args)
+        results, diagnostics, files = _RUNNERS[args.command](args)
+        # the command's output flags end its diagnostics: the path once written
+        diagnostics.update((key, None) for key in ("csv", "svg") if key in vars(args))
+        for key, text in files.items():
+            with open(getattr(args, key), "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            diagnostics[key] = getattr(args, key)
     except _UsageError as exc:
         status, error = "UsageError", str(exc)
     except CatoptrixError as exc:
@@ -421,7 +421,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         status, error = "InvalidArgument", str(exc)
     except OSError as exc:
-        status, error = "OSError", str(exc)
+        status, error, results = "OSError", str(exc), None
     command = None if args is None else args.command
     record = {
         "command": command,

@@ -23,7 +23,6 @@ __all__ = [
     "ensure_real",
     "on_unit_circle",
     "unit_from_angle",
-    "project_to_circle",
     "wrap_angle",
     "segment_min_distance_to_origin",
     "segment_clears_disk",
@@ -87,11 +86,6 @@ def unit_from_angle(phi: float) -> complex:
     return complex(math.cos(phi), math.sin(phi))
 
 
-def project_to_circle(w: complex) -> complex:
-    """Radial projection w / |w|. w must be nonzero."""
-    return w / abs(w)
-
-
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to the principal interval (-pi, pi]."""
     t = math.remainder(theta, math.tau)
@@ -114,13 +108,13 @@ def segment_min_distance_to_origin(p: complex, q: complex) -> float:
     return abs(p + t * d)
 
 
-def segment_clears_disk(p: complex, q: complex, slack: float = VISIBILITY_SLACK) -> bool:
+def segment_clears_disk(p: complex, q: complex) -> bool:
     """True iff the segment [p, q] does not enter the open unit disk.
 
-    Endpoints on the circle itself count as clearing; slack absorbs the
-    numerical drift of projected roots.
+    Endpoints on the circle itself count as clearing; VISIBILITY_SLACK
+    absorbs the numerical drift of projected roots.
     """
-    return segment_min_distance_to_origin(p, q) >= 1.0 - slack
+    return segment_min_distance_to_origin(p, q) >= 1.0 - VISIBILITY_SLACK
 
 
 def _argmin_on_circle(
@@ -129,14 +123,14 @@ def _argmin_on_circle(
     cost: Callable[[complex], float],
     keep: Optional[Callable[[complex], bool]] = None,
 ) -> Optional[tuple[complex, float, tuple[int, ...]]]:
-    """(w, cost, tie_indices) of the least-cost projection of a masked root
-    that keep accepts, or None when none is left. Costs within _COST_TIE_EPS
+    """(w, cost, tie_indices) of the least-cost projection w / |w| of a masked
+    root that keep accepts, or None when none is left. Costs within _COST_TIE_EPS
     of the least tie; among them the largest Im, then the largest Re, wins.
     """
     best: list[tuple[float, int, complex]] = []
     for k, w in enumerate(roots):
         if mask[k]:
-            wp = project_to_circle(w)
+            wp = w / abs(w)
             if keep is None or keep(wp):
                 best.append((cost(wp), k, wp))
     if len(best) < 2:

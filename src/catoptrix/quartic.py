@@ -58,7 +58,7 @@ class QuarticCoeffs:
         return (self.c4, self.c3, self.c2, self.c1, self.c0)
 
     def __call__(self, w: complex) -> complex:
-        return _horner(self.as_tuple(), w)
+        return _horner_pair(self.as_tuple(), w)[0]
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,6 @@ class RealQuarticNature:
     p: float
     d: float
     classification: RootNature
-
-
-def _horner(coeffs: tuple[complex, ...], w: complex) -> complex:
-    acc = 0j
-    for c in coeffs:
-        acc = acc * w + c
-    return acc
 
 
 def _horner_pair(coeffs: tuple[complex, ...], w: complex) -> tuple[complex, complex]:

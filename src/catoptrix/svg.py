@@ -35,11 +35,11 @@ class _Canvas:
             (self.extent - z.imag) * self.scale,
         )
 
-    def circle(self, center: complex, radius: float, stroke: str, width: float = 1.5) -> None:
+    def circle(self, center: complex, radius: float, stroke: str) -> None:
         cx, cy = self._xy(center)
         self.parts.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius * self.scale)}" '
-            f'fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
+            f'fill="none" stroke="{stroke}" stroke-width="1.500000"/>'
         )
 
     def dot(self, z: complex, color: str, radius: float = 4.0) -> None:
@@ -48,19 +48,19 @@ class _Canvas:
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" fill="{color}"/>'
         )
 
-    def polyline(self, points: Iterable[complex], stroke: str, width: float = 1.5) -> None:
+    def polyline(self, points: Iterable[complex], stroke: str) -> None:
         coords = " ".join("{},{}".format(_fmt(x), _fmt(y)) for x, y in map(self._xy, points))
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}"/>'
+            'stroke-width="1.500000"/>'
         )
 
-    def segment(self, a: complex, b: complex, stroke: str, width: float = 1.0) -> None:
+    def segment(self, a: complex, b: complex, stroke: str) -> None:
         x1, y1 = self._xy(a)
         x2, y2 = self._xy(b)
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
+            f'stroke="{stroke}" stroke-width="1.000000"/>'
         )
 
     def infinite_line(self, line: LineCoeffs, stroke: str) -> None:

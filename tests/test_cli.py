@@ -136,6 +136,20 @@ def test_unwritable_output_is_an_os_error_record(tmp_path, flag):
     assert "OSError" in err
 
 
+def test_os_error_record_names_the_files_already_written(tmp_path):
+    # the csv is written before the svg fails; the record says so
+    csv_path, svg_path = tmp_path / "ok.csv", tmp_path / "missing" / "x.svg"
+    argv = ["envelope", "--a", "2", "--samples", "4", "--csv", str(csv_path), "--svg", str(svg_path)]
+    rc, out, _ = _run(argv)
+    assert rc == 2
+    record = json.loads(out)
+    assert record["status"] == "OSError" and record["results"] is None
+    assert record["diagnostics"]["csv"] == str(csv_path)
+    assert record["diagnostics"]["svg"] is None
+    assert list(record["diagnostics"])[-2:] == ["csv", "svg"]
+    assert csv_path.read_text().count("\n") == 5
+
+
 @pytest.mark.parametrize(
     "argv,command,inputs",
     [
@@ -149,8 +163,13 @@ def test_unwritable_output_is_an_os_error_record(tmp_path, flag):
             "oracle-smetric",
             {"z1": [1.5, 0.0], "z2": [0.0, 0.0], "grid": 100_000, "refine_iters": 80},
         ),
+        (
+            ["envelope", "--a", "2", "--samples", "4", "--directrices", "-3"],
+            "envelope",
+            {"a": 2.0, "samples": 4, "directrices": -3},
+        ),
     ],
-    ids=["degrees-echoed-in-radians", "oracle-command-and-order"],
+    ids=["degrees-echoed-in-radians", "oracle-command-and-order", "rejected-directrices"],
 )
 def test_error_record_echoes_like_success(argv, command, inputs):
     rc, out, _ = _run(argv)

@@ -1,7 +1,8 @@
-"""The package's public surface: __all__ and the names it binds agree, no
-public function takes a tolerance, and importing the package loads none of
-its modules."""
+"""The package's public surface: __all__ and the names it binds agree, each
+export is listed in its module's __all__, no public function takes a
+tolerance, and importing the package loads none of its modules."""
 
+import importlib
 import inspect
 import os
 import subprocess
@@ -23,6 +24,17 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(catoptrix.__all__)
+
+
+def test_exports_are_listed_in_their_modules_all():
+    # every name the package exports is in its defining module's __all__
+    # (errors declares none)
+    unlisted = []
+    for module_name, names in catoptrix._EXPORTS.items():
+        module = importlib.import_module(f"catoptrix.{module_name}")
+        if hasattr(module, "__all__"):
+            unlisted += [f"{module_name}.{name}" for name in names if name not in module.__all__]
+    assert unlisted == []
 
 
 def test_no_public_callable_takes_tol():
