@@ -144,21 +144,23 @@ def infinity_reflection(obs: ObserverPolar) -> InfinityResult:
         degenerate = True
     else:
         degenerate = False
+        windowed = abs(theta) <= math.pi / 2.0
+        upper = math.pi / 2.0 + _ANGLE_SLACK
+        lit = -DEFAULT_TOLERANCES.unit_circle_tol
 
         def keep(wp: complex) -> bool:
             # the window mirrors with the observer: phi is measured toward it
-            phi = cmath.phase(wp) if theta > 0.0 else -cmath.phase(wp)
-            if abs(theta) <= math.pi / 2.0 and not (
-                -_ANGLE_SLACK <= phi <= math.pi / 2.0 + _ANGLE_SLACK
-            ):
-                return False
+            if windowed:
+                phi = cmath.phase(wp) if theta > 0.0 else -cmath.phase(wp)
+                if not -_ANGLE_SLACK <= phi <= upper:
+                    return False
             # unlit when the incoming ray hits the far side first
-            return wp.real >= -DEFAULT_TOLERANCES.unit_circle_tol and segment_clears_disk(wp, f)
+            return wp.real >= lit and segment_clears_disk(wp, f)
 
-        mask = tuple(on_unit_circle(root) for root in roots.roots)
+        mask = tuple([on_unit_circle(root) for root in roots.roots])
         sel = _argmin_on_circle(roots.roots, mask, lambda wp: abs(f - wp) - wp.real, keep)
         if sel is None:
-            if abs(theta) > math.pi / 2.0:
+            if not windowed:
                 raise ShadowRegion(
                     f"no physically valid reflection for theta = {theta:.6g}"
                 )

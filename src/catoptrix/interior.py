@@ -104,7 +104,8 @@ def _reflect(
 ) -> Optional[ReflectionResult]:
     """The pair's root of least focal sum that keep accepts, or None; the
     callers check the domain."""
-    if abs(z1 - z2) < _COINCIDENT_EPS:
+    d = abs(z1 - z2)
+    if d < _COINCIDENT_EPS:
         raise CoincidentPoints("points coincide")
     q = interior_quartic_coeffs(z1, z2)
     dropped = q.c4 == 0
@@ -114,7 +115,7 @@ def _reflect(
         roots = polished_roots((q.c3, q.c2, q.c1, q.c0))
     else:
         roots = solve_quartic(q)
-    mask = tuple(on_unit_circle(w) for w in roots.roots)
+    mask = tuple([on_unit_circle(w) for w in roots.roots])
     sel = _argmin_on_circle(roots.roots, mask, lambda wp: abs(z1 - wp) + abs(z2 - wp), keep)
     if sel is None:
         return None
@@ -122,7 +123,6 @@ def _reflect(
     # the focal sum can round an ulp below |z1 - z2| for a point about an ulp
     # from the rim; the triangle inequality bounds it, so s <= 1 and the
     # ellipse's c^2 - d^2 >= 0 hold exactly
-    d = abs(z1 - z2)
     fs = max(fs, d)
     return ReflectionResult(
         w=w,
@@ -167,13 +167,16 @@ def ellipse_params(z1: complex, z2: complex) -> EllipseParams:
 
     The eccentricity equals the triangular ratio metric of the pair.
     """
+    z1 = ensure_point(z1, "z1")
+    z2 = ensure_point(z2, "z2")
     return _ellipse_of(minimizing_root(z1, z2), z1, z2)
 
 
 def _ellipse_of(result: ReflectionResult, z1: complex, z2: complex) -> EllipseParams:
-    """The maximal inscribed ellipse of a solved pair, without solving again."""
+    """The maximal inscribed ellipse of a solved pair of validated points,
+    without solving again."""
     c = result.focal_sum
-    d = abs(ensure_point(z1) - ensure_point(z2))
+    d = abs(z1 - z2)
     major = c / 2.0
     minor = 0.5 * math.sqrt(c * c - d * d)
     ecc = math.sqrt(1.0 - (minor / major) ** 2)

@@ -76,7 +76,8 @@ def ensure_real(x: float, name: str = "value") -> float:
 
 def on_unit_circle(w: complex) -> bool:
     """True iff | |w| - 1 | <= DEFAULT_TOLERANCES.unit_circle_tol."""
-    w = ensure_point(w, "w")
+    if type(w) is not complex or not cmath.isfinite(w):
+        w = ensure_point(w, "w")
     return abs(abs(w) - 1.0) <= DEFAULT_TOLERANCES.unit_circle_tol
 
 
@@ -136,7 +137,10 @@ def _argmin_on_circle(
     if len(best) < 2:
         # nothing to tie, the plane wave's usual case
         return (best[0][2], best[0][0], (best[0][1],)) if best else None
-    least = min(best)[0]
-    ties = [t for t in best if t[0] <= least + _COST_TIE_EPS]
+    cut = min([t[0] for t in best]) + _COST_TIE_EPS
+    ties = [t for t in best if t[0] <= cut]
+    if len(ties) == 1:
+        c, k, w = ties[0]
+        return w, c, (k,)
     c, _, w = max(ties, key=lambda t: (t[2].imag, t[2].real))
-    return w, c, tuple(t[1] for t in ties)
+    return w, c, tuple([t[1] for t in ties])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,8 +52,12 @@ class QuarticCoeffs:
     c0: complex
 
     def __post_init__(self) -> None:
+        # a finite plain complex is stored as given; anything else is coerced
+        # or rejected, which also catches a builder's product that overflowed
         for name in ("c4", "c3", "c2", "c1", "c0"):
-            object.__setattr__(self, name, ensure_point(getattr(self, name), name))
+            c = getattr(self, name)
+            if type(c) is not complex or not cmath.isfinite(c):
+                object.__setattr__(self, name, ensure_point(c, name))
 
     def as_tuple(self) -> tuple[complex, complex, complex, complex, complex]:
         return (self.c4, self.c3, self.c2, self.c1, self.c0)
@@ -125,6 +130,7 @@ def _solve_monic_quadratic(b: complex, c: complex) -> tuple[complex, complex]:
         return 0j, -b
     return q, c / q
 
+
 def _solve_monic_cubic(b: complex, c: complex, d: complex) -> tuple[complex, complex, complex]:
     """Roots of x^3 + b*x^2 + c*x + d by Cardano.
 
@@ -167,8 +173,14 @@ def _ferrari(coeffs: tuple[complex, ...]) -> list[complex]:
     else:
         m_roots = _solve_monic_cubic(-p / 2.0, -r, p * r / 2.0 - q * q / 8.0)
         # the square-root argument 2m - p must stay far from zero; the
-        # resolvent root maximizing it avoids catastrophic cancellation
-        m = max(m_roots, key=lambda mm: abs(2.0 * mm - p))
+        # resolvent root maximizing it avoids catastrophic cancellation; of
+        # equal maxima the first wins
+        m = m_roots[0]
+        best = abs(2.0 * m - p)
+        for mm in m_roots[1:]:
+            cand = abs(2.0 * mm - p)
+            if cand > best:
+                m, best = mm, cand
         alpha = cmath.sqrt(2.0 * m - p)
         beta = -q / (2.0 * alpha)
         y1, y2 = _solve_monic_quadratic(-alpha, m - beta)
@@ -198,6 +210,10 @@ def _polish(
     even evaluate the polynomial, so a flat bound would be unreachable for
     roots far outside the unit disk. A non-finite residual never passes it,
     and it ends the polish at once: no step can leave inf or NaN.
+
+    The repel sum is accumulated left to right over the current roots,
+    starting from the integer 0; roots moved earlier in the same step count
+    at their new places.
     """
     deriv_stall = 1e-290
     degree = len(coeffs) - 1
@@ -218,39 +234,48 @@ def _polish(
                 best_res[k] = res
                 best[k] = w
             iters[k] = step
-            if not (
-                step == _MAX_POLISH_ITERATIONS
-                or res <= base_bound * max(1.0, abs(w)) ** degree
-                or abs(df) < deriv_stall
-            ):
+            if step == _MAX_POLISH_ITERATIONS:
+                continue
+            a = abs(w)
+            if not (res <= base_bound * (a if a > 1.0 else 1.0) ** degree or abs(df) < deriv_stall):
                 moving.append((k, f / df))
         if not moving:
             break
         for k, newton in moving:
             w = cur[k]
-            # an exact duplicate start is skipped: it would divide by zero
-            repel = sum(1.0 / (w - v) for v in cur if v != w)
+            repel = 0
+            for v in cur:
+                # an exact duplicate start is skipped: it would divide by zero
+                if v != w:
+                    repel += 1.0 / (w - v)
             denom = 1.0 - newton * repel
             cur[k] = w - (newton / denom if denom != 0 else newton)
         pending = [k for k, _ in moving]
     for k, w in enumerate(best):
-        if not best_res[k] <= base_bound * max(1.0, abs(w)) ** degree:
+        a = abs(w)
+        if not best_res[k] <= base_bound * (a if a > 1.0 else 1.0) ** degree:
             raise _stalled(best_res[k], w, base_bound, degree)
     return best, best_res, iters
 
 
 def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex]) -> RootSet:
-    bound = DEFAULT_TOLERANCES.residual_tol * max(abs(c) for c in coeffs)
-    polished = sorted(zip(*_polish(coeffs, roots, bound)), key=lambda t: (cmath.phase(t[0]), abs(t[0])))
-    rs = tuple(t[0] for t in polished)
-    res = tuple(t[1] for t in polished)
-    its = tuple(t[2] for t in polished)
-    n = len(rs)
+    bound = DEFAULT_TOLERANCES.residual_tol * max(map(abs, coeffs))
+    ws, res, its = _polish(coeffs, roots, bound)
+    keys = [(cmath.phase(w), abs(w)) for w in ws]
+    # sorted is stable, so roots with equal keys keep their polish order
+    order = sorted(range(len(ws)), key=keys.__getitem__)
+    rs = tuple([ws[k] for k in order])
     min_sep = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            min_sep = min(min_sep, abs(rs[i] - rs[j]))
-    return RootSet(roots=rs, residuals=res, polish_iterations=its, min_separation=min_sep)
+    for a, b in itertools.combinations(rs, 2):
+        d = abs(a - b)
+        if d < min_sep:
+            min_sep = d
+    return RootSet(
+        roots=rs,
+        residuals=tuple([res[k] for k in order]),
+        polish_iterations=tuple([its[k] for k in order]),
+        min_separation=min_sep,
+    )
 
 
 def _solve(coeffs: tuple[complex, ...]) -> RootSet:

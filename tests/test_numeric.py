@@ -58,8 +58,33 @@ def test_non_finite_points_rejected():
         ensure_point(complex(float("nan"), 0.0))
     with pytest.raises(NonFinitePoint):
         ensure_point(complex(0.0, float("inf")))
-    with pytest.raises(NonFinitePoint):
-        on_unit_circle(complex(float("inf"), 0.0))
+    for bad in (
+        complex(float("inf"), 0.0),
+        complex(0.0, float("-inf")),
+        complex(float("nan"), 0.0),
+        complex(1.0, float("nan")),
+        np.complex128(complex(float("nan"), 1.0)),
+        float("inf"),
+    ):
+        with pytest.raises(NonFinitePoint):
+            on_unit_circle(bad)
+
+
+@pytest.mark.parametrize(
+    "value,expected",
+    [
+        (1, True),
+        (0, False),
+        (-1.0, True),
+        (0.5, False),
+        (np.int64(-1), True),
+        (np.float64(2.0), False),
+        (np.complex128(1j), True),
+        (np.complex128(0.5j), False),
+    ],
+)
+def test_on_unit_circle_accepts_real_and_numpy_scalars(value, expected):
+    assert on_unit_circle(value) is expected
 
 
 def test_wrap_angle_principal_interval():

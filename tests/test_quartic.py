@@ -19,7 +19,7 @@ from catoptrix import (
     real_quartic_invariants,
     solve_quartic,
 )
-from catoptrix.errors import DegenerateLeadingCoefficient, InvalidObserver, NoConvergence
+from catoptrix.errors import DegenerateLeadingCoefficient, InvalidObserver, NoConvergence, NonFinitePoint
 from catoptrix.oracle import oracle_quartic_discriminant
 
 
@@ -92,6 +92,48 @@ def test_polish_stops_at_a_nan_start_root(monkeypatch):
     with pytest.raises(NoConvergence, match="stalled at residual inf"):
         solve_quartic(QuarticCoeffs(1e-100, 1e100, 0, 0, 1))
     assert len(calls) <= 1
+
+
+def test_polish_skips_an_exact_duplicate_start():
+    # four identical starts: every other root equals the first one moved, so
+    # its repel sum is empty; nothing divides by w - w, and the later roots
+    # are repelled from the ones already moved in the same step
+    from catoptrix import quartic
+
+    roots, residuals, iters = quartic._polish((1 + 0j, 0j, 0j, 0j, -1 + 0j), [0.3 + 0.2j] * 4, 1e-10)
+    assert roots == [
+        -5.169878828456423e-26 - 1j,
+        1 + 0j,
+        -1.000000000000001 - 7.969631356762041e-15j,
+        3.1763735522036263e-22 + 0.9999999999999999j,
+    ]
+    assert residuals == [2.0679515313825692e-25, 0.0, 3.2186362112445835e-14, 4.440892098518802e-16]
+    assert iters == [9, 9, 8, 8]
+
+
+class _ComplexSubclass(complex):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [2, 2.5, np.float64(-1.5), np.complex128(2 - 1j), _ComplexSubclass(2, -1), 2 - 1j],
+    ids=["int", "float", "float64", "complex128", "complex-subclass", "complex"],
+)
+def test_quartic_coeffs_store_plain_complex(value):
+    q = QuarticCoeffs(value, value, value, value, value)
+    for c in q.as_tuple():
+        assert type(c) is complex
+        assert c == complex(value)
+
+
+@pytest.mark.parametrize("field", ["c4", "c3", "c2", "c1", "c0"])
+def test_quartic_coeffs_reject_non_finite_naming_the_field(field):
+    for bad in (complex(math.nan, 0.0), complex(0.0, -math.inf), math.inf, np.complex128(complex(1.0, math.nan))):
+        coeffs = dict(c4=1 + 0j, c3=0j, c2=0j, c1=0j, c0=-1 + 0j)
+        coeffs[field] = bad
+        with pytest.raises(NonFinitePoint, match=f"^{field} has non-finite component"):
+            QuarticCoeffs(**coeffs)
 
 
 def test_infinity_quartic_roots_match_companion_oracle():
