@@ -11,11 +11,13 @@ problem uses too, numeric._argmin_on_circle, with the focal sum as the cost.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import (
     CoincidentPoints,
+    NonFinitePoint,
     NoRootOnCircle,
     PointInsideDomain,
     PointOutsideDomain,
@@ -143,6 +145,12 @@ def minimizing_root(z1: complex, z2: complex) -> ReflectionResult:
     minimizing the focal sum |z1 - w| + |z2 - w|. Focal sums within 1e-10 of
     the least tie; the tie is broken toward the largest imaginary part, then
     the largest real part, and the whole tie set is reported in tie_indices.
+
+    A point at distance e from the origin gives the equation roots of moduli
+    about e, 1, 1 and 1/e. The pair answers for e down to about 1e-77; below
+    that, (1/e)^4 overflows float64 in the residual bound and the solve
+    raises NoConvergence. A point exactly at the origin drops the quartic
+    term and always answers.
     """
     z1 = ensure_point(z1, "z1")
     z2 = ensure_point(z2, "z2")
@@ -190,11 +198,24 @@ def exterior_reflection(z1: complex, z2: complex) -> Optional[ReflectionResult]:
     both endpoints can actually see: the open segments [z1, w] and [z2, w]
     must not enter the open unit disk. Returns None when no on-circle root is
     visible (the mirror occludes every candidate path).
+
+    The equation's end coefficients have modulus |z1|*|z2|, so that product
+    must stay finite in float64 (at most about 1.8e308); a farther pair
+    raises NonFinitePoint naming the pair.
     """
     z1 = ensure_point(z1, "z1")
     z2 = ensure_point(z2, "z2")
-    if abs(z1) <= 1.0 or abs(z2) <= 1.0:
+    try:
+        r1, r2 = abs(z1), abs(z2)
+    except OverflowError:  # a modulus past float64; hypot gives inf instead
+        r1, r2 = math.hypot(z1.real, z1.imag), math.hypot(z2.real, z2.imag)
+    if r1 <= 1.0 or r2 <= 1.0:
         raise PointInsideDomain("both points must lie outside the closed unit disk")
+    if r1 * r2 > sys.float_info.max:
+        raise NonFinitePoint(
+            f"exterior pair z1={z1!r}, z2={z2!r} is out of float64 range: "
+            f"|z1|*|z2| must not exceed {sys.float_info.max!r}"
+        )
 
     def visible(wp: complex) -> bool:
         return segment_clears_disk(z1, wp) and segment_clears_disk(z2, wp)

@@ -1,11 +1,17 @@
 """Closed-form quartic solving with joint root polishing, and real-quartic root classification.
 
-The solver runs the Cardano-Ferrari chain in complex arithmetic (so complex
+The solver starts from closed-form roots in complex arithmetic (so complex
 coefficients are first class), then polishes all roots together with
 Aberth-Ehrlich steps on the original polynomial. Closed form alone loses
-digits near repeated roots and when the coefficients span many orders of
-magnitude; the polish restores them, and polishing the roots jointly keeps
-two closed-form starts from converging onto one root.
+digits near repeated roots; the polish restores them, and polishing the
+roots jointly keeps two starts from converging onto one root.
+
+The starts are the Cardano-Ferrari roots, unless the coefficient moduli say
+that the roots spread over orders of magnitude: then each edge of the Newton
+polygon, the upper convex hull of (k, log|c_k|), starts its own roots from
+its own coefficients (Bini, Numer. Algorithms 13, 1996). Ferrari's shift by
+c3/(4*c4) would cost such small roots their digits, and the polish, whose
+bound is relative to the largest coefficient, would not win them back.
 """
 
 from __future__ import annotations
@@ -32,6 +38,17 @@ __all__ = [
 
 _MAX_POLISH_ITERATIONS = 50
 _CLOSE_PAIR_THRESHOLD = 1e-7
+# a quartic takes Newton-polygon starts when a middle point of its polygon
+# lies more than log(_SPREAD) above the chord between the end points, and the
+# polygon merges edges whose root moduli differ by less than _SPREAD. The
+# reflection quartic of the benchmark's pair families away from the origin
+# reaches at most about 205 there (|c3|/|c4|, seeds 1 and 2): 1e3 keeps their
+# Ferrari starts and sends a point within about 1e-3 of the origin to the
+# polygon
+_SPREAD = 1e3
+_SPREAD2 = _SPREAD ** 2
+_SPREAD4 = _SPREAD ** 4
+_LOG_SPREAD = math.log(_SPREAD)
 # primitive cube roots of unity, for Cardano's second and third roots
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 _OMEGA2 = _OMEGA.conjugate()
@@ -258,9 +275,8 @@ def _polish(
     return best, best_res, iters
 
 
-def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex]) -> RootSet:
-    bound = DEFAULT_TOLERANCES.residual_tol * max(map(abs, coeffs))
-    ws, res, its = _polish(coeffs, roots, bound)
+def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex], cmax: float) -> RootSet:
+    ws, res, its = _polish(coeffs, roots, DEFAULT_TOLERANCES.residual_tol * cmax)
     keys = [(cmath.phase(w), abs(w)) for w in ws]
     # sorted is stable, so roots with equal keys keep their polish order
     order = sorted(range(len(ws)), key=keys.__getitem__)
@@ -278,21 +294,79 @@ def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex]) -> RootSe
     )
 
 
+def _closed_form(coeffs: tuple[complex, ...]) -> list[complex]:
+    """Closed-form roots of a polynomial of degree 1..4, leading coefficient nonzero."""
+    deg = len(coeffs) - 1
+    if deg == 4:
+        return _ferrari(coeffs)
+    lead = coeffs[0]
+    if deg == 1:
+        return [-coeffs[1] / lead]
+    if deg == 2:
+        return list(_solve_monic_quadratic(coeffs[1] / lead, coeffs[2] / lead))
+    return list(_solve_monic_cubic(coeffs[1] / lead, coeffs[2] / lead, coeffs[3] / lead))
+
+
+def _polygon_starts(coeffs: tuple[complex, ...], mods: list[float]) -> list[complex]:
+    """Starts from the Newton polygon, the upper convex hull of the points
+    (k, log|c_k|) of the nonzero coefficients c_k of w^k.
+
+    An edge from power i to power j holds j - i roots of modulus about
+    (|c_i|/|c_j|)^(1/(j-i)); the closed-form roots of the edge's own
+    coefficients, c_j*w^(j-i) + ... + c_i, start them (Bini, Numer.
+    Algorithms 13, 1996). A zero c_0 .. c_(i-1) below the lowest hull point
+    i puts i exact roots at 0.
+    """
+    n = len(coeffs) - 1
+    hull: list[tuple[int, float]] = []
+    for k in range(n + 1):
+        if mods[n - k] == 0:
+            continue
+        y = math.log(mods[n - k])
+        # drop the last point unless the edges on either side of it give root
+        # moduli more than _SPREAD apart
+        while len(hull) >= 2:
+            (k0, y0), (k1, y1) = hull[-2], hull[-1]
+            if (y1 - y0) * (k - k1) - (y - y1) * (k1 - k0) > _LOG_SPREAD * (k1 - k0) * (k - k1):
+                break
+            hull.pop()
+        hull.append((k, y))
+    starts = [0j] * hull[0][0]
+    for (i, _), (j, _) in zip(hull, hull[1:]):
+        starts += _closed_form(coeffs[n - j : n - i + 1])
+    return starts
+
+
+def _spread(m4: float, m3: float, m2: float, m1: float, m0: float) -> bool:
+    """Whether a middle point (k, log m_k) of the Newton polygon lies more
+    than log(_SPREAD) above the chord between its end points; then the
+    polygon has edges whose root moduli are more than _SPREAD apart."""
+    return (
+        m3 * m3 * m3 * m3 > _SPREAD4 * m4 * m4 * m4 * m0
+        or m2 * m2 > _SPREAD2 * m4 * m0
+        or m1 * m1 * m1 * m1 > _SPREAD4 * m4 * m0 * m0 * m0
+    )
+
+
 def _solve(coeffs: tuple[complex, ...]) -> RootSet:
     """Closed-form starts for degree 1..4, then the joint polish; float
-    overflow on the way becomes NoConvergence."""
-    deg = len(coeffs) - 1
-    lead = coeffs[0]
+    overflow on the way becomes NoConvergence.
+
+    A quartic whose Newton polygon has a middle point more than
+    log(_SPREAD) above the chord between its end points starts from the
+    polygon instead of Ferrari: its roots spread over orders of magnitude,
+    and Ferrari's shift by c3/(4*c4) would cost the small roots their digits.
+    """
     try:
-        if deg == 1:
-            raw = [-coeffs[1] / lead]
-        elif deg == 2:
-            raw = list(_solve_monic_quadratic(coeffs[1] / lead, coeffs[2] / lead))
-        elif deg == 3:
-            raw = list(_solve_monic_cubic(coeffs[1] / lead, coeffs[2] / lead, coeffs[3] / lead))
+        mods = list(map(abs, coeffs))
+        cmax = max(mods)
+        m4, m0 = mods[0], mods[-1]
+        # the chord lies nowhere below min(|c4|, |c0|): a cheap first test
+        if len(mods) == 5 and cmax > _SPREAD * (m4 if m4 < m0 else m0) and _spread(*mods):
+            raw = _polygon_starts(coeffs, mods)
         else:
-            raw = _ferrari(coeffs)
-        return _sorted_rootset(coeffs, raw)
+            raw = _closed_form(coeffs)
+        return _sorted_rootset(coeffs, raw, cmax)
     except OverflowError as exc:
         raise NoConvergence(f"float overflow while solving: {exc}") from exc
 
@@ -302,7 +376,10 @@ def solve_quartic(q: QuarticCoeffs) -> RootSet:
 
     A root is accepted when |p(root)| <= 1e-10 * max|c| * max(1, |root|)^4,
     the fixed DEFAULT_TOLERANCES.residual_tol relative to the largest
-    coefficient magnitude.
+    coefficient magnitude. The polish starts from Ferrari's roots, or from
+    the Newton polygon's when a middle coefficient lies more than a factor
+    1e3 above the geometric interpolation of |c4| and |c0|, as for the
+    reflection quartic of a point within about 1e-3 of the origin.
 
     Raises
     ------

@@ -22,6 +22,7 @@ from catoptrix import (
 from catoptrix.cli import main as cli_main
 from catoptrix.errors import (
     CoincidentPoints,
+    NoConvergence,
     NonFinitePoint,
     NoRootOnCircle,
     PointInsideDomain,
@@ -155,6 +156,28 @@ def test_minimizing_root_near_coincident_near_the_origin():
         z1 = _polar(rng, rho)
         z2 = z1 + _polar(rng, rho * 10.0 ** rng.uniform(-4.0, -1.0))
         _assert_finds_the_minimum(z1, z2)
+
+
+# a point at distance eps from the origin: the quartic's roots have moduli
+# about eps, 1, 1 and 1/eps, and s tends to |z2|/(2 - |z2|) as eps -> 0
+EPS_PARTNER = -0.2480138666847906 + 0.6694455923896773j
+EPS_LIMIT_S = 0.5551017904368151
+
+
+@pytest.mark.parametrize("eps", [1e-16, 1e-20, 1e-25, 1e-30, 1e-40, 1e-50, 1e-60])
+def test_minimizing_root_with_a_point_eps_from_the_origin(eps):
+    assert EPS_LIMIT_S == abs(EPS_PARTNER) / (2.0 - abs(EPS_PARTNER))
+    res = minimizing_root(eps * cmath.exp(0.7j), EPS_PARTNER)
+    assert sum(res.on_circle_mask) >= 2
+    assert abs(res.s_value - EPS_LIMIT_S) <= 1e-12 * EPS_LIMIT_S
+
+
+@pytest.mark.parametrize("eps", [1e-80, 1e-100, 1e-200])
+def test_minimizing_root_too_close_to_the_origin_raises_no_convergence(eps):
+    # the root near 1/eps has a fourth power beyond float64, so the residual
+    # bound overflows: a typed error, not a wrong answer
+    with pytest.raises(NoConvergence, match="float overflow"):
+        minimizing_root(eps * cmath.exp(0.7j), EPS_PARTNER)
 
 
 def test_minimizing_root_domain_errors():
@@ -295,6 +318,16 @@ def test_exterior_collinear_same_side():
 
 def test_exterior_occluded_pair_has_no_solution():
     assert exterior_reflection(2.0, -2.0) is None
+
+
+def test_exterior_pair_beyond_float64_names_the_pair():
+    # |z1|*|z2| = 2e400 overflows: the error names the pair and the limit,
+    # not the quartic coefficient that overflowed
+    with pytest.raises(NonFinitePoint, match=r"z1=\(1e\+200\+0j\), z2=2e\+200j .*float64.*1\.79"):
+        exterior_reflection(1e200, 2e200j)
+    with pytest.raises(NonFinitePoint, match="float64"):
+        exterior_reflection(complex(1.7e308, 1.7e308), 2.0)
+    exterior_reflection(1e150, 1e150j)  # |z1|*|z2| = 1e300 is in range
 
 
 def test_exterior_domain_errors():

@@ -1,11 +1,15 @@
 """Quartic solving, root classification, and the image-quartic coefficients.
 
-The independent root oracle used here is numpy's companion-matrix solver.
+The independent root oracles used here are numpy's companion-matrix solver
+and, for quartics whose roots spread over orders of magnitude, mpmath's
+polyroots at 50 digits.
 """
 
 import cmath
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +23,13 @@ from catoptrix import (
     real_quartic_invariants,
     solve_quartic,
 )
-from catoptrix.errors import DegenerateLeadingCoefficient, InvalidObserver, NoConvergence, NonFinitePoint
+from catoptrix.errors import (
+    DegenerateLeadingCoefficient,
+    InvalidObserver,
+    NoConvergence,
+    NonFinitePoint,
+    ShadowRegion,
+)
 from catoptrix.oracle import oracle_quartic_discriminant
 
 
@@ -65,9 +75,8 @@ def test_degenerate_leading_coefficient():
 @pytest.mark.parametrize(
     "coeffs",
     [
-        (1e-100, 1e100, 0, 0, 1),  # the closed form yields NaN roots
-        (1, 1e80, 0, 0, 1),  # A ** 4 overflows in the closed form
-        (1e40, 1e110, 0, 0, 1),  # p(root) overflows to inf
+        (1e-100, 1e100, 0, 0, 1),  # a root near -1e200: |root|^4 overflows
+        (1, 1e80, 0, 0, 1),  # a root near -1e80: |root|^4 overflows
     ],
 )
 def test_badly_scaled_coefficients_raise_no_convergence(coeffs):
@@ -77,8 +86,33 @@ def test_badly_scaled_coefficients_raise_no_convergence(coeffs):
         polished_roots(coeffs)
 
 
+def _mpmath_roots(coeffs):
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in coeffs], maxsteps=200, extraprec=400)
+        return [complex(r) for r in roots]
+
+
+def _max_relative_error(got, expected):
+    expected = list(expected)
+    worst = 0.0
+    for g in got:
+        best = min(range(len(expected)), key=lambda k: abs(expected[k] - g) / abs(expected[k]))
+        worst = max(worst, abs(expected[best] - g) / abs(expected[best]))
+        expected.pop(best)
+    return worst
+
+
+def test_a_badly_scaled_quartic_solves_from_polygon_starts():
+    # Ferrari's starts overflowed p(root) to inf here; the polygon's edges
+    # give three roots of modulus 10^(-110/3) and one near -1e70
+    coeffs = (1e40 + 0j, 1e110 + 0j, 0j, 0j, 1 + 0j)
+    expected = _mpmath_roots(coeffs)
+    for rs in (solve_quartic(QuarticCoeffs(*coeffs)), polished_roots(coeffs)):
+        assert _max_relative_error(rs.roots, expected) <= 1e-12
+
+
 def test_polish_stops_at_a_nan_start_root(monkeypatch):
-    # Newton cannot leave NaN: the first non-finite p(w) ends the solve
+    # Newton cannot leave NaN: the first non-finite p(w) ends the polish
     from catoptrix import quartic
 
     calls = []
@@ -90,8 +124,105 @@ def test_polish_stops_at_a_nan_start_root(monkeypatch):
 
     monkeypatch.setattr(quartic, "_horner_pair", counting)
     with pytest.raises(NoConvergence, match="stalled at residual inf"):
-        solve_quartic(QuarticCoeffs(1e-100, 1e100, 0, 0, 1))
+        quartic._polish((1 + 0j, 0j, 0j, 0j, -1 + 0j), [complex(math.nan, math.nan)] * 4, 1e-10)
     assert len(calls) <= 1
+
+
+def test_zero_trailing_coefficients_give_exact_zero_roots():
+    # w^4 + 1e5*w^3 and w^4 + 1e5*w^2: the polygon starts below its lowest
+    # nonzero coefficient at exactly 0, which p(0) = 0 accepts as it is
+    cases = [((1, 1e5, 0, 0, 0), [-1e5]), ((1, 0, 1e5, 0, 0), [-316.22776601683796j, 316.22776601683796j])]
+    for coeffs, nonzero in cases:
+        for rs in (solve_quartic(QuarticCoeffs(*coeffs)), polished_roots(coeffs)):
+            assert [w for w in rs.roots if w == 0] == [0j] * (4 - len(nonzero))
+            _match_multisets([w for w in rs.roots if w != 0], nonzero, 1e-9)
+
+
+def _poly_from_roots(roots):
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0j], [0j] + coeffs)]
+    return coeffs
+
+
+# root-modulus exponents, times k: one root next to the origin with its
+# mirror image (the reflection quartic's shape), two tight pairs, and
+# lopsided sets with one root far from the other three
+SPREAD_SHAPES = [(-1, 0, 0, 1), (-1, -1, 1, 1), (-1, 0, 1, 1), (-2, -1, 1, 2), (-1, 0, 0, 0), (0, 0, 0, 1)]
+
+
+def _spread_quartics(seed, ks, per_k):
+    rng = random.Random(seed)
+    out = []
+    for shape in SPREAD_SHAPES:
+        for k in ks:
+            for _ in range(per_k):
+                roots = [10.0 ** (e * k) * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for e in shape]
+                scale = 10.0 ** rng.uniform(-3.0, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                out.append(tuple(scale * c for c in _poly_from_roots(roots)))
+    return out
+
+
+def _takes_polygon_starts(coeffs):
+    from catoptrix import quartic
+
+    return quartic._spread(*map(abs, coeffs))
+
+
+def test_spread_quartics_match_mpmath():
+    # root moduli 10^(±k·e): k = 0.25, 0.5 keep Ferrari's starts, k = 16, 20
+    # take the Newton polygon's; each root agrees with a 50-digit reference
+    quartics = _spread_quartics(14, (0.25, 0.5, 16.0, 20.0), 8)
+    assert len(quartics) == 192
+    assert sum(map(_takes_polygon_starts, quartics)) == 96
+    for coeffs in quartics:
+        got = solve_quartic(QuarticCoeffs(*coeffs)).roots
+        assert _max_relative_error(got, _mpmath_roots(coeffs)) <= 1e-12, coeffs
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="the residual bound is normwise, relative to max|c|, so a start off by much more than "
+    "1e-12 relative can pass it at step 0; a componentwise bound would hold such a root back",
+)
+def test_spread_quartics_between_the_bands_match_mpmath():
+    # the same shapes for k from 2 to 12, on both paths: most quartics here
+    # answer to 1e-12, but a small or unit root can be returned with a
+    # relative error up to about 1e-4 that the bound does not see
+    for coeffs in _spread_quartics(15, (2.0, 4.0, 6.0, 8.0, 10.0, 12.0), 2):
+        got = solve_quartic(QuarticCoeffs(*coeffs)).roots
+        assert _max_relative_error(got, _mpmath_roots(coeffs)) <= 1e-12, coeffs
+
+
+def test_common_family_quartics_take_ferrari_starts(monkeypatch):
+    # with both points at least 0.01 from the origin, |c3|/|c4| of the
+    # reflection quartic is at most 1/|z1| + 1/|z2| <= 200, and 1/r < 1 for
+    # a plane-wave observer: neither reaches the polygon path
+    from catoptrix import exterior_reflection, infinity_reflection, minimizing_root, quartic
+
+    def refuse(coeffs, mods):
+        raise AssertionError(f"polygon starts for {coeffs}")
+
+    monkeypatch.setattr(quartic, "_polygon_starts", refuse)
+    rng = random.Random(16)
+
+    def disk(rmin=0.0):
+        r = math.sqrt(rng.uniform(rmin * rmin, 1.0))
+        return r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+    for _ in range(300):
+        z1, z2 = disk(0.01), disk(0.01)
+        rim = (1.0 - 10.0 ** rng.uniform(-12.0, -1.0)) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        for a, b in ((z1, z2), (rim, z2), (z1, z1 + 1e-6 * disk()), (z1, -z1.conjugate())):
+            if abs(b) < 1.0 and abs(a - b) > 1e-14:
+                minimizing_root(a, b)
+        exterior_reflection(z1 / abs(z1) * (1.0 + 4.0 * rng.random()), 3.0 * z2 / abs(z2))
+        theta = rng.uniform(-math.pi, math.pi)
+        try:
+            infinity_reflection(ObserverPolar(1.0 + 10.0 ** rng.uniform(-9.0, 3.0), theta))
+        except ShadowRegion:
+            pass
 
 
 def test_polish_skips_an_exact_duplicate_start():
