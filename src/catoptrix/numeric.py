@@ -97,6 +97,10 @@ def wrap_angle(theta: float) -> float:
 
 def segment_min_distance_to_origin(p: complex, q: complex) -> float:
     """Minimum distance from the origin to the closed segment [p, q]."""
+    # measured from the end nearer the origin: from the far end, p + t*d
+    # cancels to about ulp(|p|), which for a far pair swamps the distance
+    if p.real * p.real + p.imag * p.imag > q.real * q.real + q.imag * q.imag:
+        p, q = q, p
     d = q - p
     dd = d.real * d.real + d.imag * d.imag
     if dd == 0.0:

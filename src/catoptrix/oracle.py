@@ -2,9 +2,24 @@
 
 These routines are deliberately plain: dense boundary grids refined by
 golden-section search, and a Sylvester-resultant discriminant. They exist to
-be trusted, not to be fast. The grids are scanned in fixed-size numpy blocks,
-which picks the same grid point as a point-by-point loop; the scan shares no
-code with the closed-form solvers.
+be trusted, not to be fast. The scan shares no code with the closed-form
+solvers, and it picks the same grid point as a point-by-point loop (ties go
+to the first), but it skips the grid cells that provably cannot hold the
+minimum (Shubert, SIAM J. Numer. Anal. 9, 1972):
+
+- A scanned value is lower(phi) or, where the reachability mask fails, inf;
+  lower is finite. Both lowers, the focal sum |z1 - w| + |w - z2| and the
+  path defect |f - w| - cos phi, have |d lower / d phi| <= 2, because each
+  of their two terms moves at most as fast as w = e^{i phi}, whose speed is 1.
+- Take cells of _CELL consecutive grid points. Every point of a cell lies
+  within _CELL/2 grid steps of its centre; allow one more step for the
+  rounding of phi = start + k*step. So in a cell with centre c,
+  value >= lower >= lower(c) - 2*(_CELL/2 + 1)*step.
+- The least value up at the cell centres evaluated so far is a grid value,
+  so the grid minimum is at most up. A cell whose bound exceeds up, by more
+  than a relative 1e-9 that covers the rounding of lower, holds only values
+  above up: neither the minimum nor an equal value before it. It is not
+  evaluated.
 
 numpy is imported inside the functions that use it, not at module level. Only
 these oracles need it, and importing it costs more than the rest of the
@@ -17,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import (
     CoincidentPoints,
@@ -48,9 +63,14 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-# grid angles per numpy block: enough to amortise numpy's per-call cost, few
-# enough that a scan's temporaries stay O(block) for any grid size
+# angles per numpy call, cell centres or the points of scanned cells: enough
+# to amortise numpy's per-call cost, few enough that a scan's temporaries stay
+# O(block) for any grid size
 _BLOCK = 4096
+# grid points per cell that the scan keeps or skips whole; fewer cells mean
+# fewer centres, smaller ones fewer points kept near the minimum, and of 32,
+# 64 and 128 this evaluates the fewest points on uniform pairs and the default grid
+_CELL = 64
 
 
 @dataclass(frozen=True)
@@ -109,24 +129,44 @@ def _grid_argmin(
     step: float,
     k_lo: int,
     k_hi: int,
-    values: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lower: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    clear: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> tuple[int, float]:
-    """First k in [k_lo, k_hi) minimizing values(cos phi, sin phi) at
-    phi = start + k*step, or (-1, inf) when every value is inf.
+    """First k in [k_lo, k_hi) minimizing the value at phi = start + k*step,
+    or (-1, inf) when every value is inf. The value is lower(cos phi, sin phi)
+    where clear(cos phi, sin phi) holds, inf elsewhere; lower must be finite
+    and 2-Lipschitz in phi.
 
-    Scans _BLOCK angles at a time and keeps the first strict minimum across
-    blocks, so the pick matches a loop over k that keeps the first of equal
-    values.
+    Cells of _CELL grid points are taken _BLOCK at a time, and a cell is
+    scanned only when the bound of the module docstring lets it hold a value
+    at most up, the least value at any cell centre so far. The scanned cells
+    go in ascending k and the first strict minimum wins, so the pick matches
+    a loop over every k that keeps the first of equal values.
     """
     import numpy as np
 
+    def grid_values(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        phi = start + k * step
+        c, s = np.cos(phi), np.sin(phi)
+        low = lower(c, s)
+        return low, low if clear is None else np.where(clear(c, s), low, math.inf)
+
+    reach = 2.0 * (_CELL // 2 + 1) * step
+    offsets = np.arange(_CELL)
+    up = math.inf
     best_k, best = -1, math.inf
-    for k0 in range(k_lo, k_hi, _BLOCK):
-        phi = start + np.arange(k0, min(k0 + _BLOCK, k_hi)) * step
-        v = values(np.cos(phi), np.sin(phi))
-        j = int(np.argmin(v))
-        if v[j] < best:
-            best_k, best = k0 + j, float(v[j])
+    for k0 in range(k_lo, k_hi, _BLOCK * _CELL):
+        first = np.arange(k0, min(k0 + _BLOCK * _CELL, k_hi), _CELL)
+        low, v = grid_values(np.minimum(first + _CELL // 2, k_hi - 1))
+        up = min(up, float(np.min(v)))
+        kept = first[low - reach - 1e-9 * (1.0 + np.abs(low)) <= up]
+        for i in range(0, len(kept), _BLOCK // _CELL):
+            k = (kept[i : i + _BLOCK // _CELL, None] + offsets).ravel()
+            k = k[k < k_hi]
+            v = grid_values(k)[1]
+            j = int(np.argmin(v))
+            if v[j] < best:
+                best_k, best = int(k[j]), float(v[j])
     return best_k, best
 
 
@@ -188,20 +228,22 @@ def oracle_infinity_path(
         w = cmath.exp(1j * phi)
         return segment_clears_disk(w, f)
 
-    def reachable_defects(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def defects(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return np.hypot(f.real - c, f.imag - s) - c
+
+    def reachable(c: np.ndarray, s: np.ndarray) -> np.ndarray:
         dx = f.real - c
         dy = f.imag - s
         # segment_clears_disk(w, f) per angle; a zero-length segment (dd == 0)
         # gets t = 0 and so the distance |w|, as in the scalar helper
         dd = dx * dx + dy * dy
         t = np.clip(-(c * dx + s * dy) / np.where(dd == 0.0, 1.0, dd), 0.0, 1.0)
-        clear = np.hypot(c + t * dx, s + t * dy) >= 1.0 - VISIBILITY_SLACK
-        return np.where(clear, np.hypot(dx, dy) - c, math.inf)
+        return np.hypot(c + t * dx, s + t * dy) >= 1.0 - VISIBILITY_SLACK
 
     n = cfg.grid
     step = math.pi / n
     start = -math.pi / 2.0
-    best_k, best_g = _grid_argmin(start, step, 0, n + 1, reachable_defects)
+    best_k, best_g = _grid_argmin(start, step, 0, n + 1, defects, reachable)
     if best_k < 0:
         raise InvalidObserver("no reachable boundary point for this observer")
     lo = start + max(0, best_k - 1) * step

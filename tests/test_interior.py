@@ -320,6 +320,25 @@ def test_exterior_occluded_pair_has_no_solution():
     assert exterior_reflection(2.0, -2.0) is None
 
 
+def test_exterior_far_pair_sees_its_reflection_point():
+    # measured from the far end, a sight segment's distance from the origin
+    # carries an error near ulp(|z|), which can hide the reflection point
+    for e in range(1, 155):
+        res = exterior_reflection(10.0**e, 10.0**e * 1j)
+        assert res is not None, e
+        assert abs(res.w - cmath.exp(0.25j * math.pi)) < 1e-9, e
+    # far and asymmetric: the reflection point is near the bisector of the
+    # two directions, and the law of reflection holds there
+    z1, z2 = 3e9, -2e11j
+    res = exterior_reflection(z1, z2)
+    assert res is not None
+    assert abs(res.w - cmath.exp(-0.25j * math.pi)) < 1e-8
+    u1 = (z1 - res.w) / abs(z1 - res.w)
+    u2 = (z2 - res.w) / abs(z2 - res.w)
+    assert abs((res.w.conjugate() * u1).imag + (res.w.conjugate() * u2).imag) < 1e-9
+    assert segment_clears_disk(z1, res.w) and segment_clears_disk(z2, res.w)
+
+
 def test_exterior_pair_beyond_float64_names_the_pair():
     # |z1|*|z2| = 2e400 overflows: the error names the pair and the limit,
     # not the quartic coefficient that overflowed

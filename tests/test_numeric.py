@@ -1,5 +1,6 @@
 """Tolerances, unit-circle predicates, and segment geometry."""
 
+import cmath
 import math
 
 import numpy as np
@@ -104,6 +105,10 @@ def test_segment_distance_hand_cases():
     assert abs(segment_min_distance_to_origin(2 + 1j, 3 + 1j) - abs(2 + 1j)) < 1e-15
     # degenerate segment
     assert segment_min_distance_to_origin(3 + 4j, 3 + 4j) == 5.0
+    # a far segment leaving the circle outward: either order gives 1
+    w = cmath.exp(0.25j * math.pi)
+    assert abs(segment_min_distance_to_origin(w, 1e14 + 0j) - 1.0) < 1e-15
+    assert abs(segment_min_distance_to_origin(1e14 + 0j, w) - 1.0) < 1e-15
 
 
 def test_segment_clears_disk():

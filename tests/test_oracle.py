@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from catoptrix import (
     oracle_smetric,
     real_quartic_invariants,
 )
+from catoptrix import oracle as oracle_module
 from catoptrix.numeric import segment_clears_disk
 from catoptrix.errors import (
     CoincidentPoints,
@@ -220,3 +223,120 @@ def test_blocked_scan_matches_reference_loop(oracle, args, grid):
             return str(exc)
 
     assert outcome(blocked) == outcome(reference)
+
+
+def _full_scan(start, step, k_lo, k_hi, lower, clear=None):
+    # the reference: every grid point, in numpy blocks of 4096
+    best_k, best = -1, math.inf
+    for k0 in range(k_lo, k_hi, 4096):
+        phi = start + np.arange(k0, min(k0 + 4096, k_hi)) * step
+        c, s = np.cos(phi), np.sin(phi)
+        v = lower(c, s)
+        if clear is not None:
+            v = np.where(clear(c, s), v, math.inf)
+        j = int(np.argmin(v))
+        if v[j] < best:
+            best_k, best = k0 + j, float(v[j])
+    return best_k, best
+
+
+def _unit(rng):
+    return cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+
+def _disk_point(rng, r_lo=0.0, r_hi=0.95):
+    return rng.uniform(r_lo, r_hi) * _unit(rng)
+
+
+def _oracle_cases(family, rng):
+    """(oracle, args) instances of one family, drawn from rng."""
+    if family == "uniform":
+        return [("smetric", (_disk_point(rng), _disk_point(rng))) for _ in range(8)]
+    if family == "near-rim":
+        return [("smetric", ((1 - 10 ** rng.uniform(-12, -3)) * _unit(rng), _disk_point(rng))) for _ in range(8)]
+    if family == "near-coincident":
+        zs = [_disk_point(rng, 0.0, 0.9) for _ in range(8)]
+        return [("smetric", (z, z + 10 ** rng.uniform(-12, -3) * _unit(rng))) for z in zs]
+    if family == "near-origin":
+        return [("smetric", (10 ** rng.uniform(-15, -2) * _unit(rng), _disk_point(rng))) for _ in range(8)]
+    if family == "two-minima":
+        # diametral and mirror pairs: two grid minima of equal focal sum
+        zs = [_disk_point(rng, 0.05, 0.95) for _ in range(4)]
+        return [("smetric", (z, w)) for z in zs for w in (-z, z.conjugate())] + [("smetric", (0.5, -0.5))]
+    if family == "flat":
+        return [("smetric", (1e-9, -1e-9))]  # focal sum 2 to the last bit on most of the grid
+    # lit observers: random ones; r - 1 down to 1e-9, where every grid point
+    # can be masked; theta at 0 and near +-pi/2; and far ones, whose defects
+    # round to steps far above a cell's Lipschitz reach
+    out = [("infinity", (1 + 10 ** rng.uniform(-2, 1.5), rng.uniform(-1.5, 1.5))) for _ in range(6)]
+    for r in (1 + 1e-9, 1 + 1e-7, 1 + 1e-5, 1 + 1e-4, 1 + 1e-3, 2.0, 1e12, 1e15):
+        for theta in (0.0, 1e-9, math.pi / 2, -math.pi / 2, math.pi / 2 - 1e-9, rng.uniform(-1.5, 1.5)):
+            out.append(("infinity", (r, theta)))
+    return out
+
+
+_SCAN_FAMILIES = ["uniform", "near-rim", "near-coincident", "near-origin", "two-minima", "flat", "observers"]
+
+
+@pytest.mark.parametrize("grid", [3000, 10_007, 100_000])
+@pytest.mark.parametrize("family", _SCAN_FAMILIES)
+def test_skipping_scan_matches_full_scan_bits(family, grid, monkeypatch):
+    # every scan an oracle makes returns the full scan's (k, value) bits
+    pairs = []
+    skipping = oracle_module._grid_argmin
+
+    def both(*args):
+        got = skipping(*args)
+        pairs.append((got, _full_scan(*args)))
+        return got
+
+    monkeypatch.setattr(oracle_module, "_grid_argmin", both)
+    cfg = OracleConfig(grid=grid)
+    rng = random.Random(f"{family}:{grid}")
+    for oracle, args in _oracle_cases(family, rng):
+        try:
+            if oracle == "smetric":
+                oracle_smetric(*args, cfg)
+            else:
+                oracle_infinity_path(ObserverPolar(*args), cfg)
+        except InvalidObserver:
+            assert pairs[-1][1] == (-1, math.inf)
+    assert pairs
+    for (k, v), (k_ref, v_ref) in pairs:
+        assert (k, v.hex()) == (k_ref, v_ref.hex())
+
+
+@pytest.mark.parametrize(
+    "oracle, args",
+    [("smetric", (0.4, 0.3j)), ("infinity", (2.5, 0.6))],
+    ids=["uniform-pair", "lit-observer"],
+)
+def test_skipping_scan_evaluates_few_grid_points(oracle, args, monkeypatch):
+    evaluated = []
+    skipping = oracle_module._grid_argmin
+
+    def counting(start, step, k_lo, k_hi, lower, clear=None):
+        def counted(c, s):
+            evaluated.append(len(c))
+            return lower(c, s)
+
+        return skipping(start, step, k_lo, k_hi, counted, clear)
+
+    monkeypatch.setattr(oracle_module, "_grid_argmin", counting)
+    if oracle == "smetric":
+        oracle_smetric(*args)
+    else:
+        oracle_infinity_path(ObserverPolar(*args))
+    assert 0 < sum(evaluated) < 0.15 * OracleConfig().grid
+
+
+@pytest.mark.parametrize("grid", [2_000_000, 20_000_000])
+def test_scan_memory_does_not_grow_with_the_grid(grid):
+    oracle_smetric(0.37 + 0.22j, -0.41 + 0.13j, OracleConfig(grid=3000))  # numpy loaded
+    tracemalloc.start()
+    try:
+        oracle_smetric(0.37 + 0.22j, -0.41 + 0.13j, OracleConfig(grid=grid))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
