@@ -1,7 +1,7 @@
 """Brute force versus closed form.
 
-Every closed-form path in the library has an independent slow twin: dense
-boundary grids with golden-section refinement for the two reflection
+Every closed-form path in the library has an independent slow twin: a dense
+boundary grid with golden-section refinement for each of the two reflection
 problems, and a Sylvester-resultant determinant for the quartic
 discriminant. This script runs them side by side.
 """
@@ -11,7 +11,6 @@ import math
 
 from catoptrix import (
     ObserverPolar,
-    OracleConfig,
     infinity_reflection,
     infinity_real_coeffs,
     minimizing_root,
@@ -21,11 +20,9 @@ from catoptrix import (
     real_quartic_invariants,
 )
 
-cfg = OracleConfig(grid=100_000, refine_iters=80)
-
 print("triangular ratio metric: grid search over the boundary circle")
 for z1, z2 in ((0.4 + 0j, 0.3j), (0.5 + 0j, -0.5 + 0j), (-0.1 + 0.6j, 0.3 - 0.2j)):
-    w_o, s_o = oracle_smetric(z1, z2, cfg)
+    w_o, s_o = oracle_smetric(z1, z2)
     res = minimizing_root(z1, z2)
     dphi = abs(cmath.phase(w_o * res.w.conjugate()))
     print(f"  ({z1}, {z2}):")
@@ -36,7 +33,7 @@ for z1, z2 in ((0.4 + 0j, 0.3j), (0.5 + 0j, -0.5 + 0j), (-0.1 + 0.6j, 0.3 - 0.2j
 print("\nplane-wave path functional: grid search over the lit arc")
 for (r, theta) in ((2.0, math.pi / 2), (2.0, 1.2), (5.0, 0.4)):
     obs = ObserverPolar(r, theta)
-    w_o, defect_o = oracle_infinity_path(obs, cfg)
+    w_o, defect_o = oracle_infinity_path(obs)
     res = infinity_reflection(obs)
     dphi = abs(cmath.phase(w_o * res.w.conjugate()))
     print(f"  r = {r}, theta = {theta:.4f}:")

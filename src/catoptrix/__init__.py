@@ -39,10 +39,7 @@ _EXPORTS = {
         "s_metric",
     ),
     "numeric": ("DEFAULT_TOLERANCES", "on_unit_circle", "unit_from_angle"),
-    "oracle": (
-        "OracleConfig", "golden_section_min", "oracle_infinity_path",
-        "oracle_quartic_discriminant", "oracle_smetric",
-    ),
+    "oracle": ("oracle_infinity_path", "oracle_quartic_discriminant", "oracle_smetric"),
     "quartic": (
         "QuarticCoeffs", "RealQuarticNature", "RootNature", "RootSet",
         "infinity_real_coeffs", "polished_roots", "real_quartic_invariants",

@@ -48,7 +48,7 @@ def __getattr__(name: str) -> Any:
 
 _VALUE_FLAGS = {
     "--z1", "--z2", "--r", "--theta", "--a", "--phi", "--samples",
-    "--grid", "--refine-iters", "--csv", "--svg", "--directrices", "--coeffs",
+    "--csv", "--svg", "--directrices", "--coeffs",
 }
 
 
@@ -165,15 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
     o_sm = or_sub.add_parser("smetric", help="grid maximization of the metric ratio")
     o_sm.add_argument("--z1", type=_parse_point, required=True, metavar="RE,IM")
     o_sm.add_argument("--z2", type=_parse_point, required=True, metavar="RE,IM")
-    o_sm.add_argument("--grid", type=int, default=100_000)
-    o_sm.add_argument("--refine-iters", type=int, default=80)
 
     o_in = or_sub.add_parser("infinity", help="grid minimization of the plane-wave path")
     o_in.add_argument("--r", type=float, required=True)
     o_in.add_argument("--theta", type=float, required=True)
     o_in.add_argument("--degrees", action="store_true")
-    o_in.add_argument("--grid", type=int, default=100_000)
-    o_in.add_argument("--refine-iters", type=int, default=80)
 
     o_di = or_sub.add_parser("discriminant", help="Sylvester-resultant quartic discriminant")
     group = o_di.add_argument_group("coefficients")
@@ -319,9 +315,9 @@ def _run_directrix(args: argparse.Namespace) -> _Run:
 
 def _run_oracle_smetric(args: argparse.Namespace) -> _Run:
     from .interior import minimizing_root
-    from .oracle import OracleConfig, oracle_smetric
+    from .oracle import oracle_smetric
 
-    w, s = oracle_smetric(args.z1, args.z2, OracleConfig(grid=args.grid, refine_iters=args.refine_iters))
+    w, s = oracle_smetric(args.z1, args.z2)
     closed = minimizing_root(args.z1, args.z2)
     return {"w": _pair(w), "s": s}, {
         "closed_form": {"w": _pair(closed.w), "s": closed.s_value},
@@ -332,10 +328,10 @@ def _run_oracle_smetric(args: argparse.Namespace) -> _Run:
 
 def _run_oracle_infinity(args: argparse.Namespace) -> _Run:
     from .infinity import ObserverPolar, infinity_reflection
-    from .oracle import OracleConfig, oracle_infinity_path
+    from .oracle import oracle_infinity_path
 
     obs = ObserverPolar(args.r, args.theta)
-    w, defect = oracle_infinity_path(obs, OracleConfig(grid=args.grid, refine_iters=args.refine_iters))
+    w, defect = oracle_infinity_path(obs)
     closed = infinity_reflection(obs)
     return {"w": _pair(w), "phi": cmath.phase(w), "path_defect": defect}, {
         "closed_form": {"w": _pair(closed.w), "phi": closed.phi},

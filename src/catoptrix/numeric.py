@@ -50,8 +50,8 @@ DEFAULT_TOLERANCES = Tolerances()
 _COINCIDENT_EPS = 1e-14
 
 # how far inside the circle a sight segment may dip and still count as
-# clearing it; the scalar segment_clears_disk and the oracle's array mask
-# both read it, so the two visibility filters agree
+# clearing it; segment_clears_disk and the plane-wave oracle's reachability
+# test both read it, so the two visibility filters agree
 VISIBILITY_SLACK = 1e-9
 
 # costs within this of the least one count as a tie

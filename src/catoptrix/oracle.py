@@ -1,25 +1,28 @@
 """Brute-force ground truth, independent of the closed-form solvers.
 
-These routines are deliberately plain: dense boundary grids refined by
+These routines are deliberately plain: a dense boundary grid refined by
 golden-section search, and a Sylvester-resultant discriminant. They exist to
-be trusted, not to be fast. The scan shares no code with the closed-form
-solvers, and it picks the same grid point as a point-by-point loop (ties go
-to the first), but it skips the grid cells that provably cannot hold the
-minimum (Shubert, SIAM J. Numer. Anal. 9, 1972):
+be trusted, not to be fast, and share no code with the closed-form solvers.
+Each reflection oracle writes its function of w = e^{i phi} once, in complex
+arithmetic that a Python complex (the refine) and a numpy array (the scan)
+both evaluate, and hands it to _minimize.
 
-- A scanned value is lower(phi) or, where the reachability mask fails, inf;
-  lower is finite. Both lowers, the focal sum |z1 - w| + |w - z2| and the
-  path defect |f - w| - cos phi, have |d lower / d phi| <= 2, because each
-  of their two terms moves at most as fast as w = e^{i phi}, whose speed is 1.
+The scan picks the same grid point as a point-by-point loop (ties go to the
+first), but it skips the grid cells that provably cannot hold the minimum
+(Shubert, SIAM J. Numer. Anal. 9, 1972):
+
+- A scanned value is lower(w) or, where clear(w) fails, inf; lower is
+  finite. Both lowers, the focal sum |z1 - w| + |w - z2| and the path
+  defect |f - w| - Re w, have |d lower / d phi| <= 2, because each of their
+  two terms moves at most as fast as w, whose speed is 1.
 - Take cells of _CELL consecutive grid points. Every point of a cell lies
   within _CELL/2 grid steps of its centre; allow one more step for the
   rounding of phi = start + k*step. So in a cell with centre c,
   value >= lower >= lower(c) - 2*(_CELL/2 + 1)*step.
-- The least value up at the cell centres evaluated so far is a grid value,
-  so the grid minimum is at most up. A cell whose bound exceeds up, by more
-  than a relative 1e-9 that covers the rounding of lower, holds only values
-  above up: neither the minimum nor an equal value before it. It is not
-  evaluated.
+- The least value up at the cell centres is a grid value, so the grid
+  minimum is at most up. A cell whose bound exceeds up, by more than a
+  relative 1e-9 that covers the rounding of lower, holds only values above
+  up: neither the minimum nor an equal value before it. It is not evaluated.
 
 numpy is imported inside the functions that use it, not at module level. Only
 these oracles need it, and importing it costs more than the rest of the
@@ -31,8 +34,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+import sys
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .errors import (
     CoincidentPoints,
@@ -46,7 +49,6 @@ from .numeric import (
     VISIBILITY_SLACK,
     ensure_point,
     ensure_real,
-    segment_clears_disk,
     unit_from_angle,
 )
 
@@ -54,8 +56,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "OracleConfig",
-    "golden_section_min",
     "oracle_smetric",
     "oracle_infinity_path",
     "oracle_quartic_discriminant",
@@ -63,123 +63,101 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-# angles per numpy call, cell centres or the points of scanned cells: enough
-# to amortise numpy's per-call cost, few enough that a scan's temporaries stay
-# O(block) for any grid size
-_BLOCK = 4096
+# boundary samples of each reflection oracle
+_GRID = 100_000
 # grid points per cell that the scan keeps or skips whole; fewer cells mean
 # fewer centres, smaller ones fewer points kept near the minimum, and of 32,
-# 64 and 128 this evaluates the fewest points on uniform pairs and the default grid
+# 64 and 128 this evaluates the fewest points on uniform pairs
 _CELL = 64
+# points of kept cells per numpy call: enough to amortise numpy's per-call
+# cost, few enough that a nearly flat function keeps the temporaries small
+_BLOCK = 4096
+# the golden-section bracket at which the refine stops: 4 ulps of 1, at least
+# an ulp of every angle below 8 (so each step still shrinks the bracket), and
+# far below the 1e-8 or so to which comparing values can place a minimum
+_GOLDEN_STOP = 4.0 * sys.float_info.epsilon
+
+# a function of w = e^{i phi}, on a complex or elementwise on an array
+_OnCircle = Callable[[Any], Any]
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """grid is the number of initial boundary samples; refine_iters the number
-    of golden-section steps applied around the best grid cell."""
-
-    grid: int = 100_000
-    refine_iters: int = 80
-
-    def __post_init__(self) -> None:
-        if self.grid < 1000:
-            raise ValueError(f"grid must be >= 1000, got {self.grid}")
-        if self.refine_iters < 20:
-            raise ValueError(f"refine_iters must be >= 20, got {self.refine_iters}")
-
-
-DEFAULT_ORACLE_CONFIG = OracleConfig()
-
-
-def golden_section_min(
-    f: Callable[[float], float], lo: float, hi: float, iters: int
-) -> tuple[float, float, float]:
-    """Golden-section minimization on [lo, hi], assuming a single local minimum.
-
-    Runs exactly `iters` shrink steps and returns (x, f(x), final bracket width).
-    """
-    a, b = (lo, hi) if lo <= hi else (hi, lo)
-    h = b - a
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
+def _golden_section_min(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """(x, f(x)) of golden-section search on [a, b], a < b, assuming a single
+    local minimum there; the bracket shrinks to _GOLDEN_STOP."""
+    c = a + _INV_PHI2 * (b - a)
+    d = a + _INV_PHI * (b - a)
     yc = f(c)
     yd = f(d)
-    for _ in range(iters):
+    while b - a > _GOLDEN_STOP:
         if yc < yd:
             b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INV_PHI2 * h
+            c = a + _INV_PHI2 * (b - a)
             yc = f(c)
         else:
             a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_PHI * h
+            d = a + _INV_PHI * (b - a)
             yd = f(d)
-    if yc < yd:
-        x = c
-        y = yc
-    else:
-        x = d
-        y = yd
-    return x, y, b - a
+    return (c, yc) if yc < yd else (d, yd)
 
 
 def _grid_argmin(
-    start: float,
-    step: float,
-    k_lo: int,
-    k_hi: int,
-    lower: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    clear: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    start: float, step: float, n: int, lower: _OnCircle, clear: Optional[_OnCircle] = None
 ) -> tuple[int, float]:
-    """First k in [k_lo, k_hi) minimizing the value at phi = start + k*step,
-    or (-1, inf) when every value is inf. The value is lower(cos phi, sin phi)
-    where clear(cos phi, sin phi) holds, inf elsewhere; lower must be finite
-    and 2-Lipschitz in phi.
+    """First k < n minimizing the value at w = e^{i(start + k*step)}, or
+    (-1, inf) when every value is inf. The value is lower(w) where clear(w)
+    holds, inf elsewhere; lower must be finite and 2-Lipschitz in phi.
 
-    Cells of _CELL grid points are taken _BLOCK at a time, and a cell is
-    scanned only when the bound of the module docstring lets it hold a value
-    at most up, the least value at any cell centre so far. The scanned cells
-    go in ascending k and the first strict minimum wins, so the pick matches
-    a loop over every k that keeps the first of equal values.
+    A cell of _CELL grid points is scanned only when the bound of the module
+    docstring lets it hold a value at most up, the least value at any cell
+    centre. The kept cells go in ascending k and the first strict minimum
+    wins, so the pick matches a loop over every k that keeps the first of
+    equal values.
     """
     import numpy as np
 
     def grid_values(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phi = start + k * step
-        c, s = np.cos(phi), np.sin(phi)
-        low = lower(c, s)
-        return low, low if clear is None else np.where(clear(c, s), low, math.inf)
+        w = np.exp(1j * (start + k * step))
+        low = lower(w)
+        return low, low if clear is None else np.where(clear(w), low, math.inf)
 
-    reach = 2.0 * (_CELL // 2 + 1) * step
-    offsets = np.arange(_CELL)
-    up = math.inf
+    first = np.arange(0, n, _CELL)
+    low, v = grid_values(np.minimum(first + _CELL // 2, n - 1))
+    up = float(np.min(v))
+    kept = first[low - 2.0 * (_CELL // 2 + 1) * step - 1e-9 * (1.0 + np.abs(low)) <= up]
     best_k, best = -1, math.inf
-    for k0 in range(k_lo, k_hi, _BLOCK * _CELL):
-        first = np.arange(k0, min(k0 + _BLOCK * _CELL, k_hi), _CELL)
-        low, v = grid_values(np.minimum(first + _CELL // 2, k_hi - 1))
-        up = min(up, float(np.min(v)))
-        kept = first[low - reach - 1e-9 * (1.0 + np.abs(low)) <= up]
-        for i in range(0, len(kept), _BLOCK // _CELL):
-            k = (kept[i : i + _BLOCK // _CELL, None] + offsets).ravel()
-            k = k[k < k_hi]
-            v = grid_values(k)[1]
-            j = int(np.argmin(v))
-            if v[j] < best:
-                best_k, best = int(k[j]), float(v[j])
+    for i in range(0, len(kept), _BLOCK // _CELL):
+        k = (kept[i : i + _BLOCK // _CELL, None] + np.arange(_CELL)).ravel()
+        k = k[k < n]
+        v = grid_values(k)[1]
+        j = int(np.argmin(v))
+        if v[j] < best:
+            best_k, best = int(k[j]), float(v[j])
     return best_k, best
 
 
-def oracle_smetric(
-    z1: complex, z2: complex, cfg: OracleConfig = DEFAULT_ORACLE_CONFIG
-) -> tuple[complex, float]:
+def _minimize(
+    start: float, step: float, n: int, lower: _OnCircle, clear: Optional[_OnCircle] = None
+) -> Optional[tuple[float, float]]:
+    """(phi, value) least at the grid points phi_k = start + k*step, k < n,
+    that clear accepts, refined by golden-section search on
+    [phi_k - step, phi_k + step]; None when clear rejects every grid point.
+    The grid point stays when the refine is worse or its point fails clear."""
+    k, best = _grid_argmin(start, step, n, lower, clear)
+    if k < 0:
+        return None
+    phi0 = start + k * step
+    phi, value = _golden_section_min(lambda x: lower(cmath.exp(1j * x)), phi0 - step, phi0 + step)
+    if best < value or (clear is not None and not clear(cmath.exp(1j * phi))):
+        return phi0, best
+    return phi, value
+
+
+def oracle_smetric(z1: complex, z2: complex) -> tuple[complex, float]:
     """Triangular ratio metric by direct maximization of the defining ratio
     |z1 - z2| / (|z1 - w| + |w - z2|) over the boundary circle.
 
     Returns the maximizing boundary point and the metric value.
     """
-    import numpy as np
-
     z1 = ensure_point(z1, "z1")
     z2 = ensure_point(z2, "z2")
     if abs(z1) >= 1.0 or abs(z2) >= 1.0:
@@ -188,26 +166,15 @@ def oracle_smetric(
     if dist < _COINCIDENT_EPS:
         raise CoincidentPoints("points coincide")
 
-    def focal_sum(phi: float) -> float:
-        w = cmath.exp(1j * phi)
+    def focal_sum(w: Any) -> Any:
         return abs(z1 - w) + abs(w - z2)
 
-    def focal_sums(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return np.hypot(z1.real - c, z1.imag - s) + np.hypot(c - z2.real, s - z2.imag)
-
-    # ascending samples -pi + k*step, k = 1..n, of (-pi, pi]
-    step = math.tau / cfg.grid
-    best_k, best_fs = _grid_argmin(-math.pi, step, 1, cfg.grid + 1, focal_sums)
-    phi0 = -math.pi + best_k * step
-    phi, fs, _ = golden_section_min(focal_sum, phi0 - step, phi0 + step, cfg.refine_iters)
-    if best_fs < fs:
-        phi, fs = phi0, best_fs
+    # every grid point clears, so there is always an answer
+    phi, fs = _minimize(0.0, math.tau / _GRID, _GRID, focal_sum)
     return unit_from_angle(phi), dist / fs
 
 
-def oracle_infinity_path(
-    obs: ObserverPolar, cfg: OracleConfig = DEFAULT_ORACLE_CONFIG
-) -> tuple[complex, float]:
+def oracle_infinity_path(obs: ObserverPolar) -> tuple[complex, float]:
     """Plane-wave reflection point by direct minimization of the path
     functional |f - w| - Re w over the physically reachable arc.
 
@@ -220,37 +187,22 @@ def oracle_infinity_path(
         raise InvalidObserver("oracle is defined for |theta| <= pi/2")
     f = obs.point
 
-    def defect(phi: float) -> float:
-        w = cmath.exp(1j * phi)
+    def defect(w: Any) -> Any:
         return abs(f - w) - w.real
 
-    def valid(phi: float) -> bool:
-        w = cmath.exp(1j * phi)
-        return segment_clears_disk(w, f)
+    def lit_and_reachable(w: Any) -> Any:
+        # numeric.segment_clears_disk(w, f), measured from w, the end nearer
+        # the origin; |f - w| >= r - 1 > 0, and dividing by it twice keeps a
+        # far observer's |f - w|^2 from overflowing
+        d = f - w
+        m = abs(d)
+        t = np.clip(-(w.real * d.real + w.imag * d.imag) / m / m, 0.0, 1.0)
+        return (w.real >= 0.0) & (abs(w + t * d) >= 1.0 - VISIBILITY_SLACK)
 
-    def defects(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return np.hypot(f.real - c, f.imag - s) - c
-
-    def reachable(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-        dx = f.real - c
-        dy = f.imag - s
-        # segment_clears_disk(w, f) per angle; a zero-length segment (dd == 0)
-        # gets t = 0 and so the distance |w|, as in the scalar helper
-        dd = dx * dx + dy * dy
-        t = np.clip(-(c * dx + s * dy) / np.where(dd == 0.0, 1.0, dd), 0.0, 1.0)
-        return np.hypot(c + t * dx, s + t * dy) >= 1.0 - VISIBILITY_SLACK
-
-    n = cfg.grid
-    step = math.pi / n
-    start = -math.pi / 2.0
-    best_k, best_g = _grid_argmin(start, step, 0, n + 1, defects, reachable)
-    if best_k < 0:
+    found = _minimize(-math.pi / 2.0, math.pi / _GRID, _GRID + 1, defect, lit_and_reachable)
+    if found is None:
         raise InvalidObserver("no reachable boundary point for this observer")
-    lo = start + max(0, best_k - 1) * step
-    hi = start + min(n, best_k + 1) * step
-    phi, g, _ = golden_section_min(defect, lo, hi, cfg.refine_iters)
-    if not valid(phi) or best_g < g:
-        phi, g = start + best_k * step, best_g
+    phi, g = found
     return unit_from_angle(phi), g
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from catoptrix import (
     ObserverPolar,
-    OracleConfig,
     QuarticCoeffs,
     RootNature,
     directrix,
@@ -166,15 +165,14 @@ def test_criterion_5_eccentricity_identity():
 
 
 def test_criterion_6_oracle_agreement():
-    cfg = OracleConfig(grid=3000, refine_iters=70)
     worst_s = 0.0
     for z1, z2 in _random_interior_pairs(1006, 1000):
-        w_oracle, _ = oracle_smetric(z1, z2, cfg)
+        w_oracle, _ = oracle_smetric(z1, z2)
         res = minimizing_root(z1, z2)
         worst_s = max(worst_s, _angle_distance(res.w, w_oracle))
     worst_i = 0.0
     for obs in _random_observers(1007, 1000):
-        w_oracle, _ = oracle_infinity_path(obs, cfg)
+        w_oracle, _ = oracle_infinity_path(obs)
         res = infinity_reflection(obs)
         worst_i = max(worst_i, _angle_distance(res.w, w_oracle))
     ok = worst_s <= 1e-6 and worst_i <= 1e-6

@@ -103,8 +103,11 @@ def test_non_finite_input_echoes_as_null(argv, field, echoed):
         (["interior", "--z1", "0.5,0", "--z2", "-0.5,0", "--json"], "unrecognized arguments: --json"),
         (["interior", "--z1", "0.5,0"], "required: --z2"),
         (["interior", "--z1", "abc", "--z2", "0,0"], "expected RE,IM, got 'abc'"),
+        # the oracles' grid is fixed; the flags that set it are gone
+        (["oracle", "smetric", "--z1", "0.4,0", "--z2", "0,0.3", "--grid", "1000"], "unrecognized arguments: --grid 1000"),
+        (["oracle", "infinity", "--r", "2", "--theta", "1.2", "--refine-iters", "60"], "unrecognized arguments: --refine-iters 60"),
     ],
-    ids=["unknown-flag", "missing-z2", "malformed-z1"],
+    ids=["unknown-flag", "missing-z2", "malformed-z1", "removed-grid", "removed-refine-iters"],
 )
 def test_usage_error_prints_one_record(argv, message):
     rc, out, err = _run(argv)
@@ -161,7 +164,7 @@ def test_os_error_record_names_the_files_already_written(tmp_path):
         (
             ["oracle", "smetric", "--z1", "1.5,0", "--z2", "0,0"],
             "oracle-smetric",
-            {"z1": [1.5, 0.0], "z2": [0.0, 0.0], "grid": 100_000, "refine_iters": 80},
+            {"z1": [1.5, 0.0], "z2": [0.0, 0.0]},
         ),
         (
             ["envelope", "--a", "2", "--samples", "4", "--directrices", "-3"],
@@ -297,7 +300,7 @@ def test_svg_outputs_are_well_formed(tmp_path):
 
 
 def test_oracle_smetric_command():
-    rc, out, _ = _run(["oracle", "smetric", "--z1", "0.5,0", "--z2", "-0.5,0", "--grid", "100000"])
+    rc, out, _ = _run(["oracle", "smetric", "--z1", "0.5,0", "--z2", "-0.5,0"])
     record = json.loads(out)
     assert rc == 0
     assert abs(record["results"]["s"] - 0.5) < 1e-9
@@ -305,7 +308,7 @@ def test_oracle_smetric_command():
 
 
 def test_oracle_infinity_command():
-    rc, out, _ = _run(["oracle", "infinity", "--r", "2", "--theta", "1.2", "--grid", "20000"])
+    rc, out, _ = _run(["oracle", "infinity", "--r", "2", "--theta", "1.2"])
     record = json.loads(out)
     assert rc == 0
     assert record["diagnostics"]["angle_deviation"] < 1e-6

@@ -10,7 +10,6 @@ import catoptrix.infinity as infinity_module
 from catoptrix import (
     InfinityResult,
     ObserverPolar,
-    OracleConfig,
     RootSet,
     infinity_quartic_coeffs,
     infinity_reflection,
@@ -29,8 +28,8 @@ from catoptrix.errors import (
 )
 from catoptrix.quartic import infinity_real_coeffs
 
-# boundary-grid oracle value for r=2, theta=pi/2 at the default resolution
-ORACLE_PHI_R2_HALFPI = 1.0029669443899585
+# the path minimizer for r=2, theta=pi/2, to 50 digits (mpmath), and its defect
+ORACLE_PHI_R2_HALFPI = 1.0029669538662527
 ORACLE_DEFECT_R2_HALFPI = 0.73801745965638088
 
 
@@ -276,8 +275,7 @@ def test_shadow_region():
 
 def test_oracle_agreement_random_observers():
     rng = np.random.default_rng(73)
-    cfg = OracleConfig(grid=3000, refine_iters=70)
     for obs in _random_observers(rng, 200, theta_lo=1e-3):
-        w_oracle, _ = oracle_infinity_path(obs, cfg)
+        w_oracle, _ = oracle_infinity_path(obs)
         res = infinity_reflection(obs)
         assert abs(cmath.phase(w_oracle) - res.phi) < 1e-6

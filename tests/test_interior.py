@@ -11,7 +11,6 @@ import pytest
 
 import catoptrix.interior as interior_module
 from catoptrix import (
-    OracleConfig,
     ellipse_params,
     exterior_reflection,
     interior_quartic_coeffs,
@@ -261,9 +260,8 @@ def test_conjugation_equivariance():
 
 def test_oracle_agreement_random_pairs():
     rng = np.random.default_rng(41)
-    cfg = OracleConfig(grid=3000, refine_iters=70)
     for z1, z2 in _random_pairs(rng, 1000):
-        _, s_oracle = oracle_smetric(z1, z2, cfg)
+        _, s_oracle = oracle_smetric(z1, z2)
         assert abs(s_metric(z1, z2) - s_oracle) <= 1e-9
 
 
