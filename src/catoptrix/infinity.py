@@ -9,13 +9,13 @@ divided by conj(z2) in the limit z2 -> +infinity, and the path functional
 |f - w| - Re w is that limit of the focal sum minus z2, so root selection is
 the finite pair's rule, numeric._argmin_on_circle, with the path functional
 as the cost. The physics is the filter: the incoming horizontal ray must hit
-the lit side first and the reflected segment must clear the mirror.
+the lit side first and the reflected segment must clear the mirror, and no
+window on the angle is needed (see infinity_reflection).
 
 Every observer is solved in its own frame. The quartic for -theta is the
-conjugate of the one for theta, so the selection window mirrors with the
-sign of theta. infinity_reflection and verify_circle_theorem share the most
-recent solve, so verifying the observer just reflected solves no second
-time.
+conjugate of the one for theta, so the answer mirrors with the sign of
+theta. infinity_reflection and verify_circle_theorem share the most recent
+solve, so verifying the observer just reflected solves no second time.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 _ROOT_AT_ONE_EPS = 1e-12
-_ANGLE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,11 +128,18 @@ def _roots(obs: ObserverPolar) -> RootSet:
 def infinity_reflection(obs: ObserverPolar) -> InfinityResult:
     """Physical reflection point for a plane wave arriving from the +x side.
 
-    theta = 0 is the degenerate on-axis case with w = 1. For |theta| <= pi/2
-    the selected root has phi in [0, pi/2] for theta > 0 and in [-pi/2, 0]
-    for theta < 0; for observers beyond pi/2 a root is returned only if one
-    survives the physical filters, otherwise ShadowRegion is raised. Ties of
-    the path functional break as in minimizing_root.
+    theta = 0 is the on-axis case, w = 1. Otherwise w is the on-circle root of
+    least path functional g = |f - w| - Re w that is lit, Re w >= 0, and whose
+    reflected segment to f clears the mirror, as for exterior_reflection with
+    z2 -> +infinity; ties break as in minimizing_root. With none left this
+    raises ShadowRegion for |theta| > pi/2 and NoRootOnCircle within.
+
+    No window on phi is needed. For |theta| <= pi/2, g(phi) = |f - e^{i*phi}|
+    - cos(phi) rises outward at both ends of the lit arc f sees: g' = +-1 +
+    sin(phi) at the tangent points from f, +-(r*cos(theta)/|f -+ i| + 1) at
+    phi = +-pi/2. So its least value there is at a root; and as conj(w) of a
+    w of the arc across the axis from f is on the arc, as lit and nearer f,
+    phi lies in [0, pi/2] for theta > 0 and in [-pi/2, 0] for theta < 0.
     """
     theta = obs.theta
     roots = _roots(obs)
@@ -141,29 +147,18 @@ def infinity_reflection(obs: ObserverPolar) -> InfinityResult:
 
     if theta == 0.0:
         w = 1.0 + 0j
-        degenerate = True
     else:
-        degenerate = False
-        windowed = abs(theta) <= math.pi / 2.0
-        upper = math.pi / 2.0 + _ANGLE_SLACK
         lit = -DEFAULT_TOLERANCES.unit_circle_tol
 
         def keep(wp: complex) -> bool:
-            # the window mirrors with the observer: phi is measured toward it
-            if windowed:
-                phi = cmath.phase(wp) if theta > 0.0 else -cmath.phase(wp)
-                if not -_ANGLE_SLACK <= phi <= upper:
-                    return False
             # unlit when the incoming ray hits the far side first
             return wp.real >= lit and segment_clears_disk(wp, f)
 
         mask = tuple([on_unit_circle(root) for root in roots.roots])
         sel = _argmin_on_circle(roots.roots, mask, lambda wp: abs(f - wp) - wp.real, keep)
         if sel is None:
-            if not windowed:
-                raise ShadowRegion(
-                    f"no physically valid reflection for theta = {theta:.6g}"
-                )
+            if abs(theta) > math.pi / 2.0:
+                raise ShadowRegion(f"no physically valid reflection for theta = {theta:.6g}")
             raise NoRootOnCircle("no root passed the physical filters")
         w = sel[0]
 
@@ -180,7 +175,7 @@ def infinity_reflection(obs: ObserverPolar) -> InfinityResult:
         mobius_images=images,
         path_defect=abs(f - w) - w.real,
         reality_residual=_reality_residual(f, w),
-        degenerate_axis=degenerate,
+        degenerate_axis=theta == 0.0,
     )
 
 

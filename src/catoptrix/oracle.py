@@ -180,6 +180,10 @@ def oracle_infinity_path(obs: ObserverPolar) -> tuple[complex, float]:
 
     The arc is the lit half Re w >= 0 restricted to points whose segment to
     the observer stays out of the open unit disk. Returns (w, path defect).
+
+    For |theta| <= pi/2 the test Re w >= 0 never decides the answer, as the
+    functional rises outward at both lit edges (see infinity_reflection); it
+    defines the lit domain, which an oracle for |theta| > pi/2 would need.
     """
     import numpy as np
 

@@ -214,7 +214,8 @@ def _stalled(residual: float, w: complex, base_bound: float, degree: int) -> NoC
 def _polish(
     coeffs: tuple[complex, ...], roots: list[complex], base_bound: float
 ) -> tuple[list[complex], list[float], list[int]]:
-    """Polish all roots together; returns (roots, residuals, iterations used).
+    """Polish all roots together; returns (roots, residuals, iterations used),
+    each root its last iterate and each residual that iterate's |p|.
 
     Each step moves every root still above its bound by the Aberth-Ehrlich
     correction N / (1 - N * sum_{j != k} 1/(w_k - w_j)), N = p(w_k)/p'(w_k).
@@ -226,7 +227,8 @@ def _polish(
     The acceptance bound grows with |root|^degree: below that, float64 cannot
     even evaluate the polynomial, so a flat bound would be unreachable for
     roots far outside the unit disk. A non-finite residual never passes it,
-    and it ends the polish at once: no step can leave inf or NaN.
+    and it ends the polish at once: no step can leave inf or NaN. The
+    NoConvergence reports the root's last finite residual, or inf.
 
     The repel sum is accumulated left to right over the current roots,
     starting from the integer 0; roots moved earlier in the same step count
@@ -235,8 +237,7 @@ def _polish(
     deriv_stall = 1e-290
     degree = len(coeffs) - 1
     cur = list(roots)
-    best = list(roots)
-    best_res = [math.inf] * len(cur)
+    resid = [math.inf] * len(cur)
     iters = [0] * len(cur)
     pending = range(len(cur))
     for step in range(_MAX_POLISH_ITERATIONS + 1):
@@ -246,10 +247,8 @@ def _polish(
             f, df = _horner_pair(coeffs, w)
             res = abs(f)
             if not math.isfinite(res):
-                raise _stalled(best_res[k], best[k], base_bound, degree)
-            if res < best_res[k]:
-                best_res[k] = res
-                best[k] = w
+                raise _stalled(resid[k], w, base_bound, degree)
+            resid[k] = res
             iters[k] = step
             if step == _MAX_POLISH_ITERATIONS:
                 continue
@@ -268,11 +267,11 @@ def _polish(
             denom = 1.0 - newton * repel
             cur[k] = w - (newton / denom if denom != 0 else newton)
         pending = [k for k, _ in moving]
-    for k, w in enumerate(best):
+    for k, w in enumerate(cur):
         a = abs(w)
-        if not best_res[k] <= base_bound * (a if a > 1.0 else 1.0) ** degree:
-            raise _stalled(best_res[k], w, base_bound, degree)
-    return best, best_res, iters
+        if not resid[k] <= base_bound * (a if a > 1.0 else 1.0) ** degree:
+            raise _stalled(resid[k], w, base_bound, degree)
+    return cur, resid, iters
 
 
 def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex], cmax: float) -> RootSet:
@@ -396,13 +395,14 @@ def polished_roots(coeffs: tuple[complex, ...]) -> RootSet:
     """Roots of a polynomial of degree 1..4 given as (c_n, ..., c_0), c_n != 0.
 
     Used for the degree-dropped instances of the reflection quartics; the
-    degree-4 case routes through the Ferrari chain. Raises NoConvergence as
-    solve_quartic does.
+    degree-4 case routes through the Ferrari chain. Raises NonFinitePoint as
+    QuarticCoeffs does, and NoConvergence as solve_quartic does.
     """
-    coeffs = tuple(complex(c) for c in coeffs)
+    deg = len(coeffs) - 1
+    coeffs = tuple([c if type(c) is complex and cmath.isfinite(c) else ensure_point(c, f"c{deg - k}")
+                    for k, c in enumerate(coeffs)])
     if not coeffs or coeffs[0] == 0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
-    deg = len(coeffs) - 1
     if not 1 <= deg <= 4:
         raise ValueError(f"degree {deg} not supported")
     return _solve(coeffs)

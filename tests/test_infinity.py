@@ -93,14 +93,28 @@ def test_vertical_observer_matches_path_oracle():
 
 def test_selected_root_minimizes_defect_kinematics():
     # the path functional of the answer never exceeds that of other
-    # on-circle roots that satisfy the physical filters
+    # on-circle roots that satisfy the physical filters, and its phi lies
+    # between 0 and pi/2 on the observer's side, which no angle window
+    # enforces; observers of either sign, with r - 1 from 1e-9 to 999, at
+    # any lit theta and within 1e-12 of 0 and of pi/2
     from catoptrix.numeric import segment_clears_disk
 
     rng = np.random.default_rng(53)
-    for obs in _random_observers(rng, 100):
+    observers = _random_observers(rng, 100)
+    for _ in range(100):
+        r = 1.0 + float(10.0 ** rng.uniform(-9.0, math.log10(999.0)))
+        sign = float(rng.choice((-1.0, 1.0)))
+        for theta in (
+            rng.uniform(1e-4, math.pi / 2),
+            1e-12 * (1.0 - rng.random()),
+            math.pi / 2 - 1e-12 * rng.random(),
+        ):
+            observers.append(ObserverPolar(r, sign * float(theta)))
+    for obs in observers:
         res = infinity_reflection(obs)
         f = obs.point
         assert ((f - res.w) / res.w ** 2).real >= 0.0  # f lies forward along w^2
+        assert 0.0 <= math.copysign(1.0, obs.theta) * res.phi <= math.pi / 2 + 1e-9
         for w in res.all_roots.roots:
             wp = w / abs(w)
             if wp.real < 0:

@@ -1,7 +1,9 @@
 """The package's public surface: __all__ and the names it binds agree, each
 export is listed in its module's __all__, no public function takes a
-tolerance, and importing the package loads none of its modules."""
+tolerance, importing the package loads none of its modules, and no module
+keeps a private name or an import that nothing uses."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -78,3 +80,46 @@ def test_import_loads_no_module_and_names_resolve_on_use():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_keeps_a_dead_name():
+    # a private top-level name (not a dunder) that no module of the package
+    # reads, or an imported name that its own module never reads, is left
+    # over from code that is gone
+    package = Path(catoptrix.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+    def read_names(tree):
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        return names
+
+    read_anywhere = set().union(*map(read_names, trees.values()))
+    dead = []
+    for file, tree in trees.items():
+        private = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                private.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                private |= {t.id for t in targets if isinstance(t, ast.Name)}
+        dead += [
+            f"{file}: {name}"
+            for name in sorted(private)
+            if name.startswith("_") and not name.endswith("__") and name not in read_anywhere
+        ]
+        # a string, as in __all__, counts as a read
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        read_here = read_names(tree) | strings
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read_here:
+                        dead.append(f"{file}: import {bound}")
+    assert dead == []

@@ -267,6 +267,16 @@ def test_quartic_coeffs_reject_non_finite_naming_the_field(field):
             QuarticCoeffs(**coeffs)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2, 4) for k in range(n + 1)])
+def test_polished_roots_rejects_non_finite_naming_the_coefficient(n, k, bad):
+    # coefficient k of (c_n, ..., c_0) is c_(n-k), the name QuarticCoeffs gives it
+    coeffs = [1 + 0j] + [0j] * (n - 1) + [-1 + 0j]
+    coeffs[k] = bad
+    with pytest.raises(NonFinitePoint, match=f"^c{n - k} has non-finite component"):
+        polished_roots(tuple(coeffs))
+
+
 def test_infinity_quartic_roots_match_companion_oracle():
     # observer r=2, theta=pi/3: all roots on the circle, values cross-checked
     obs = ObserverPolar(2.0, math.pi / 3)
