@@ -140,6 +140,8 @@ def infinity_reflection(obs: ObserverPolar) -> InfinityResult:
     phi = +-pi/2. So its least value there is at a root; and as conj(w) of a
     w of the arc across the axis from f is on the arc, as lit and nearer f,
     phi lies in [0, pi/2] for theta > 0 and in [-pi/2, 0] for theta < 0.
+    By the same argument a lit observer always has a kept root in exact
+    arithmetic, so its NoRootOnCircle can only come from rounding.
     """
     theta = obs.theta
     roots = _roots(obs)

@@ -11,18 +11,45 @@ The scan picks the same grid point as a point-by-point loop (ties go to the
 first), but it skips the grid cells that provably cannot hold the minimum
 (Shubert, SIAM J. Numer. Anal. 9, 1972):
 
-- A scanned value is lower(w) or, where clear(w) fails, inf; lower is
-  finite. Both lowers, the focal sum |z1 - w| + |w - z2| and the path
-  defect |f - w| - Re w, have |d lower / d phi| <= 2, because each of their
-  two terms moves at most as fast as w, whose speed is 1.
+- A scanned value is lower(w) where the clearance margin clear(w) is >= 0,
+  and inf elsewhere; lower is finite. Both are Lipschitz in phi, with
+  |d lower / d phi| <= lip and |d clear / d phi| <= 1.
 - Take cells of _CELL consecutive grid points. Every point of a cell lies
   within _CELL/2 grid steps of its centre; allow one more step for the
-  rounding of phi = start + k*step. So in a cell with centre c,
-  value >= lower >= lower(c) - 2*(_CELL/2 + 1)*step.
-- The least value up at the cell centres is a grid value, so the grid
-  minimum is at most up. A cell whose bound exceeds up, by more than a
-  relative 1e-9 that covers the rounding of lower, holds only values above
-  up: neither the minimum nor an equal value before it. It is not evaluated.
+  rounding of phi = start + k*step, a reach of R = (_CELL/2 + 1)*step. So
+  in a cell with centre c, lower >= lower(c) - lip*R and clear <= clear(c)
+  + R.
+- The least value up at the cell centres (and at one more grid point that
+  the caller names) is a grid value, so the grid minimum is at most up. A
+  cell whose bound lower(c) - lip*R exceeds up, by more than a relative 1e-9
+  that covers the rounding of lower, holds only values above up: neither
+  the minimum nor an equal value before it. A cell whose clear(c) + R is
+  below 0, by more than an absolute 1e-9 that covers the rounding of clear
+  (|clear| <= 1), holds no clear point and only values inf. Neither is
+  evaluated, and the pick is unchanged: clear(w) >= 0 decides as the test
+  it stands for, as a - b >= 0 iff a >= b for finite floats.
+
+The bounds of each oracle:
+
+- The focal sum. Write z = rho*e^{i*alpha} and w = e^{i*(alpha + psi)}; the
+  slope of |z - w| in phi is Im(conj(z)*w)/|w - z| = rho*sin(psi)/|w - z|.
+  As sin(psi)^2 <= (rho - cos(psi))^2 + sin(psi)^2 = |w - z|^2, the slope
+  is at most rho = |z| in size (and at most 1, as |Im(conj(w)*(z - w))| <=
+  |w - z|). So lip = |z1| + |z2|, below 2 in the open disk; every point
+  clears.
+- The path defect |f - w| - cos(phi): the first term moves at most as fast
+  as w, whose speed is 1, so lip = 2. Its margin is min(Re w, dist(0, [w,
+  f]) - (1 - VISIBILITY_SLACK)): cos(phi) is 1-Lipschitz, and moving one end
+  of a segment by delta moves each of its points, and so its distance from
+  the origin, by at most delta.
+- The plane wave's named point is the one nearest e^{i*theta}, the foot of
+  the perpendicular from f. Its radial segment to f never enters the disk,
+  so it is clear whenever the clear arc around theta reaches half a grid
+  step from theta, and up is finite even when that arc lies between two
+  centres (r - 1 below about 5e-7 at 10^5 points). With VISIBILITY_SLACK
+  the arc reaches at least about 9e-5 rad, more than half of the 3.1e-5
+  rad step of 10^5 points; on a coarser grid it may miss every grid point,
+  and then the margin alone skips the cells away from it.
 
 numpy is imported inside the functions that use it, not at module level. Only
 these oracles need it, and importing it costs more than the rest of the
@@ -101,34 +128,52 @@ def _golden_section_min(f: Callable[[float], float], a: float, b: float) -> tupl
 
 
 def _grid_argmin(
-    start: float, step: float, n: int, lower: _OnCircle, clear: Optional[_OnCircle] = None
+    start: float,
+    step: float,
+    n: int,
+    lower: _OnCircle,
+    lip: float,
+    clear: Optional[_OnCircle] = None,
+    probe: Optional[float] = None,
 ) -> tuple[int, float]:
     """First k < n minimizing the value at w = e^{i(start + k*step)}, or
     (-1, inf) when every value is inf. The value is lower(w) where clear(w)
-    holds, inf elsewhere; lower must be finite and 2-Lipschitz in phi.
+    >= 0, inf elsewhere; lower must be finite and lip-Lipschitz in phi, clear
+    1-Lipschitz and at most 1 in size.
 
-    A cell of _CELL grid points is scanned only when the bound of the module
-    docstring lets it hold a value at most up, the least value at any cell
-    centre. The kept cells go in ascending k and the first strict minimum
-    wins, so the pick matches a loop over every k that keeps the first of
-    equal values.
+    A cell of _CELL grid points is scanned only when the bounds of the module
+    docstring let it hold a value at most up, the least value at any cell
+    centre and at the grid point nearest the angle probe. The kept cells go
+    in ascending k and the first strict minimum wins, so the pick matches a
+    loop over every k that keeps the first of equal values.
     """
     import numpy as np
 
-    def grid_values(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def grid_values(k: np.ndarray) -> tuple[np.ndarray, Any, np.ndarray]:
         w = np.exp(1j * (start + k * step))
         low = lower(w)
-        return low, low if clear is None else np.where(clear(w), low, math.inf)
+        if clear is None:
+            return low, None, low
+        margin = clear(w)
+        return low, margin, np.where(margin >= 0.0, low, math.inf)
 
     first = np.arange(0, n, _CELL)
-    low, v = grid_values(np.minimum(first + _CELL // 2, n - 1))
+    k = np.minimum(first + _CELL // 2, n - 1)
+    if probe is not None:
+        k = np.append(k, min(max(round((probe - start) / step), 0), n - 1))
+    low, margin, v = grid_values(k)
     up = float(np.min(v))
-    kept = first[low - 2.0 * (_CELL // 2 + 1) * step - 1e-9 * (1.0 + np.abs(low)) <= up]
+    m = len(first)
+    reach = (_CELL // 2 + 1) * step
+    keep = low[:m] - lip * reach - 1e-9 * (1.0 + np.abs(low[:m])) <= up
+    if margin is not None:
+        keep &= margin[:m] >= -reach - 1e-9
+    kept = first[keep]
     best_k, best = -1, math.inf
     for i in range(0, len(kept), _BLOCK // _CELL):
         k = (kept[i : i + _BLOCK // _CELL, None] + np.arange(_CELL)).ravel()
         k = k[k < n]
-        v = grid_values(k)[1]
+        v = grid_values(k)[2]
         j = int(np.argmin(v))
         if v[j] < best:
             best_k, best = int(k[j]), float(v[j])
@@ -136,18 +181,25 @@ def _grid_argmin(
 
 
 def _minimize(
-    start: float, step: float, n: int, lower: _OnCircle, clear: Optional[_OnCircle] = None
+    start: float,
+    step: float,
+    n: int,
+    lower: _OnCircle,
+    lip: float,
+    clear: Optional[_OnCircle] = None,
+    probe: Optional[float] = None,
 ) -> Optional[tuple[float, float]]:
     """(phi, value) least at the grid points phi_k = start + k*step, k < n,
-    that clear accepts, refined by golden-section search on
-    [phi_k - step, phi_k + step]; None when clear rejects every grid point.
-    The grid point stays when the refine is worse or its point fails clear."""
-    k, best = _grid_argmin(start, step, n, lower, clear)
+    where clear(w) >= 0, refined by golden-section search on
+    [phi_k - step, phi_k + step]; None when no grid point is clear. The grid
+    point stays when the refine is worse or its point is not clear. lip and
+    probe go to _grid_argmin."""
+    k, best = _grid_argmin(start, step, n, lower, lip, clear, probe)
     if k < 0:
         return None
     phi0 = start + k * step
     phi, value = _golden_section_min(lambda x: lower(cmath.exp(1j * x)), phi0 - step, phi0 + step)
-    if best < value or (clear is not None and not clear(cmath.exp(1j * phi))):
+    if best < value or (clear is not None and clear(cmath.exp(1j * phi)) < 0.0):
         return phi0, best
     return phi, value
 
@@ -169,8 +221,9 @@ def oracle_smetric(z1: complex, z2: complex) -> tuple[complex, float]:
     def focal_sum(w: Any) -> Any:
         return abs(z1 - w) + abs(w - z2)
 
-    # every grid point clears, so there is always an answer
-    phi, fs = _minimize(0.0, math.tau / _GRID, _GRID, focal_sum)
+    # every grid point clears, so there is always an answer; the slope of
+    # each term is at most |z| (module docstring)
+    phi, fs = _minimize(0.0, math.tau / _GRID, _GRID, focal_sum, abs(z1) + abs(z2))
     return unit_from_angle(phi), dist / fs
 
 
@@ -195,15 +248,18 @@ def oracle_infinity_path(obs: ObserverPolar) -> tuple[complex, float]:
         return abs(f - w) - w.real
 
     def lit_and_reachable(w: Any) -> Any:
-        # numeric.segment_clears_disk(w, f), measured from w, the end nearer
-        # the origin; |f - w| >= r - 1 > 0, and dividing by it twice keeps a
-        # far observer's |f - w|^2 from overflowing
+        # >= 0 iff Re w >= 0 and numeric.segment_clears_disk(w, f), measured
+        # from w, the end nearer the origin; |f - w| >= r - 1 > 0, and
+        # dividing by it twice keeps a far observer's |f - w|^2 from overflowing
         d = f - w
         m = abs(d)
         t = np.clip(-(w.real * d.real + w.imag * d.imag) / m / m, 0.0, 1.0)
-        return (w.real >= 0.0) & (abs(w + t * d) >= 1.0 - VISIBILITY_SLACK)
+        return np.minimum(w.real, abs(w + t * d) - (1.0 - VISIBILITY_SLACK))
 
-    found = _minimize(-math.pi / 2.0, math.pi / _GRID, _GRID + 1, defect, lit_and_reachable)
+    # lip 2, and e^{i theta}, the foot point, evaluated with the centres
+    found = _minimize(
+        -math.pi / 2.0, math.pi / _GRID, _GRID + 1, defect, 2.0, lit_and_reachable, obs.theta
+    )
     if found is None:
         raise InvalidObserver("no reachable boundary point for this observer")
     phi, g = found

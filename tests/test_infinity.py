@@ -23,6 +23,7 @@ from catoptrix.errors import (
     DegenerateLeadingCoefficient,
     InvalidObserver,
     NoConvergence,
+    NoRootOnCircle,
     RootAtOne,
     ShadowRegion,
 )
@@ -285,6 +286,18 @@ def test_shadow_region():
     assert isinstance(res, InfinityResult)
     assert res.reality_residual < 1e-9
     assert infinity_reflection(ObserverPolar(2.0, -1.7)).w == res.w.conjugate()
+
+
+@pytest.mark.parametrize(
+    "theta, error",
+    [(0.4, NoRootOnCircle), (-1.2, NoRootOnCircle), (2.0, ShadowRegion), (-2.5, ShadowRegion)],
+)
+def test_no_kept_root_raises_by_side(theta, error, monkeypatch):
+    # unreachable in exact arithmetic on the lit side, so every root is
+    # rejected here: lit side NoRootOnCircle, shadow side ShadowRegion
+    monkeypatch.setattr(infinity_module, "segment_clears_disk", lambda p, q: False)
+    with pytest.raises(error):
+        infinity_reflection(ObserverPolar(2.0, theta))
 
 
 def test_oracle_agreement_random_observers():

@@ -56,11 +56,11 @@ def test_minimize_returns_only_clear_points():
         return abs(w - target)
 
     # nothing clear: None, on which oracle_infinity_path raises InvalidObserver
-    assert oracle_module._minimize(0.0, step, 1000, distance, lambda w: np.zeros(np.shape(w), bool)) is None
+    assert oracle_module._minimize(0.0, step, 1000, distance, 1.0, lambda w: np.full(np.shape(w), -1.0)) is None
     # the refine finds the minimum at Im w > 0, where clear fails: the grid point stays
-    phi, value = oracle_module._minimize(0.0, step, 1000, distance, lambda w: w.imag <= 0.0)
+    phi, value = oracle_module._minimize(0.0, step, 1000, distance, 1.0, lambda w: -w.imag)
     assert phi == 0.0 and abs(value - abs(1.0 - target)) < 1e-15
-    phi, value = oracle_module._minimize(0.0, step, 1000, distance)
+    phi, value = oracle_module._minimize(0.0, step, 1000, distance, 1.0)
     assert abs(phi - 0.4 * step) < 1e-9 and value < 1e-9
 
 
@@ -231,14 +231,15 @@ def test_blocked_scan_matches_reference_loop(oracle, args, grid, monkeypatch):
     assert outcome(blocked) == outcome(reference)
 
 
-def _full_scan(start, step, n, lower, clear=None):
-    # the reference: every grid point, in numpy blocks of 4096
+def _full_scan(start, step, n, lower, lip, clear=None, probe=None):
+    # the reference: every grid point, in numpy blocks of 4096; the bounds
+    # (lip, the margin's size and the probe) only skip, so it needs none
     best_k, best = -1, math.inf
     for k0 in range(0, n, 4096):
         w = np.exp(1j * (start + np.arange(k0, min(k0 + 4096, n)) * step))
         v = lower(w)
         if clear is not None:
-            v = np.where(clear(w), v, math.inf)
+            v = np.where(clear(w) >= 0.0, v, math.inf)
         j = int(np.argmin(v))
         if v[j] < best:
             best_k, best = k0 + j, float(v[j])
@@ -270,17 +271,33 @@ def _oracle_cases(family, rng):
         return [("smetric", (z, w)) for z in zs for w in (-z, z.conjugate())] + [("smetric", (0.5, -0.5))]
     if family == "flat":
         return [("smetric", (1e-9, -1e-9))]  # focal sum 2 to the last bit on most of the grid
-    # lit observers: random ones; r - 1 down to 1e-9, where every grid point
-    # can be masked; theta at 0 and near +-pi/2; and far ones, whose defects
-    # round to steps far above a cell's Lipschitz reach
+    if family == "tight-slope":
+        # a rim point just past a cell's first grid point, where the focal
+        # sum has a kink, and a second point whose term there has the
+        # largest slope its modulus allows: the neighbour cell's centre is
+        # lower, and only a constant of at least about |z1| + |z2| keeps the cell
+        cell, grid = oracle_module._CELL, oracle_module._GRID
+        out = []
+        for off in (0.1, 0.5):
+            for rho in (0.9, 0.99):
+                alpha = (cell * rng.randrange(1, grid // cell) + off) * (math.tau / grid)
+                z2 = rho * cmath.exp(1j * (alpha - math.acos(rho)))
+                out.append(("smetric", ((1 - 1e-12) * cmath.exp(1j * alpha), z2)))
+        return out
+    # lit observers: random ones; r - 1 down to 1e-10, where every grid point
+    # can be masked, the one nearest e^{i theta} included (at grids 3000 and
+    # 10007); theta at 0 and near +-pi/2; and far ones, whose defects round
+    # to steps far above a cell's Lipschitz reach
     out = [("infinity", (1 + 10 ** rng.uniform(-2, 1.5), rng.uniform(-1.5, 1.5))) for _ in range(6)]
-    for r in (1 + 1e-9, 1 + 1e-7, 1 + 1e-5, 1 + 1e-4, 1 + 1e-3, 2.0, 1e12, 1e15):
+    for r in (1 + 1e-10, 1 + 1e-9, 1 + 1e-7, 1 + 1e-5, 1 + 1e-4, 1 + 1e-3, 2.0, 1e12, 1e15):
         for theta in (0.0, 1e-9, math.pi / 2, -math.pi / 2, math.pi / 2 - 1e-9, rng.uniform(-1.5, 1.5)):
             out.append(("infinity", (r, theta)))
     return out
 
 
-_SCAN_FAMILIES = ["uniform", "near-rim", "near-coincident", "near-origin", "two-minima", "flat", "observers"]
+_SCAN_FAMILIES = [
+    "uniform", "near-rim", "near-coincident", "near-origin", "two-minima", "flat", "tight-slope", "observers"
+]
 
 
 @pytest.mark.parametrize("grid", [3000, 10_007, 100_000])
@@ -311,28 +328,91 @@ def test_skipping_scan_matches_full_scan_bits(family, grid, monkeypatch):
         assert (k, v.hex()) == (k_ref, v_ref.hex())
 
 
-@pytest.mark.parametrize(
-    "oracle, args",
-    [("smetric", (0.4, 0.3j)), ("infinity", (2.5, 0.6))],
-    ids=["uniform-pair", "lit-observer"],
-)
-def test_skipping_scan_evaluates_few_grid_points(oracle, args, monkeypatch):
-    evaluated = []
+def _count_scanned(monkeypatch):
+    """Grid points that each scan hands to lower and to clear, one [lower,
+    clear] pair per scan: the centres, the probe and the kept cells."""
+    counts = []
     skipping = oracle_module._grid_argmin
 
-    def counting(start, step, n, lower, clear=None):
-        def counted(w):
-            evaluated.append(len(w))
-            return lower(w)
+    def counting(start, step, n, lower, lip, clear=None, probe=None):
+        count = [0, 0]
 
-        return skipping(start, step, n, counted, clear)
+        def counted(fn, i):
+            def f(w):
+                count[i] += len(w)
+                return fn(w)
+
+            return f
+
+        counts.append(count)
+        return skipping(start, step, n, counted(lower, 0), lip, clear and counted(clear, 1), probe)
 
     monkeypatch.setattr(oracle_module, "_grid_argmin", counting)
-    if oracle == "smetric":
-        oracle_smetric(*args)
-    else:
-        oracle_infinity_path(ObserverPolar(*args))
-    assert 0 < sum(evaluated) < 0.15 * oracle_module._GRID
+    return counts
+
+
+def _lit_sweep():
+    # r - 1 log-uniform over 12 decades, as the benchmark draws it; without
+    # the probe and the margin about 15% of these scanned the whole grid
+    rng = random.Random("lit-sweep")
+    return [("infinity", (1 + 10 ** rng.uniform(-9, 3), rng.uniform(-math.pi / 2, math.pi / 2))) for _ in range(200)]
+
+
+_NEAR_RIM = {
+    f"near-rim-{e:.0e}-{name}": (1 + e, theta)
+    for e in (1e-9, 1e-7)
+    for name, theta in [("0.4", 0.4), ("half-pi-less-1e-9", math.pi / 2 - 1e-9), ("minus-half-pi", -math.pi / 2)]
+}
+
+
+@pytest.mark.parametrize(
+    "calls, share",
+    [
+        ([("smetric", (0.4, 0.3j))], 0.15),
+        ([("infinity", (2.5, 0.6))], 0.15),
+        # 18395 points with lip = |z1| + |z2|; the constant 2 takes 21211
+        ([("smetric", (0.37 + 0.22j, -0.41 + 0.13j))], 0.19),
+        # no cell centre is clear: without the probe at e^{i theta} and the
+        # margin these scanned all 100001 points; without the probe, 7323 at
+        # theta = 0.4 (at +-pi/2 the defect is flat towards the axis, and the
+        # margin alone bounds the scan)
+        *[([("infinity", args)], 0.05 if args[1] == 0.4 else 0.1) for args in _NEAR_RIM.values()],
+        (_lit_sweep(), 0.1),
+    ],
+    ids=["uniform-pair", "lit-observer", "flat-pair"]
+    + list(_NEAR_RIM)
+    + ["lit-sweep"],
+)
+def test_skipping_scan_evaluates_few_grid_points(calls, share, monkeypatch):
+    counts = _count_scanned(monkeypatch)
+    for oracle, args in calls:
+        if oracle == "smetric":
+            oracle_smetric(*args)
+        else:
+            oracle_infinity_path(ObserverPolar(*args))
+        (lower, clear), = counts
+        assert 0 < lower < share * oracle_module._GRID, args
+        assert clear == (0 if oracle == "smetric" else lower), args
+        counts.clear()
+
+
+@pytest.mark.parametrize("r", [1 + 1e-9, 1 + 1e-10], ids=["1e-9", "1e-10"])
+def test_scan_skips_by_the_margin_when_no_grid_point_is_clear(r, monkeypatch):
+    # at grid 10007 the clear arc around theta = 0.4, about +-9e-5 rad wide
+    # with VISIBILITY_SLACK, misses the grid point nearest e^{i theta}, half a
+    # step (1.6e-4) away at most, and so every grid point: up stays inf and
+    # only the margin skips cells. (At 10^5 that arc always holds the point.)
+    grid = 10_007
+    monkeypatch.setattr(oracle_module, "_GRID", grid)
+    counts = _count_scanned(monkeypatch)
+    obs = ObserverPolar(r, 0.4)
+    step = math.pi / grid
+    foot = unit_from_angle(-math.pi / 2 + round((obs.theta + math.pi / 2) / step) * step)
+    assert not segment_clears_disk(foot, obs.point)
+    with pytest.raises(InvalidObserver):
+        oracle_infinity_path(obs)
+    (lower, clear), = counts
+    assert lower == clear < 0.25 * grid
 
 
 def test_scan_memory_stays_small():
