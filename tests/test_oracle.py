@@ -2,8 +2,12 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -384,7 +388,12 @@ _NEAR_RIM = {
     + ["lit-sweep"],
 )
 def test_skipping_scan_evaluates_few_grid_points(calls, share, monkeypatch):
+    # lower goes to the probe, every centre and the kept cells; the plane
+    # wave's margin only where a value can still win: under a fifth of those
+    # points over each case's calls (4 of 1692 at r = 1 + 1e-9, theta = 0.4;
+    # in the sweep 5% in all, and 0.20 for one observer at theta near -pi/2)
     counts = _count_scanned(monkeypatch)
+    scans = []
     for oracle, args in calls:
         if oracle == "smetric":
             oracle_smetric(*args)
@@ -392,8 +401,10 @@ def test_skipping_scan_evaluates_few_grid_points(calls, share, monkeypatch):
             oracle_infinity_path(ObserverPolar(*args))
         (lower, clear), = counts
         assert 0 < lower < share * oracle_module._GRID, args
-        assert clear == (0 if oracle == "smetric" else lower), args
-        counts.clear()
+        assert clear <= (0 if oracle == "smetric" else lower), args
+        scans.append(counts.pop())
+    if oracle == "infinity":
+        assert sum(clear for _, clear in scans) < sum(lower for lower, _ in scans) / 5
 
 
 @pytest.mark.parametrize("r", [1 + 1e-9, 1 + 1e-10], ids=["1e-9", "1e-10"])
@@ -412,7 +423,58 @@ def test_scan_skips_by_the_margin_when_no_grid_point_is_clear(r, monkeypatch):
     with pytest.raises(InvalidObserver):
         oracle_infinity_path(obs)
     (lower, clear), = counts
-    assert lower == clear < 0.25 * grid
+    assert clear <= lower < 0.25 * grid
+
+
+def test_centre_table_is_read_only():
+    oracle_smetric(0.4, 0.3j)
+    first, w = oracle_module._centres(0.0, math.tau / oracle_module._GRID, oracle_module._GRID)
+    with pytest.raises(ValueError):
+        first[0] = 1
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
+def test_import_builds_no_centre_table():
+    # a fresh interpreter, as this one has numpy loaded and tables built
+    code = (
+        "import sys, catoptrix.oracle as oracle\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert oracle._centres.cache_info().currsize == 0\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_centre_table_follows_the_grid(monkeypatch):
+    # each grid scans with its own table: a table kept from the grid before
+    # would skip the wrong cells, and the bits would leave the full scan's
+    pairs = []
+    skipping = oracle_module._grid_argmin
+
+    def both(*args):
+        got = skipping(*args)
+        pairs.append((got, _full_scan(*args)))
+        return got
+
+    monkeypatch.setattr(oracle_module, "_grid_argmin", both)
+    for grid in (10_007, 100_000, 10_007):
+        monkeypatch.setattr(oracle_module, "_GRID", grid)
+        oracle_smetric(0.4, 0.3j)
+        oracle_smetric(-0.6 + 0.1j, 0.2 - 0.5j)
+        oracle_infinity_path(ObserverPolar(2.5, 0.6))
+        oracle_infinity_path(ObserverPolar(1 + 1e-7, -math.pi / 2))
+    assert len(pairs) == 12
+    for (k, v), (k_ref, v_ref) in pairs:
+        assert (k, v.hex()) == (k_ref, v_ref.hex())
 
 
 def test_scan_memory_stays_small():
