@@ -321,7 +321,7 @@ def _run_oracle_smetric(args: argparse.Namespace) -> _Run:
     closed = minimizing_root(args.z1, args.z2)
     return {"w": _pair(w), "s": s}, {
         "closed_form": {"w": _pair(closed.w), "s": closed.s_value},
-        "angle_deviation": abs(cmath.phase(w) - cmath.phase(closed.w)),
+        "angle_deviation": abs(cmath.phase(w * closed.w.conjugate())),
         "s_deviation": abs(s - closed.s_value),
     }, {}
 
@@ -335,7 +335,7 @@ def _run_oracle_infinity(args: argparse.Namespace) -> _Run:
     closed = infinity_reflection(obs)
     return {"w": _pair(w), "phi": cmath.phase(w), "path_defect": defect}, {
         "closed_form": {"w": _pair(closed.w), "phi": closed.phi},
-        "angle_deviation": abs(cmath.phase(w) - closed.phi),
+        "angle_deviation": abs(cmath.phase(w * closed.w.conjugate())),
     }, {}
 
 

@@ -184,6 +184,7 @@ def e1_isolated_point(a: float) -> complex:
 
 def valid_arc(a: float) -> float:
     """Largest |arg w| reachable by rays that do not cross the mirror:
-    asin(sqrt(a^2 - 1)/a), in (0, pi/2)."""
+    acos(1/a), in (0, pi/2), written as atan(sqrt((a - 1)(a + 1))), which
+    keeps its digits as a -> 1+ and as a grows."""
     a = _check_focus(a)
-    return math.asin(math.sqrt(a * a - 1.0) / a)
+    return math.atan(math.sqrt((a - 1.0) * (a + 1.0)))

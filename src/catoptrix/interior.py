@@ -185,10 +185,10 @@ def _ellipse_of(result: ReflectionResult, z1: complex, z2: complex) -> EllipsePa
     without solving again."""
     c = result.focal_sum
     d = abs(z1 - z2)
-    major = c / 2.0
-    minor = 0.5 * math.sqrt(c * c - d * d)
-    ecc = math.sqrt(1.0 - (minor / major) ** 2)
-    return EllipseParams(focal_sum=c, major=major, minor=minor, eccentricity=ecc)
+    # the eccentricity d / c is s itself, so it keeps s's digits
+    return EllipseParams(
+        focal_sum=c, major=c / 2.0, minor=0.5 * math.sqrt((c - d) * (c + d)), eccentricity=result.s_value
+    )
 
 
 def exterior_reflection(z1: complex, z2: complex) -> Optional[ReflectionResult]:

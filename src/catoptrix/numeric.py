@@ -50,8 +50,8 @@ DEFAULT_TOLERANCES = Tolerances()
 _COINCIDENT_EPS = 1e-14
 
 # how far inside the circle a sight segment may dip and still count as
-# clearing it; segment_clears_disk and the plane-wave oracle's reachability
-# test both read it, so the two visibility filters agree
+# clearing it; segment_clears_disk reads it, and so does the plane-wave
+# oracle's closed-form reachable arc, so the two visibility filters agree
 VISIBILITY_SLACK = 1e-9
 
 # costs within this of the least one count as a tie
@@ -98,14 +98,16 @@ def wrap_angle(theta: float) -> float:
 def segment_min_distance_to_origin(p: complex, q: complex) -> float:
     """Minimum distance from the origin to the closed segment [p, q]."""
     # measured from the end nearer the origin: from the far end, p + t*d
-    # cancels to about ulp(|p|), which for a far pair swamps the distance
+    # cancels to about ulp(|p|), which for a far pair swamps the distance;
+    # dividing by |d| twice keeps |d|^2 of a segment longer than about
+    # 1.3e154 from overflowing to inf, which would give t = 0
     if p.real * p.real + p.imag * p.imag > q.real * q.real + q.imag * q.imag:
         p, q = q, p
     d = q - p
-    dd = d.real * d.real + d.imag * d.imag
-    if dd == 0.0:
+    m = math.hypot(d.real, d.imag)
+    if m == 0.0:
         return abs(p)
-    t = -(p.real * d.real + p.imag * d.imag) / dd
+    t = -(p.real * d.real + p.imag * d.imag) / m / m
     if t < 0.0:
         t = 0.0
     elif t > 1.0:

@@ -7,37 +7,23 @@ Each reflection oracle writes its function of w = e^{i phi} once, in complex
 arithmetic that a Python complex (the refine) and a numpy array (the scan)
 both evaluate, and hands it to _minimize.
 
-The scan picks the same grid point as a point-by-point loop (ties go to the
-first), but it skips the grid cells that provably cannot hold the minimum
-(Shubert, SIAM J. Numer. Anal. 9, 1972):
+The scan picks the same grid point as a point-by-point loop over the
+indices lo..hi (ties go to the first), but it skips the grid cells that
+provably cannot hold the minimum (Shubert, SIAM J. Numer. Anal. 9, 1972):
 
-- A scanned value is lower(w) where the clearance margin clear(w) is >= 0,
-  and inf elsewhere; lower is finite. Both are Lipschitz in phi, with
-  |d lower / d phi| <= lip and |d clear / d phi| <= 1.
+- The scanned function lower is finite and Lipschitz in phi, with
+  |d lower / d phi| <= lip.
 - Take cells of _CELL consecutive grid points. Every point of a cell lies
   within _CELL/2 grid steps of its centre; allow one more step for the
   rounding of phi = start + k*step, a reach of R = (_CELL/2 + 1)*step. So
-  in a cell with centre c, lower >= lower(c) - lip*R and clear <= clear(c)
-  + R.
-- The least value up at the cell centres (and at one more grid point that
-  the caller names) is a grid value, so the grid minimum is at most up. A
-  cell whose bound lower(c) - lip*R exceeds up, by more than a relative 1e-9
-  that covers the rounding of lower, holds only values above up: neither
-  the minimum nor an equal value before it. A cell whose clear(c) + R is
-  below 0, by more than an absolute 1e-9 that covers the rounding of clear
-  (|clear| <= 1), holds no clear point and only values inf. Neither is
-  evaluated, and the pick is unchanged: clear(w) >= 0 decides as the test
-  it stands for, as a - b >= 0 iff a >= b for finite floats.
-- clear is evaluated only where a value can still win. The named point
-  goes first, and up starts at its value. A centre whose bound exceeds
-  that up is skipped whatever its margin, and its value, above the bound,
-  cannot lower up; so clear at the other centres alone decides up and the
-  kept cells. In a kept cell, a point whose lower(w) exceeds min(up, best),
-  best the least value of the cells before it, has a value above the grid
-  minimum (at most up) or above an earlier value, so it is neither the
-  pick nor an equal value before it: it counts as inf, unevaluated. The
-  kept cells and the pick are those of a scan that evaluates clear at every
-  point it hands to lower.
+  in a cell with centre c, lower >= lower(c) - lip*R.
+- The least value up at the cell centres that lie in lo..hi is a grid value
+  of the range, so its minimum is at most up. A cell whose bound lower(c) -
+  lip*R exceeds up, by more than a relative 1e-9 that covers the rounding
+  of lower, holds only values above up: neither the minimum nor an equal
+  value before it, so it is not evaluated. Only the first and the last cell
+  can reach past the range: their centres bound their cells, count towards
+  up only when they lie in it, and only their points in it are scanned.
 - The cell starts and the centres' w depend on the grid alone, so each grid
   builds them once, on its first scan, into a read-only table (_centres) of
   about 38 KB at 10^5 points.
@@ -48,21 +34,32 @@ The bounds of each oracle:
   slope of |z - w| in phi is Im(conj(z)*w)/|w - z| = rho*sin(psi)/|w - z|.
   As sin(psi)^2 <= (rho - cos(psi))^2 + sin(psi)^2 = |w - z|^2, the slope
   is at most rho = |z| in size (and at most 1, as |Im(conj(w)*(z - w))| <=
-  |w - z|). So lip = |z1| + |z2|, below 2 in the open disk; every point
-  clears.
+  |w - z|). So lip = |z1| + |z2|, below 2 in the open disk, over the whole
+  circle.
 - The path defect |f - w| - cos(phi): the first term moves at most as fast
-  as w, whose speed is 1, so lip = 2. Its margin is min(Re w, dist(0, [w,
-  f]) - (1 - VISIBILITY_SLACK)): cos(phi) is 1-Lipschitz, and moving one end
-  of a segment by delta moves each of its points, and so its distance from
-  the origin, by at most delta.
-- The plane wave's named point is the one nearest e^{i*theta}, the foot of
-  the perpendicular from f. Its radial segment to f never enters the disk,
-  so it is clear whenever the clear arc around theta reaches half a grid
-  step from theta, and up is finite even when that arc lies between two
-  centres (r - 1 below about 5e-7 at 10^5 points). With VISIBILITY_SLACK
-  the arc reaches at least about 9e-5 rad, more than half of the 3.1e-5
-  rad step of 10^5 points; on a coarser grid it may miss every grid point,
-  and then the margin alone skips the cells away from it.
+  as w, whose speed is 1, so lip = 2. It is scanned less the constant r - 1,
+  as |u - w|^2 / (|f - w|/r + (r - 1)/r) - Re w with u = e^{i*theta} (as
+  |f - w|^2 - (r - 1)^2 = r*|u - w|^2): the same lip, but values of size 1,
+  not r, so they compare to ulp(1) and the angle keeps its digits as r
+  grows, and no term overflows for any finite r.
+
+The plane wave's reachable arc, in closed form. Write s = VISIBILITY_SLACK
+and rho0 = 1 - s; a lit w is reachable when dist(0, [w, f]) >= rho0, the
+test of numeric.segment_clears_disk.
+
+- For w on the unit circle, dist(0, [w, f]) >= rho0 iff |f - w| <= T, where
+  T = sqrt(r^2 - rho0^2) + sqrt(1 - rho0^2). A visible w, r*cos(phi -
+  theta) >= 1, has distance 1 and |f - w| <= sqrt(r^2 - 1) <= T. For a
+  hidden w the segment contains the midpoint of the chord that its line
+  cuts, so |f - w| = sqrt(r^2 - rho^2) + sqrt(1 - rho^2), which falls as
+  the line's distance rho from the origin rises.
+- |f - w|^2 = r^2 + 1 - 2r*cos(phi - theta) grows with |phi - theta|, so
+  the reachable set is |phi - theta| <= alpha, where 4r*sin(alpha/2)^2 =
+  (T - (r - 1))*(T + (r - 1)).
+- The lit half Re w >= 0 is the grid's own span, [-pi/2, pi/2].
+- Written as T - (r - 1) = (2(r - 1) + s(2 - s)) / (sqrt(r - rho0)*sqrt(r
+  + rho0) + r - 1) + sqrt(s(2 - s)), nothing cancels; with each sum of
+  size r halved, nothing overflows for any finite r.
 
 numpy is imported inside the functions that use it, not at module level. Only
 these oracles need it, and importing it costs more than the rest of the
@@ -124,7 +121,7 @@ _OnCircle = Callable[[Any], Any]
 
 
 def _golden_section_min(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """(x, f(x)) of golden-section search on [a, b], a < b, assuming a single
+    """(x, f(x)) of golden-section search on [a, b], a <= b, assuming a single
     local minimum there; the bracket shrinks to _GOLDEN_STOP."""
     c = a + _INV_PHI2 * (b - a)
     d = a + _INV_PHI * (b - a)
@@ -157,61 +154,39 @@ def _centres(start: float, step: float, n: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _grid_argmin(
-    start: float,
-    step: float,
-    n: int,
-    lower: _OnCircle,
-    lip: float,
-    clear: Optional[_OnCircle] = None,
-    probe: Optional[float] = None,
+    start: float, step: float, n: int, lo: int, hi: int, lower: _OnCircle, lip: float
 ) -> tuple[int, float]:
-    """First k < n minimizing the value at w = e^{i(start + k*step)}, or
-    (-1, inf) when every value is inf. The value is lower(w) where clear(w)
-    >= 0, inf elsewhere; lower must be finite and lip-Lipschitz in phi, clear
-    1-Lipschitz and at most 1 in size.
+    """First k in lo..hi (0 <= lo, hi < n) minimizing lower(w) at w =
+    e^{i(start + k*step)}, or (-1, inf) when lo > hi; lower must be finite
+    and lip-Lipschitz in phi.
 
-    A cell of _CELL grid points is scanned only when the bounds of the module
-    docstring let it hold a value at most up, the least value at the grid
-    point nearest the angle probe and at any cell centre. The kept cells go
-    in ascending k and the first strict minimum wins, so the pick matches a
-    loop over every k that keeps the first of equal values. clear is
-    evaluated only where a value can still win (module docstring).
+    A cell of _CELL grid points is scanned only when the bound of the module
+    docstring lets it hold a value at most up, the least value at a cell
+    centre in the range. The kept cells go in ascending k and the first
+    strict minimum wins, so the pick matches a loop over every k that keeps
+    the first of equal values.
     """
     import numpy as np
 
-    def masked(w: np.ndarray, low: np.ndarray, cut: float) -> np.ndarray:
-        # the values at w, except inf in place of each low above cut
-        if clear is None:
-            return low
-        i = (low <= cut).nonzero()[0]
-        v = np.full(len(low), math.inf)
-        v[i] = np.where(clear(w[i]) >= 0.0, low[i], math.inf)
-        return v
-
-    up = math.inf
-    if probe is not None:
-        w = np.exp(1j * (start + np.array([min(max(round((probe - start) / step), 0), n - 1)]) * step))
-        up = float(masked(w, lower(w), up)[0])
+    if lo > hi:
+        return -1, math.inf
+    cells = slice(lo // _CELL, hi // _CELL + 1)
     first, w = _centres(start, step, n)
+    first, w = first[cells], w[cells]
     low = lower(w)
-    reach = (_CELL // 2 + 1) * step
-    bound = low - lip * reach - 1e-9 * (1.0 + np.abs(low))
-    if clear is None:
-        up = min(up, float(low.min()))
-        kept = first[bound <= up]
-    else:
-        # only a centre whose bound is at most up can be kept, and one whose
-        # bound exceeds up has a value above it, so the others decide up
-        i = (bound <= up).nonzero()[0]
-        margin = clear(w[i])
-        up = min(up, float(low[i].min(initial=math.inf, where=margin >= 0.0)))
-        kept = first[i[(bound[i] <= up) & (margin >= -reach - 1e-9)]]
+    bound = low - lip * (_CELL // 2 + 1) * step - 1e-9 * (1.0 + np.abs(low))
+    # the centres of all cells but the first and the last lie in the range
+    up = float(low[1:-1].min(initial=math.inf))
+    for j in (0, -1):
+        if lo <= min(int(first[j]) + _CELL // 2, n - 1) <= hi:
+            up = min(up, float(low[j]))
+    kept = first[bound <= up]
     best_k, best = -1, math.inf
     for i in range(0, len(kept), _BLOCK // _CELL):
         k = (kept[i : i + _BLOCK // _CELL, None] + np.arange(_CELL)).ravel()
-        k = k[k < n]
-        w = np.exp(1j * (start + k * step))
-        v = masked(w, lower(w), min(up, best))
+        if k[0] < lo or k[-1] > hi:
+            k = k[(k >= lo) & (k <= hi)]
+        v = lower(np.exp(1j * (start + k * step)))
         j = int(v.argmin())
         if v[j] < best:
             best_k, best = int(k[j]), float(v[j])
@@ -219,25 +194,24 @@ def _grid_argmin(
 
 
 def _minimize(
-    start: float,
-    step: float,
-    n: int,
-    lower: _OnCircle,
-    lip: float,
-    clear: Optional[_OnCircle] = None,
-    probe: Optional[float] = None,
+    start: float, step: float, n: int, lower: _OnCircle, lip: float, arc: tuple[float, float]
 ) -> Optional[tuple[float, float]]:
     """(phi, value) least at the grid points phi_k = start + k*step, k < n,
-    where clear(w) >= 0, refined by golden-section search on
-    [phi_k - step, phi_k + step]; None when no grid point is clear. The grid
-    point stays when the refine is worse or its point is not clear. lip and
-    probe go to _grid_argmin."""
-    k, best = _grid_argmin(start, step, n, lower, lip, clear, probe)
+    that lie in arc = (a, b), refined by golden-section search on
+    [phi_k - step, phi_k + step] clipped to the arc; None when the arc holds
+    no grid point. The grid point stays when the refine is worse. lip goes
+    to _grid_argmin."""
+    a, b = arc
+    lo = math.ceil(max((a - start) / step, 0.0))
+    hi = math.floor(min((b - start) / step, n - 1.0))
+    k, best = _grid_argmin(start, step, n, lo, hi, lower, lip)
     if k < 0:
         return None
     phi0 = start + k * step
-    phi, value = _golden_section_min(lambda x: lower(cmath.exp(1j * x)), phi0 - step, phi0 + step)
-    if best < value or (clear is not None and clear(cmath.exp(1j * phi)) < 0.0):
+    phi, value = _golden_section_min(
+        lambda x: lower(cmath.exp(1j * x)), max(phi0 - step, a), min(phi0 + step, b)
+    )
+    if best < value:
         return phi0, best
     return phi, value
 
@@ -259,10 +233,25 @@ def oracle_smetric(z1: complex, z2: complex) -> tuple[complex, float]:
     def focal_sum(w: Any) -> Any:
         return abs(z1 - w) + abs(w - z2)
 
-    # every grid point clears, so there is always an answer; the slope of
-    # each term is at most |z| (module docstring)
-    phi, fs = _minimize(0.0, math.tau / _GRID, _GRID, focal_sum, abs(z1) + abs(z2))
+    # the whole circle, so there is always an answer; the slope of each term
+    # is at most |z| (module docstring)
+    phi, fs = _minimize(0.0, math.tau / _GRID, _GRID, focal_sum, abs(z1) + abs(z2), (-math.inf, math.inf))
     return unit_from_angle(phi), dist / fs
+
+
+def _reachable_arc(r: float, theta: float) -> tuple[float, float]:
+    """The angles phi of the lit points w = e^{i phi} whose segment to the
+    observer r*e^{i theta} clears the disk: |phi - theta| <= alpha within
+    [-pi/2, pi/2], with alpha from the module docstring."""
+    s = VISIBILITY_SLACK
+    rho0 = 1.0 - s
+    slack = s * (2.0 - s)  # 1 - rho0^2
+    # sqrt(r^2 - rho0^2) / 2; each sum is halved, exactly, so none overflows
+    far = 0.5 * math.sqrt(r - rho0) * math.sqrt(r + rho0)
+    below = (r - 1.0 + 0.5 * slack) / (far + 0.5 * r - 0.5) + math.sqrt(slack)  # T - (r - 1)
+    above = far + 0.5 * math.sqrt(slack) + 0.5 * r - 0.5  # (T + (r - 1)) / 2
+    alpha = 2.0 * math.asin(min(math.sqrt(0.5 * below * (above / r)), 1.0))
+    return max(theta - alpha, -math.pi / 2.0), min(theta + alpha, math.pi / 2.0)
 
 
 def oracle_infinity_path(obs: ObserverPolar) -> tuple[complex, float]:
@@ -270,38 +259,30 @@ def oracle_infinity_path(obs: ObserverPolar) -> tuple[complex, float]:
     functional |f - w| - Re w over the physically reachable arc.
 
     The arc is the lit half Re w >= 0 restricted to points whose segment to
-    the observer stays out of the open unit disk. Returns (w, path defect).
+    the observer stays out of the open unit disk; it is one interval of
+    angles around theta, computed in closed form. The scan and the refine
+    minimize the functional less r - 1 (module docstring). Returns (w, path
+    defect), the defect evaluated at w.
 
-    For |theta| <= pi/2 the test Re w >= 0 never decides the answer, as the
-    functional rises outward at both lit edges (see infinity_reflection); it
-    defines the lit domain, which an oracle for |theta| > pi/2 would need.
+    For |theta| <= pi/2 the lit edges never decide the answer, as the
+    functional rises outward at both of them (see infinity_reflection); they
+    bound the lit domain, which an oracle for |theta| > pi/2 would need.
     """
-    import numpy as np
-
     if abs(obs.theta) > math.pi / 2.0 + 1e-12:
         raise InvalidObserver("oracle is defined for |theta| <= pi/2")
-    f = obs.point
+    f, r, u = obs.point, obs.r, cmath.exp(1j * obs.theta)
+    q = (r - 1.0) / r
 
-    def defect(w: Any) -> Any:
-        return abs(f - w) - w.real
+    def defect_less_r_minus_1(w: Any) -> Any:
+        return abs(u - w) ** 2 / (abs(f - w) / r + q) - w.real
 
-    def lit_and_reachable(w: Any) -> Any:
-        # >= 0 iff Re w >= 0 and numeric.segment_clears_disk(w, f), measured
-        # from w, the end nearer the origin; |f - w| >= r - 1 > 0, and
-        # dividing by it twice keeps a far observer's |f - w|^2 from overflowing
-        d = f - w
-        m = abs(d)
-        t = np.minimum(np.maximum(-(w.real * d.real + w.imag * d.imag) / m / m, 0.0), 1.0)
-        return np.minimum(w.real, abs(w + t * d) - (1.0 - VISIBILITY_SLACK))
-
-    # lip 2, and e^{i theta}, the foot point, evaluated before the centres
     found = _minimize(
-        -math.pi / 2.0, math.pi / _GRID, _GRID + 1, defect, 2.0, lit_and_reachable, obs.theta
+        -math.pi / 2.0, math.pi / _GRID, _GRID + 1, defect_less_r_minus_1, 2.0, _reachable_arc(r, obs.theta)
     )
     if found is None:
         raise InvalidObserver("no reachable boundary point for this observer")
-    phi, g = found
-    return unit_from_angle(phi), g
+    w = unit_from_angle(found[0])
+    return w, abs(f - w) - w.real
 
 
 def oracle_quartic_discriminant(a: float, b: float, c: float, d: float, e: float) -> float:

@@ -307,6 +307,14 @@ def test_oracle_smetric_command():
     assert record["diagnostics"]["s_deviation"] < 1e-9
 
 
+def test_oracle_angle_deviation_wraps_at_the_cut():
+    # both answers lie at w = -1, 1.3e-8 apart but on either side of the
+    # branch cut of the angle: their deviation is not 2*pi
+    rc, out, _ = _run(["oracle", "smetric", "--z1", "-0.5,0.2", "--z2", "-0.5,-0.2"])
+    assert rc == 0
+    assert json.loads(out)["diagnostics"]["angle_deviation"] < 1e-6
+
+
 def test_oracle_infinity_command():
     rc, out, _ = _run(["oracle", "infinity", "--r", "2", "--theta", "1.2"])
     record = json.loads(out)

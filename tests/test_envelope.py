@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -177,6 +178,13 @@ def test_valid_arc_values():
     assert valid_arc(1e9) > math.pi / 2 - 1e-4  # opens to a quarter turn
     with pytest.raises(InvalidFocus):
         valid_arc(0.9)
+
+
+@pytest.mark.parametrize("a", [1 + 1e-8, 1e8])
+def test_valid_arc_keeps_its_digits(a):
+    with mpmath.workdps(50):
+        exact = float(mpmath.acos(1 / mpmath.mpf(a)))
+    assert abs(valid_arc(a) - exact) <= 4 * math.ulp(exact)
 
 
 def test_inner_loop_double_point():

@@ -300,6 +300,16 @@ def test_no_kept_root_raises_by_side(theta, error, monkeypatch):
         infinity_reflection(ObserverPolar(2.0, theta))
 
 
+@pytest.mark.parametrize("r", [1e155, 1e160, 1e200, 1e300])
+@pytest.mark.parametrize("theta", [-1.18, 1.18, -0.3, 0.3])
+def test_far_observer_sees_the_half_angle_point(r, theta):
+    # the path defect tends to 1 - cos(phi - theta) - cos(phi), least at
+    # theta/2; a sight segment too long to square must still hide the far side
+    res = infinity_reflection(ObserverPolar(r, theta))
+    assert abs(res.phi - theta / 2) < 1e-12
+    assert math.cos(res.phi - theta) > 0.0
+
+
 def test_oracle_agreement_random_observers():
     rng = np.random.default_rng(73)
     for obs in _random_observers(rng, 200, theta_lo=1e-3):

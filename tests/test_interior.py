@@ -281,6 +281,15 @@ def test_ellipse_eccentricity_equals_metric():
         assert ep.minor <= ep.major
 
 
+def test_ellipse_eccentricity_is_the_metric_of_a_near_coincident_pair():
+    # 1 - (minor/major)^2 cancels for a close pair: 0.0 in place of 7.8e-9
+    rng = np.random.default_rng(47)
+    for z1, _ in _random_pairs(rng, 50, max_mod=0.9):
+        for gap in (1e-8, 1e-6 * cmath.exp(1j * rng.uniform(-3, 3))):
+            res = minimizing_root(z1, z1 + gap)
+            assert ellipse_params(z1, z1 + gap).eccentricity == res.s_value > 0.0
+
+
 def test_exterior_symmetric_quarter_turn():
     # stationary focal sum at e^{i*pi/4}, which both points can see
     res = exterior_reflection(2.0, 2.0j)

@@ -111,6 +111,14 @@ def test_segment_distance_hand_cases():
     assert abs(segment_min_distance_to_origin(1e14 + 0j, w) - 1.0) < 1e-15
 
 
+def test_segment_distance_of_a_segment_too_long_to_square():
+    # |d|^2 overflows past a length of about 1.3e154; the segment still
+    # passes through the origin, from either end
+    assert segment_min_distance_to_origin(-1 + 0j, 1e160 + 0j) == 0.0
+    assert segment_min_distance_to_origin(1e160 + 0j, -1 + 0j) == 0.0
+    assert not segment_clears_disk(-1 + 0j, 1e300 + 0j)
+
+
 def test_segment_clears_disk():
     assert segment_clears_disk(2 + 0j, 1 + 0j)  # touches the circle at its endpoint
     assert not segment_clears_disk(2 + 0j, -1 + 0j)  # crosses the disk

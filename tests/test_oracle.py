@@ -15,6 +15,7 @@ import pytest
 
 from catoptrix import (
     ObserverPolar,
+    infinity_reflection,
     oracle_infinity_path,
     oracle_quartic_discriminant,
     oracle_smetric,
@@ -52,20 +53,27 @@ def test_golden_section_shrinks_default_grid_cell_below_1e12():
     assert len(calls) <= 2 + math.ceil(math.log(2 * h / (4 * 2**-52)) / math.log((1 + 5**0.5) / 2))
 
 
-def test_minimize_returns_only_clear_points():
-    step = math.tau / 1000
-    target = cmath.exp(0.4j * step)  # the minimum, between grid points 0 and 1
+_STEP = math.tau / 1000
+_TARGET = cmath.exp(0.4j * _STEP)  # the minimum, between grid points 0 and 1
 
-    def distance(w):
-        return abs(w - target)
 
-    # nothing clear: None, on which oracle_infinity_path raises InvalidObserver
-    assert oracle_module._minimize(0.0, step, 1000, distance, 1.0, lambda w: np.full(np.shape(w), -1.0)) is None
-    # the refine finds the minimum at Im w > 0, where clear fails: the grid point stays
-    phi, value = oracle_module._minimize(0.0, step, 1000, distance, 1.0, lambda w: -w.imag)
-    assert phi == 0.0 and abs(value - abs(1.0 - target)) < 1e-15
-    phi, value = oracle_module._minimize(0.0, step, 1000, distance, 1.0)
-    assert abs(phi - 0.4 * step) < 1e-9 and value < 1e-9
+def _distance(w):
+    return abs(w - _TARGET)
+
+
+def test_minimize_returns_none_for_an_arc_with_no_grid_point():
+    # on which oracle_infinity_path raises InvalidObserver
+    assert oracle_module._minimize(0.0, _STEP, 1000, _distance, 1.0, (0.1 * _STEP, 0.9 * _STEP)) is None
+
+
+def test_minimize_keeps_the_refine_inside_the_arc():
+    # the refine's bracket around grid point 0 is clipped at 0.2 steps, short
+    # of the minimum: it ends at the arc's end, better than the grid point
+    phi, value = oracle_module._minimize(0.0, _STEP, 1000, _distance, 1.0, (-math.inf, 0.2 * _STEP))
+    assert -_STEP <= phi <= 0.2 * _STEP and abs(phi - 0.2 * _STEP) < 1e-9
+    assert value < abs(1.0 - _TARGET)
+    phi, value = oracle_module._minimize(0.0, _STEP, 1000, _distance, 1.0, (-math.inf, math.inf))
+    assert abs(phi - 0.4 * _STEP) < 1e-9 and value < 1e-9
 
 
 def test_smetric_diametral_pair():
@@ -176,11 +184,16 @@ def _reference_smetric(z1, z2):
 
 
 def _reference_infinity_path(obs):
-    f = obs.point
+    # the grid point by point, masked by the scalar visibility test, then the
+    # refine clipped to the oracle's arc (which
+    # test_reachable_arc_is_the_per_point_set checks against that mask). The
+    # function is the oracle's: the path defect less r - 1
+    f, u, r = obs.point, cmath.exp(1j * obs.theta), obs.r
+    q = (r - 1.0) / r
 
-    def defect(phi):
+    def defect_less_r_minus_1(phi):
         w = cmath.exp(1j * phi)
-        return abs(f - w) - w.real
+        return abs(u - w) ** 2 / (abs(f - w) / r + q) - w.real
 
     def lit_and_reachable(phi):
         w = cmath.exp(1j * phi)
@@ -190,7 +203,7 @@ def _reference_infinity_path(obs):
     step = math.pi / n
     phis = (-math.pi / 2.0 + np.arange(n + 1) * step).tolist()
     w = np.exp(1j * np.array(phis))
-    values = (np.abs(f - w) - w.real).tolist()
+    values = (np.abs(u - w) ** 2 / (np.abs(f - w) / r + q) - w.real).tolist()
     best_k, best_g = -1, math.inf
     for k, phi in enumerate(phis):
         if values[k] < best_g and lit_and_reachable(phi):
@@ -198,10 +211,12 @@ def _reference_infinity_path(obs):
     if best_k < 0:
         raise InvalidObserver("no reachable boundary point for this observer")
     phi0 = phis[best_k]
-    phi, g = oracle_module._golden_section_min(defect, phi0 - step, phi0 + step)
-    if not lit_and_reachable(phi) or best_g < g:
-        phi, g = phi0, best_g
-    return unit_from_angle(phi), g
+    a, b = oracle_module._reachable_arc(r, obs.theta)
+    phi, g = oracle_module._golden_section_min(defect_less_r_minus_1, max(phi0 - step, a), min(phi0 + step, b))
+    if best_g < g:
+        phi = phi0
+    w = unit_from_angle(phi)
+    return w, abs(f - w) - w.real
 
 
 # the grid is a private constant; a test sets it to see the scan on grids
@@ -235,15 +250,12 @@ def test_blocked_scan_matches_reference_loop(oracle, args, grid, monkeypatch):
     assert outcome(blocked) == outcome(reference)
 
 
-def _full_scan(start, step, n, lower, lip, clear=None, probe=None):
-    # the reference: every grid point, in numpy blocks of 4096; the bounds
-    # (lip, the margin's size and the probe) only skip, so it needs none
+def _full_scan(start, step, n, lo, hi, lower, lip):
+    # the reference: every grid point of lo..hi, in numpy blocks of 4096; the
+    # bound lip only skips, so it needs none
     best_k, best = -1, math.inf
-    for k0 in range(0, n, 4096):
-        w = np.exp(1j * (start + np.arange(k0, min(k0 + 4096, n)) * step))
-        v = lower(w)
-        if clear is not None:
-            v = np.where(clear(w) >= 0.0, v, math.inf)
+    for k0 in range(lo, hi + 1, 4096):
+        v = lower(np.exp(1j * (start + np.arange(k0, min(k0 + 4096, hi + 1)) * step)))
         j = int(np.argmin(v))
         if v[j] < best:
             best_k, best = k0 + j, float(v[j])
@@ -288,10 +300,9 @@ def _oracle_cases(family, rng):
                 z2 = rho * cmath.exp(1j * (alpha - math.acos(rho)))
                 out.append(("smetric", ((1 - 1e-12) * cmath.exp(1j * alpha), z2)))
         return out
-    # lit observers: random ones; r - 1 down to 1e-10, where every grid point
-    # can be masked, the one nearest e^{i theta} included (at grids 3000 and
-    # 10007); theta at 0 and near +-pi/2; and far ones, whose defects round
-    # to steps far above a cell's Lipschitz reach
+    # lit observers: random ones; r - 1 down to 1e-10, where the arc can hold
+    # no grid point (at grids 3000 and 10007); theta at 0 and near +-pi/2;
+    # and far ones
     out = [("infinity", (1 + 10 ** rng.uniform(-2, 1.5), rng.uniform(-1.5, 1.5))) for _ in range(6)]
     for r in (1 + 1e-10, 1 + 1e-9, 1 + 1e-7, 1 + 1e-5, 1 + 1e-4, 1 + 1e-3, 2.0, 1e12, 1e15):
         for theta in (0.0, 1e-9, math.pi / 2, -math.pi / 2, math.pi / 2 - 1e-9, rng.uniform(-1.5, 1.5)):
@@ -333,31 +344,27 @@ def test_skipping_scan_matches_full_scan_bits(family, grid, monkeypatch):
 
 
 def _count_scanned(monkeypatch):
-    """Grid points that each scan hands to lower and to clear, one [lower,
-    clear] pair per scan: the centres, the probe and the kept cells."""
+    """Grid points that each scan hands to lower, one [count] per scan: the
+    centres of the cells that meet the range, and the kept cells."""
     counts = []
     skipping = oracle_module._grid_argmin
 
-    def counting(start, step, n, lower, lip, clear=None, probe=None):
-        count = [0, 0]
+    def counting(start, step, n, lo, hi, lower, lip):
+        count = [0]
 
-        def counted(fn, i):
-            def f(w):
-                count[i] += len(w)
-                return fn(w)
-
-            return f
+        def counted(w):
+            count[0] += len(w)
+            return lower(w)
 
         counts.append(count)
-        return skipping(start, step, n, counted(lower, 0), lip, clear and counted(clear, 1), probe)
+        return skipping(start, step, n, lo, hi, counted, lip)
 
     monkeypatch.setattr(oracle_module, "_grid_argmin", counting)
     return counts
 
 
 def _lit_sweep():
-    # r - 1 log-uniform over 12 decades, as the benchmark draws it; without
-    # the probe and the margin about 15% of these scanned the whole grid
+    # r - 1 log-uniform over 12 decades, as the benchmark draws it
     rng = random.Random("lit-sweep")
     return [("infinity", (1 + 10 ** rng.uniform(-9, 3), rng.uniform(-math.pi / 2, math.pi / 2))) for _ in range(200)]
 
@@ -376,10 +383,7 @@ _NEAR_RIM = {
         ([("infinity", (2.5, 0.6))], 0.15),
         # 18395 points with lip = |z1| + |z2|; the constant 2 takes 21211
         ([("smetric", (0.37 + 0.22j, -0.41 + 0.13j))], 0.19),
-        # no cell centre is clear: without the probe at e^{i theta} and the
-        # margin these scanned all 100001 points; without the probe, 7323 at
-        # theta = 0.4 (at +-pi/2 the defect is flat towards the axis, and the
-        # margin alone bounds the scan)
+        # the arc holds a few grid points and no cell centre
         *[([("infinity", args)], 0.05 if args[1] == 0.4 else 0.1) for args in _NEAR_RIM.values()],
         (_lit_sweep(), 0.1),
     ],
@@ -388,42 +392,100 @@ _NEAR_RIM = {
     + ["lit-sweep"],
 )
 def test_skipping_scan_evaluates_few_grid_points(calls, share, monkeypatch):
-    # lower goes to the probe, every centre and the kept cells; the plane
-    # wave's margin only where a value can still win: under a fifth of those
-    # points over each case's calls (4 of 1692 at r = 1 + 1e-9, theta = 0.4;
-    # in the sweep 5% in all, and 0.20 for one observer at theta near -pi/2)
+    # lower goes to the centres of the cells that meet the range and to the
+    # kept cells (8 points at r = 1 + 1e-9, theta = 0.4)
     counts = _count_scanned(monkeypatch)
-    scans = []
     for oracle, args in calls:
         if oracle == "smetric":
             oracle_smetric(*args)
         else:
             oracle_infinity_path(ObserverPolar(*args))
-        (lower, clear), = counts
+        (lower,), = counts
         assert 0 < lower < share * oracle_module._GRID, args
-        assert clear <= (0 if oracle == "smetric" else lower), args
-        scans.append(counts.pop())
-    if oracle == "infinity":
-        assert sum(clear for _, clear in scans) < sum(lower for lower, _ in scans) / 5
+        counts.pop()
 
 
 @pytest.mark.parametrize("r", [1 + 1e-9, 1 + 1e-10], ids=["1e-9", "1e-10"])
-def test_scan_skips_by_the_margin_when_no_grid_point_is_clear(r, monkeypatch):
-    # at grid 10007 the clear arc around theta = 0.4, about +-9e-5 rad wide
-    # with VISIBILITY_SLACK, misses the grid point nearest e^{i theta}, half a
-    # step (1.6e-4) away at most, and so every grid point: up stays inf and
-    # only the margin skips cells. (At 10^5 that arc always holds the point.)
+def test_no_reachable_grid_point_raises_unscanned(r, monkeypatch):
+    # at grid 10007 the reachable arc around theta = 0.4, about +-9e-5 rad
+    # wide with VISIBILITY_SLACK, falls between two grid points 3.1e-4 apart
+    # (at 10^5 it always holds one): the oracle raises, and lower sees nothing
     grid = 10_007
     monkeypatch.setattr(oracle_module, "_GRID", grid)
     counts = _count_scanned(monkeypatch)
     obs = ObserverPolar(r, 0.4)
     step = math.pi / grid
-    foot = unit_from_angle(-math.pi / 2 + round((obs.theta + math.pi / 2) / step) * step)
-    assert not segment_clears_disk(foot, obs.point)
+    assert not any(segment_clears_disk(unit_from_angle(-math.pi / 2 + k * step), obs.point) for k in range(grid + 1))
     with pytest.raises(InvalidObserver):
         oracle_infinity_path(obs)
-    (lower, clear), = counts
-    assert clear <= lower < 0.25 * grid
+    assert counts == [[0]]
+
+
+def _arc_observers(rng, count):
+    # r - 1 from 2.5e-16 up to r = 1e300; theta at 0, +-pi/2, within 1e-15
+    # of +-pi/2, or anywhere on the lit side
+    out = []
+    for _ in range(count):
+        r = rng.choice([1 + 10 ** rng.uniform(-15.6, -3), 1 + 10 ** rng.uniform(-3, 3), 10 ** rng.uniform(3, 300)])
+        theta = rng.choice([0.0, math.pi / 2, -math.pi / 2, rng.uniform(-math.pi / 2, math.pi / 2)])
+        if abs(theta) == math.pi / 2 and rng.random() < 0.5:
+            theta -= math.copysign(10 ** rng.uniform(-15.5, -15), theta)
+        out.append(ObserverPolar(r, theta))
+    return out
+
+
+@pytest.mark.parametrize("grid, count", [(3000, 60), (100_000, 300)])
+def test_reachable_arc_is_the_per_point_set(grid, count, monkeypatch):
+    # the index range the scan gets is the set of grid points that are lit
+    # and that the scalar visibility test lets the observer see: all of them
+    # at grid 3000, the four points around each end at 10^5
+    ranges = []
+    skipping = oracle_module._grid_argmin
+
+    def capturing(start, step, n, lo, hi, lower, lip):
+        ranges.append((lo, hi))
+        return skipping(start, step, n, lo, hi, lower, lip)
+
+    monkeypatch.setattr(oracle_module, "_grid_argmin", capturing)
+    monkeypatch.setattr(oracle_module, "_GRID", grid)
+    step = math.pi / grid
+    for obs in _arc_observers(random.Random(f"arc:{grid}"), count):
+        f = obs.point
+        try:
+            oracle_infinity_path(obs)
+        except InvalidObserver:
+            pass
+        (lo, hi), = ranges
+        ranges.clear()
+        if grid == 3000 or lo > hi:
+            ks = range(grid + 1)
+        else:
+            ks = [k for end in (lo, hi) for k in range(max(end - 2, 0), min(end + 2, grid + 1))]
+        for k in ks:
+            w = cmath.exp(1j * (-math.pi / 2 + k * step))
+            assert (w.real >= 0.0 and segment_clears_disk(w, f)) == (lo <= k <= hi), (obs, k, lo, hi)
+
+
+@pytest.mark.parametrize("r", [1e4, 1e6, 1e12, 1e16, 1e50, 1e155, 1e300])
+def test_infinity_path_keeps_its_digits_far_out(r):
+    # the scan compares values of size 1, not r, so the angle stays within
+    # the agreement tolerance of the closed form however far the observer
+    rng = random.Random(f"far:{r}")
+    for _ in range(10):
+        obs = ObserverPolar(r, rng.uniform(-1.5, 1.5))
+        w, defect = oracle_infinity_path(obs)
+        closed = infinity_reflection(obs)
+        assert abs(cmath.phase(w * closed.w.conjugate())) <= 1e-6, obs
+        assert abs(defect - closed.path_defect) <= 4 * math.ulp(r), obs
+
+
+@pytest.mark.parametrize("theta", [0.3, -1.18, math.pi / 2])
+def test_infinity_path_answers_up_to_the_largest_float(theta):
+    # no sum of size r overflows, in the arc or in the scanned function; the
+    # far limit of the reflection point is theta/2
+    w, defect = oracle_infinity_path(ObserverPolar(sys.float_info.max, theta))
+    assert abs(cmath.phase(w) - theta / 2) < 1e-6
+    assert defect == sys.float_info.max
 
 
 def test_centre_table_is_read_only():

@@ -123,3 +123,69 @@ def test_no_module_keeps_a_dead_name():
                     if bound not in read_here:
                         dead.append(f"{file}: import {bound}")
     assert dead == []
+
+
+def _unset_private_defaults(sources):
+    """'file: function(param)' for each defaulted parameter of a private
+    function or method in sources ({file name: source}) that no call in them
+    sets, by position or by keyword. A call with *args or **kwargs sets every
+    parameter of its kind; a method's first parameter is its receiver."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    defs = []
+    for file, tree in trees.items():
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                    if name.startswith("_") and not name.endswith("__"):
+                        method = isinstance(parent, ast.ClassDef) and not any(
+                            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+                        )
+                        defs.append((file, node, int(method)))
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for file, fn, receiver in defs:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for index, param in defaulted:
+            def sets(call, index=index, param=param):
+                if any(k.arg is None or k.arg == param for k in call.keywords):
+                    return True
+                if index is None:
+                    return False
+                if any(isinstance(a, ast.Starred) for a in call.args):
+                    return True
+                return receiver + len(call.args) > index
+
+            if not any(sets(call) for call in calls.get(fn.name, [])):
+                unset.append(f"{file}: {fn.name}({param})")
+    return unset
+
+
+def test_no_private_function_keeps_a_default_that_no_call_sets():
+    # a default that no caller overrides is a knob that nothing turns: its
+    # value is the only one the code runs, so it belongs in the body
+    package = Path(catoptrix.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _unset_private_defaults(sources) == []
+
+
+def test_unset_private_default_check_sees_positions_keywords_and_methods():
+    source = (
+        "def _f(a, b=1, *, c=2):\n    return a\n"
+        "def _g(a, b=1):\n    return a\n"
+        "def public(a, b=1):\n    return a\n"
+        "class K:\n"
+        "    def _m(self, a, b=1):\n        return a\n"
+        "    def _n(self, a=1):\n        return a\n"
+        "_f(0, 1)\n_g(0)\nK()._m(0, b=1)\nK()._n()\n"
+    )
+    assert _unset_private_defaults({"m.py": source}) == ["m.py: _f(c)", "m.py: _g(b)", "m.py: _n(a)"]
