@@ -288,6 +288,71 @@ def test_shadow_region():
     assert infinity_reflection(ObserverPolar(2.0, -1.7)).w == res.w.conjugate()
 
 
+def _dark_side_observers(rng, n):
+    # |theta| in (pi/2, pi], r - 1 log-uniform in [1e-6, 1e3], and f at least
+    # 1e-6 off the edge |Im f| = 1 of the shadow cylinder
+    out = []
+    while len(out) < n:
+        r = 1.0 + float(10.0 ** rng.uniform(-6.0, 3.0))
+        theta = float(rng.uniform(math.pi / 2, math.pi)) * float(rng.choice((-1.0, 1.0)))
+        obs = ObserverPolar(r, theta)
+        if abs(abs(obs.point.imag) - 1.0) > 1e-6:
+            out.append(obs)
+    return out
+
+
+def _scan_reachable_minimum(obs, n=2001, levels=3, few=8):
+    """(phi, step) of the least path functional over the grid points w with
+    Re w >= 0 whose segment to f passes segment_clears_disk, or None when no
+    grid point is reachable or the least value sits at an end of the reachable
+    set. A set of fewer than few points is scanned again, n points between its
+    outer neighbours, up to levels times.
+
+    The functional is evaluated less |f|, as (1 - 2 Re(f conj w)) / (|f - w|
+    + |f|) - Re w, whose rounding does not grow with r.
+    """
+    from catoptrix.numeric import segment_clears_disk
+
+    f = obs.point
+    lo, hi = -math.pi / 2, math.pi / 2
+    for level in range(levels):
+        grid = np.linspace(lo, hi, n)
+        step = float(grid[1] - grid[0])
+        reach = []
+        for phi in map(float, grid):
+            w = complex(math.cos(phi), math.sin(phi))
+            if w.real >= 0.0 and segment_clears_disk(w, f):
+                less_abs_f = (1.0 - 2.0 * (f.real * w.real + f.imag * w.imag)) / (abs(f - w) + abs(f))
+                reach.append((less_abs_f - w.real, phi))
+        if not reach:
+            return None
+        if len(reach) >= few or level == levels - 1:
+            break
+        lo, hi = max(reach[0][1] - step, -math.pi / 2), min(reach[-1][1] + step, math.pi / 2)
+    k = min(range(len(reach)), key=lambda j: reach[j][0])
+    if k in (0, len(reach) - 1):
+        return None
+    return reach[k][1], step
+
+
+def test_shadow_decision_matches_a_reachable_arc_scan():
+    # dark-side observers are answered exactly when the path functional has
+    # an interior minimum over the lit points the observer sees, decided
+    # point by point; the answer is that minimum
+    rng = np.random.default_rng(101)
+    answered = 0
+    for obs in _dark_side_observers(rng, 80):
+        scanned = _scan_reachable_minimum(obs)
+        if scanned is None:
+            with pytest.raises(ShadowRegion):
+                infinity_reflection(obs)
+            continue
+        phi, step = scanned
+        assert abs(infinity_reflection(obs).phi - phi) <= 2 * step, obs
+        answered += 1
+    assert 10 <= answered <= 70  # both decisions are exercised
+
+
 @pytest.mark.parametrize(
     "theta, error",
     [(0.4, NoRootOnCircle), (-1.2, NoRootOnCircle), (2.0, ShadowRegion), (-2.5, ShadowRegion)],
