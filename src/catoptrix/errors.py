@@ -36,8 +36,7 @@ class CoincidentPoints(CatoptrixError):
 
 
 class NoRootOnCircle(CatoptrixError):
-    """No candidate root passed the unit-circle test (or, for a plane wave,
-    the physical filters).
+    """No candidate root of a finite pair passed the unit-circle test.
 
     Every interior pair has at least two on-circle roots, the minimum and the
     maximum of the focal sum, so for minimizing_root this marks roots polished

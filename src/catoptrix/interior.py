@@ -4,8 +4,8 @@ Solves the degree-4 reflection equation, selects the minimizing root (the
 boundary point minimizing the focal sum |z1 - w| + |z2 - w|), and derives the
 triangular ratio metric and the parameters of the maximal inscribed ellipse.
 The exterior variant keeps the same equation but additionally requires both
-sight segments to clear the mirror. Both select with the rule the plane-wave
-problem uses too, numeric._argmin_on_circle, with the focal sum as the cost.
+sight segments to clear the mirror. Both select with numeric._argmin_on_circle,
+with the focal sum as the cost.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 All angles are in radians and all lengths are dimensionless (unit mirror
 radius). Points of the plane are plain ``complex`` values; the helpers here
 validate them at API boundaries so NaN/Inf never propagate into root
-polishing. ``_argmin_on_circle`` is the one rule by which both reflection
-quartics, the finite pair's and the plane wave's, pick their answer.
+polishing. ``_argmin_on_circle`` is the rule by which the finite pair, interior
+or exterior, picks its answer among the on-circle roots of its quartic; the
+plane wave needs no such rule, as its answer is the one zero of a bracket
+(infinity.py).
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _argmin_on_circle(
             if keep is None or keep(wp):
                 best.append((cost(wp), k, wp))
     if len(best) < 2:
-        # nothing to tie, the plane wave's usual case
+        # nothing to tie
         return (best[0][2], best[0][0], (best[0][1],)) if best else None
     cut = min([t[0] for t in best]) + _COST_TIE_EPS
     ties = [t for t in best if t[0] <= cut]

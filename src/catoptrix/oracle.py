@@ -265,8 +265,10 @@ def oracle_infinity_path(obs: ObserverPolar) -> tuple[complex, float]:
     defect), the defect evaluated at w.
 
     For |theta| <= pi/2 the lit edges never decide the answer, as the
-    functional rises outward at both of them (see infinity_reflection); they
-    bound the lit domain, which an oracle for |theta| > pi/2 would need.
+    functional g(phi) = |f - e^{i*phi}| - cos(phi) rises outward at both ends
+    of the arc: g' = +-1 + sin(phi) at the tangent points from f, and
+    +-(r*cos(theta)/|f -+ i| + 1) at phi = +-pi/2. They bound the lit domain,
+    which an oracle for |theta| > pi/2 would need.
     """
     if abs(obs.theta) > math.pi / 2.0 + 1e-12:
         raise InvalidObserver("oracle is defined for |theta| <= pi/2")

@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catoptrix.infinity as infinity_module
 from catoptrix import (
@@ -23,7 +26,6 @@ from catoptrix.errors import (
     DegenerateLeadingCoefficient,
     InvalidObserver,
     NoConvergence,
-    NoRootOnCircle,
     RootAtOne,
     ShadowRegion,
 )
@@ -223,20 +225,15 @@ def _edge_observers():
 
 
 def test_verify_circle_theorem_matches_direct_solve():
-    # the solve shared with infinity_reflection decides as a direct solve
-    # does, both when the observer was just reflected and when it was not
+    # the image quartic and the signs of T at the bracket ends, neither of
+    # which solves the reflection quartic, decide as a direct solve does
     for r, theta in _edge_observers():
-        plus, minus = ObserverPolar(r, theta), ObserverPolar(r, -theta)
-        try:
-            infinity_reflection(plus)
-        except ShadowRegion:
-            pass
-        for obs in (plus, minus):
+        for obs in (ObserverPolar(r, theta), ObserverPolar(r, -theta)):
             direct = all(on_unit_circle(w) for w in solve_quartic(infinity_quartic_coeffs(obs)).roots)
             assert verify_circle_theorem(obs) == direct, (r, obs.theta)
 
 
-def test_reflect_then_verify_solves_once(monkeypatch):
+def _count_solves(monkeypatch):
     calls = []
 
     def counting(q):
@@ -251,14 +248,23 @@ def test_reflect_then_verify_solves_once(monkeypatch):
             step()
         return len(calls) - before
 
+    return solves
+
+
+def test_root_picture_is_solved_once_on_first_read(monkeypatch):
+    solves = _count_solves(monkeypatch)
     a = ObserverPolar(2.0625, 0.6015625)
-    assert solves(lambda: infinity_reflection(a), lambda: verify_circle_theorem(a)) == 1
-    # each sign is an observer of its own, solved in its own frame
-    b, b_minus = ObserverPolar(3.125, 1.3125), ObserverPolar(3.125, -1.3125)
-    assert solves(lambda: infinity_reflection(b), lambda: infinity_reflection(b_minus)) == 2
-    assert solves(lambda: verify_circle_theorem(b_minus)) == 0
-    c, d = ObserverPolar(1.5, 0.25), ObserverPolar(1.5, 0.375)
-    assert solves(lambda: infinity_reflection(c), lambda: infinity_reflection(d)) == 2
+    res = infinity_reflection(a)
+    assert solves(lambda: verify_circle_theorem(a), lambda: res.w, lambda: res == infinity_reflection(a)) == 0
+    assert solves(lambda: res.mobius_images) == 1
+    assert solves(lambda: res.all_roots, lambda: res.mobius_images) == 0
+    # the picture is the one a direct solve gives, bit for bit
+    assert res.all_roots == solve_quartic(infinity_quartic_coeffs(a))
+    b = infinity_reflection(ObserverPolar(3.125, -1.3125))
+    assert solves(lambda: b.all_roots, lambda: b.mobius_images, lambda: b.all_roots) == 1
+    # the on-axis picture too: a root at w = 1 has no Moebius image
+    axial = infinity_reflection(ObserverPolar(2.0, 0.0))
+    assert solves(lambda: axial.mobius_images, lambda: axial.mobius_images) == 1
 
 
 def test_failed_solve_is_not_kept(monkeypatch):
@@ -269,11 +275,13 @@ def test_failed_solve_is_not_kept(monkeypatch):
         raise NoConvergence("forced")
 
     monkeypatch.setattr(infinity_module, "solve_quartic", failing)
-    obs = ObserverPolar(2.25, 0.8125)
-    for _ in range(2):
+    res = infinity_reflection(ObserverPolar(2.25, 0.8125))  # selecting w solves nothing
+    for read in ("all_roots", "mobius_images"):
         with pytest.raises(NoConvergence):
-            infinity_reflection(obs)
+            getattr(res, read)
     assert len(calls) == 2
+    monkeypatch.setattr(infinity_module, "solve_quartic", solve_quartic)
+    assert len(res.all_roots.roots) == 4
 
 
 def test_shadow_region():
@@ -354,22 +362,91 @@ def test_shadow_decision_matches_a_reachable_arc_scan():
 
 
 @pytest.mark.parametrize(
-    "theta, error",
-    [(0.4, NoRootOnCircle), (-1.2, NoRootOnCircle), (2.0, ShadowRegion), (-2.5, ShadowRegion)],
+    "theta, shadow", [(0.4, False), (-1.2, False), (2.0, False), (-2.5, False), (2.8, True), (-3.0, True)]
 )
-def test_no_kept_root_raises_by_side(theta, error, monkeypatch):
-    # unreachable in exact arithmetic on the lit side, so every root is
-    # rejected here: lit side NoRootOnCircle, shadow side ShadowRegion
-    monkeypatch.setattr(infinity_module, "segment_clears_disk", lambda p, q: False)
-    with pytest.raises(error):
-        infinity_reflection(ObserverPolar(2.0, theta))
+def test_shadow_cylinder_by_side(theta, shadow):
+    # r = 2: behind the mirror, Re f < 0, f is answered at |Im f| = 1.82 and
+    # 1.20 (theta = 2.0, -2.5) and in the shadow at 0.67 and 0.28 (2.8, -3.0)
+    obs = ObserverPolar(2.0, theta)
+    f = obs.point
+    assert (f.real < 0 and abs(f.imag) < 1) is shadow
+    if shadow:
+        with pytest.raises(ShadowRegion):
+            infinity_reflection(obs)
+    else:
+        assert abs(infinity_reflection(obs).phi - theta / 2) < math.pi / 4
 
 
-@pytest.mark.parametrize("r", [1e155, 1e160, 1e200, 1e300])
+# r*sin(2.0) rounds to exactly 1.0 at this r, and to either side of it an ulp away
+_EDGE_R, _EDGE_THETA = 1.0997501702946164, 2.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("ulps, shadow", [(-1, True), (0, False), (1, False)])
+def test_shadow_cylinder_edge(sign, ulps, shadow):
+    # the edge |Im f| = 1 belongs to the lit side: its answer is the grazing
+    # ray from w = +-i; an ulp inside, the observer is in the shadow
+    r = _EDGE_R
+    for _ in range(abs(ulps)):
+        r = math.nextafter(r, math.inf if ulps > 0 else 0.0)
+    obs = ObserverPolar(r, sign * _EDGE_THETA)
+    assert abs(obs.point.imag) - 1.0 == [-2.220446049250313e-16, 0.0, 2.220446049250313e-16][ulps + 1]
+    if shadow:
+        with pytest.raises(ShadowRegion):
+            infinity_reflection(obs)
+        return
+    res = infinity_reflection(obs)
+    assert abs(res.phi - sign * math.pi / 2) < 1e-7
+    assert res.w.real >= 0.0
+    assert res.reality_residual < 1e-14
+
+
+@pytest.mark.parametrize(
+    "r, shadow",
+    [(1e15, True), (8e15, True), (1e16, False), (1e300, False)],
+)
+def test_shadow_cylinder_far_behind_the_mirror(r, shadow):
+    # math.pi lies 1.2e-16 below pi, so f = r*e^{i*math.pi} sits at Im f =
+    # 0.12, 0.98, 1.22 and 1.2e284: the first two are in the cylinder, their
+    # zero lies 4.4e-16 and 1.3e-18 rad past i, and no slack lights them
+    obs = ObserverPolar(r, math.pi)
+    if shadow:
+        with pytest.raises(ShadowRegion):
+            infinity_reflection(obs)
+    else:
+        res = infinity_reflection(obs)
+        assert res.w.real >= 0.0
+        assert abs(res.phi - math.pi / 2) < 1e-15
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    log_r_minus_1=st.floats(-9.0, 4.0),
+    theta=st.floats(-math.pi, math.pi),
+)
+def test_answer_exactly_outside_the_cylinder(log_r_minus_1, theta):
+    # answered iff f is outside the shadow cylinder; the answer is the zero of
+    # T in the central bracket, lit, and its ray points forward to f
+    obs = ObserverPolar(1.0 + 10.0 ** log_r_minus_1, theta)
+    f = obs.point
+    try:
+        res = infinity_reflection(obs)
+    except ShadowRegion:
+        assert f.real < 0 and abs(f.imag) < 1
+        return
+    assert not (f.real < 0 and abs(f.imag) < 1)
+    assert abs(res.phi - obs.theta / 2) < math.pi / 4
+    assert res.w.real >= 0.0
+    assert ((f - res.w) / res.w ** 2).real > 0.0
+    assert res.reality_residual <= 1e-9 * max(1.0, obs.r)
+
+
+@pytest.mark.parametrize("r", [1e155, 1e160, 1e200, 1e300, 1.7e308, 1.78e308, sys.float_info.max])
 @pytest.mark.parametrize("theta", [-1.18, 1.18, -0.3, 0.3])
 def test_far_observer_sees_the_half_angle_point(r, theta):
     # the path defect tends to 1 - cos(phi - theta) - cos(phi), least at
-    # theta/2; a sight segment too long to square must still hide the far side
+    # theta/2; the answer must face the observer, and past about 1.7e308,
+    # where the quartic overflows, T/r still answers
     res = infinity_reflection(ObserverPolar(r, theta))
     assert abs(res.phi - theta / 2) < 1e-12
     assert math.cos(res.phi - theta) > 0.0
