@@ -36,7 +36,7 @@ class CoincidentPoints(CatoptrixError):
 
 
 class NoRootOnCircle(CatoptrixError):
-    """No candidate root of a finite pair passed the unit-circle test.
+    """No candidate root of an interior pair passed the unit-circle test.
 
     Every interior pair has at least two on-circle roots, the minimum and the
     maximum of the focal sum, so for minimizing_root this marks roots polished

@@ -57,13 +57,12 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .errors import DegenerateLeadingCoefficient, InvalidObserver, RootAtOne, ShadowRegion
-from .numeric import ensure_real, wrap_angle
+from .numeric import _bracketed_zero, ensure_real, wrap_angle
 from .quartic import (
     QuarticCoeffs,
     RealQuarticNature,
     RootNature,
     RootSet,
-    infinity_real_coeffs,
     real_quartic_invariants,
     solve_quartic,
 )
@@ -78,10 +77,6 @@ __all__ = [
 ]
 
 _ROOT_AT_ONE_EPS = 1e-12
-
-# Newton and bisection steps of the central zero; bisection alone needs
-# about 52 to narrow a bracket of width pi/2 to an ulp of a phi near 1
-_MAX_STEPS = 100
 
 
 def __getattr__(name: str) -> Any:
@@ -173,12 +168,15 @@ def _central_zero(r: float, h: float) -> float:
     from the best of three guesses: the far one, exact as r -> infinity; the
     zero at r = 1, phi = theta or phi = (theta + pi)/3, whichever lies in
     the bracket; and, near the fold at r = 1, theta = pi/2 where those two
-    meet, the zero of T's quadratic expansion about phi = pi/2. A step that
-    would leave the bracket bisects it instead.
+    meet, the zero of T's quadratic expansion about phi = pi/2. The steps,
+    and the bisection that guards them, are numeric._bracketed_zero's.
     """
 
     def t_over_r(x: float) -> float:
         return math.sin(2.0 * x) - math.sin(h + x) / r
+
+    def slope(x: float) -> float:
+        return 2.0 * math.cos(2.0 * x) - math.cos(h + x) / r
 
     quarter = 0.25 * math.pi
     tau = 2.0 * h - 0.5 * math.pi
@@ -193,34 +191,10 @@ def _central_zero(r: float, h: float) -> float:
         if not lo <= start <= hi:
             continue
         at_start = t_over_r(start)
-        if at_start == 0.0:
-            return start
-        if at_start < 0.0:
-            lo = start
-        else:
-            hi = start
+        lo, hi = (start, hi) if at_start < 0.0 else (lo, start)
         if abs(at_start) < abs(value):
             x, value = start, at_start
-
-    for _ in range(_MAX_STEPS):
-        slope = 2.0 * math.cos(2.0 * x) - math.cos(h + x) / r
-        step = value / slope if slope > 0.0 else math.inf
-        if abs(step) <= 2.0 ** -52 * abs(h + x):
-            return x - step
-        if lo < x - step < hi:
-            x -= step
-        else:
-            x = 0.5 * (lo + hi)
-            if hi - lo <= 2.0 ** -51 * abs(h + x):
-                return x
-        value = t_over_r(x)
-        if value == 0.0:
-            return x
-        if value < 0.0:
-            lo = x
-        else:
-            hi = x
-    return x
+    return _bracketed_zero(t_over_r, slope, lo, hi, x, value, h)
 
 
 def infinity_reflection(obs: ObserverPolar) -> InfinityResult:
@@ -278,13 +252,23 @@ def verify_circle_theorem(obs: ObserverPolar) -> bool:
     phi = theta/2 - pi/4 + k*pi/2, which puts one zero of T, one root on the
     circle, in each quarter turn between them (module docstring). Neither
     route solves a quartic.
+
+    The image quartic is classified divided by r, as
+
+        sin(t)*z^4 + 2*(2*cos(t) - 1/r)*z^3 - 6*sin(t)*z^2
+            - 2*(2*cos(t) + 1/r)*z + sin(t),
+
+    whose coefficients cannot overflow: delta, P and D are homogeneous in the
+    coefficients, so a positive scale keeps their signs. Unscaled, delta
+    grows like r^6 and overflows from about r = 6e50.
     """
     if obs.theta == 0.0 or abs(obs.theta) == math.pi:
         raise DegenerateLeadingCoefficient(
             "theta = 0 (mod pi): the image quartic degenerates"
         )
+    st, ct, inv_r = math.sin(obs.theta), math.cos(obs.theta), 1.0 / obs.r
     nature: RealQuarticNature = real_quartic_invariants(
-        *infinity_real_coeffs(obs.r, obs.theta)
+        st, 2.0 * (2.0 * ct - inv_r), -6.0 * st, -2.0 * (2.0 * ct + inv_r), st
     )
     if nature.classification is not RootNature.FOUR_REAL_DISTINCT:
         return False

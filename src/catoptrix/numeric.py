@@ -3,10 +3,10 @@
 All angles are in radians and all lengths are dimensionless (unit mirror
 radius). Points of the plane are plain ``complex`` values; the helpers here
 validate them at API boundaries so NaN/Inf never propagate into root
-polishing. ``_argmin_on_circle`` is the rule by which the finite pair, interior
-or exterior, picks its answer among the on-circle roots of its quartic; the
-plane wave needs no such rule, as its answer is the one zero of a bracket
-(infinity.py).
+polishing. ``_argmin_on_circle`` is the rule by which the interior pair picks
+its answer among the on-circle roots of its quartic. The plane wave and the
+exterior pair need no such rule: the answer of each is the one zero of a
+bracket (infinity.py, interior.py), which ``_bracketed_zero`` finds.
 """
 
 from __future__ import annotations
@@ -52,12 +52,17 @@ DEFAULT_TOLERANCES = Tolerances()
 _COINCIDENT_EPS = 1e-14
 
 # how far inside the circle a sight segment may dip and still count as
-# clearing it; segment_clears_disk reads it, and so does the plane-wave
-# oracle's closed-form reachable arc, so the two visibility filters agree
+# clearing it; segment_clears_disk reads it, and so do the plane-wave
+# oracle's closed-form reachable arc, so the two visibility filters agree,
+# and the exterior pair's bound on how far its visible arcs may miss
 VISIBILITY_SLACK = 1e-9
 
 # costs within this of the least one count as a tie
 _COST_TIE_EPS = 1e-10
+
+# Newton and bisection steps of a bracketed zero; bisection alone needs
+# about 52 to narrow a bracket of width pi/2 to an ulp of an angle near 1
+_MAX_STEPS = 100
 
 
 def ensure_point(z: complex, name: str = "point") -> complex:
@@ -127,21 +132,17 @@ def segment_clears_disk(p: complex, q: complex) -> bool:
 
 
 def _argmin_on_circle(
-    roots: Sequence[complex],
-    mask: Sequence[bool],
-    cost: Callable[[complex], float],
-    keep: Optional[Callable[[complex], bool]] = None,
+    roots: Sequence[complex], mask: Sequence[bool], cost: Callable[[complex], float]
 ) -> Optional[tuple[complex, float, tuple[int, ...]]]:
     """(w, cost, tie_indices) of the least-cost projection w / |w| of a masked
-    root that keep accepts, or None when none is left. Costs within _COST_TIE_EPS
-    of the least tie; among them the largest Im, then the largest Re, wins.
+    root, or None when no root is masked. Costs within _COST_TIE_EPS of the
+    least tie; among them the largest Im, then the largest Re, wins.
     """
     best: list[tuple[float, int, complex]] = []
     for k, w in enumerate(roots):
         if mask[k]:
             wp = w / abs(w)
-            if keep is None or keep(wp):
-                best.append((cost(wp), k, wp))
+            best.append((cost(wp), k, wp))
     if len(best) < 2:
         # nothing to tie
         return (best[0][2], best[0][0], (best[0][1],)) if best else None
@@ -152,3 +153,33 @@ def _argmin_on_circle(
         return w, c, (k,)
     c, _, w = max(ties, key=lambda t: (t[2].imag, t[2].real))
     return w, c, tuple([t[1] for t in ties])
+
+
+def _bracketed_zero(
+    g: Callable[[float], float], dg: Callable[[float], float], lo: float, hi: float, x: float, value: float, base: float
+) -> float:
+    """The zero of g in [lo, hi], where g runs from negative at lo to positive
+    at hi, by Newton steps from x in [lo, hi], with value = g(x) and the
+    bracket already narrowed by it. A step that would leave the bracket, or a
+    slope that is not positive away from an exact zero, bisects it instead.
+
+    The zero is an angle offset from base. The iteration stops when a step,
+    or the bracket, falls below an ulp of max(|base + x|, |x|): base + x is
+    the angle itself, and |x| keeps an angle near 0 from asking for ulps of
+    an offset far larger than it.
+    """
+    for _ in range(_MAX_STEPS):
+        slope = dg(x)
+        step = value / slope if slope > 0.0 else (math.inf if value else 0.0)
+        scale = max(abs(base + x), abs(x))
+        if abs(step) <= 2.0 ** -52 * scale:
+            return x - step
+        if lo < x - step < hi:
+            x -= step
+        else:
+            x = 0.5 * (lo + hi)
+            if hi - lo <= 2.0 ** -51 * scale:
+                return x
+        value = g(x)
+        lo, hi = (x, hi) if value < 0.0 else (lo, x)
+    return x

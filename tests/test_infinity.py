@@ -215,6 +215,14 @@ def test_verify_circle_theorem():
         verify_circle_theorem(ObserverPolar(2.0, math.pi))
 
 
+@pytest.mark.parametrize("r", [1e51, 1e100, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("theta", [-1.18, 1.18, -0.3, 0.3])
+def test_verify_circle_theorem_for_a_far_observer(r, theta):
+    # the image quartic's invariants, of degree up to 6 in coefficients of
+    # modulus r, once overflowed: False from about 6e50, OverflowError from 2e76
+    assert verify_circle_theorem(ObserverPolar(r, theta)) is True
+
+
 def _edge_observers():
     rng = np.random.default_rng(79)
     pairs = [(1.0 + 1e-9, 0.7), (1.0 + 1e-9, math.pi / 2), (1e3, 0.3), (1e3, math.pi - 1e-6)]

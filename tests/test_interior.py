@@ -8,6 +8,8 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catoptrix.interior as interior_module
 from catoptrix import (
@@ -15,8 +17,10 @@ from catoptrix import (
     exterior_reflection,
     interior_quartic_coeffs,
     minimizing_root,
+    on_unit_circle,
     oracle_smetric,
     s_metric,
+    solve_quartic,
 )
 from catoptrix.cli import main as cli_main
 from catoptrix.errors import (
@@ -27,7 +31,7 @@ from catoptrix.errors import (
     PointInsideDomain,
     PointOutsideDomain,
 )
-from catoptrix.numeric import segment_clears_disk, unit_from_angle
+from catoptrix.numeric import VISIBILITY_SLACK, segment_clears_disk, unit_from_angle
 
 # boundary-grid oracle values for (0.4, 0.3i), grid 10^6 with golden refinement
 ORACLE_PHI_04_03I = 0.52293227382887064
@@ -189,12 +193,14 @@ def test_minimizing_root_domain_errors():
 
 
 def test_no_root_on_circle_with_absurd_tolerance(monkeypatch):
-    # a circle test that rejects every root: the interior pair has no answer
-    # and the exterior pair no visible one
+    # a circle test that rejects every root: the interior pair has no answer;
+    # the exterior pick does not test roots, and its picture shows none kept
     monkeypatch.setattr(interior_module, "on_unit_circle", lambda w: False)
     with pytest.raises(NoRootOnCircle):
         minimizing_root(0.31 + 0.17j, -0.2 + 0.43j)
-    assert exterior_reflection(1.5 + 0j, 2j) is None
+    res = exterior_reflection(1.5 + 0j, 2j)
+    assert res is not None
+    assert res.on_circle_mask == (False,) * 4
 
 
 def test_s_metric_symmetric_family():
@@ -425,6 +431,61 @@ def test_exterior_grazing_pair_matches_a_50_digit_zero(z1, z2):
     assert res.reflection_residual <= 1e-14
 
 
+def test_exterior_pair_the_slack_cannot_bridge_is_occluded():
+    # seed-9 benchmark exterior pair 8352: its true arcs miss by 1.2e-4 rad,
+    # close enough to be solved, but no point of the circle, the law's zero
+    # included, is seen from both points within VISIBILITY_SLACK
+    z1, z2 = 3.1333556996922853 + 1.6116497956089488j, -1.5322024853756304 + 0.7272489708461546j
+    assert 1e-4 < float(_law_zero_50_digits(z1, z2)[1]) < 4.0 * math.acos(1.0 - VISIBILITY_SLACK)
+    assert _scan_joint_minimum(z1, z2) is None
+    assert exterior_reflection(z1, z2) is None
+
+
+def test_exterior_pair_next_to_the_circle_sees_its_reflection_point():
+    # |z| - 1 = 2.4e-11 and 3.3e-8: the quartic's roots cluster and miss the
+    # 1e-9 circle test by up to 1.2e-8, which once returned None here,
+    # though the true visible arcs overlap by 1.4e-5 rad
+    z1, z2 = 0.04903727425770794 - 0.9987969492255798j, 0.049242098609155745 - 0.9987869048168334j
+    phi, gap = _law_zero_50_digits(z1, z2)
+    assert -2e-5 < gap < -1e-5
+    res = exterior_reflection(z1, z2)
+    assert res is not None
+    assert abs(cmath.phase(res.w) - float(phi)) <= 1e-12
+    assert segment_clears_disk(z1, res.w) and segment_clears_disk(z2, res.w)
+    assert res.reflection_residual <= 1e-14
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    log_gap1=st.floats(-9.0, 3.0),
+    log_gap2=st.floats(-9.0, 3.0),
+    arg1=st.floats(-math.pi, math.pi),
+    arg2=st.floats(-math.pi, math.pi),
+)
+def test_exterior_answer_exactly_where_the_arcs_meet(log_gap1, log_gap2, arg1, arg2):
+    # answered when the true visible arcs meet, None when they miss by more
+    # than the slack can bridge; an answer lies between the arc ends, both
+    # points see it, and the law of reflection holds there
+    z1 = (1.0 + 10.0 ** log_gap1) * cmath.exp(1j * arg1)
+    z2 = (1.0 + 10.0 ** log_gap2) * cmath.exp(1j * arg2)
+    if abs(z1 - z2) < 1e-14:
+        return
+    t1, t2 = math.acos(1.0 / abs(z1)), math.acos(1.0 / abs(z2))
+    delta = cmath.phase(z2 / z1)
+    a, b = max(-t1, delta - t2), min(t1, delta + t2)
+    res = exterior_reflection(z1, z2)
+    if a <= b:
+        assert res is not None
+    elif a - b > 4.0 * math.acos(1.0 - VISIBILITY_SLACK):
+        assert res is None
+    if res is None:
+        return
+    x = cmath.phase(res.w * (z1 / abs(z1)).conjugate())
+    assert min(a, b) - 1e-15 <= x <= max(a, b) + 1e-15
+    assert segment_clears_disk(z1, res.w) and segment_clears_disk(z2, res.w)
+    assert res.reflection_residual <= 1e-13 * max(1.0, abs(z1) * abs(z2))
+
+
 def test_exterior_collinear_same_side():
     res = exterior_reflection(2.0, 3.0)
     assert res is not None
@@ -471,3 +532,60 @@ def test_exterior_domain_errors():
         exterior_reflection(2.0, 1.0 + 0j)  # the circle itself is excluded
     with pytest.raises(CoincidentPoints):
         exterior_reflection(2.0 + 1j, 2.0 + 1j)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return solve_quartic(q)
+
+    monkeypatch.setattr(interior_module, "solve_quartic", counting)
+
+    def solves(*steps):
+        before = len(calls)
+        for step in steps:
+            step()
+        return len(calls) - before
+
+    return solves
+
+
+def test_exterior_root_picture_is_solved_once_on_first_read(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    z1, z2 = 2.0 + 0.5j, -0.25 + 1.75j
+    res = exterior_reflection(z1, z2)
+    assert solves(lambda: res.w, lambda: res.focal_sum, lambda: res == exterior_reflection(z1, z2)) == 0
+    assert solves(lambda: res.on_circle_mask) == 1
+    assert solves(lambda: res.candidates, lambda: res.tie_indices, lambda: res.on_circle_mask) == 0
+    # the picture is the one a direct solve gives, bit for bit, and its tie
+    # set is the root the pick lies on
+    direct = solve_quartic(interior_quartic_coeffs(z1, z2))
+    assert res.candidates == direct
+    assert res.on_circle_mask == tuple(on_unit_circle(w) for w in direct.roots)
+    (k,) = res.tie_indices
+    assert res.on_circle_mask[k] and abs(direct.roots[k] - res.w) < 1e-12
+    # the interior pick keeps the picture it selected from, and the CLI
+    # interior command solves once
+    inner = minimizing_root(0.3 + 0.1j, -0.2 + 0.4j)
+    assert solves(lambda: inner.candidates, lambda: inner.on_circle_mask, lambda: inner.tie_indices) == 0
+    with redirect_stdout(io.StringIO()):
+        assert solves(lambda: cli_main(["interior", "--z1", "0.3,0.1", "--z2", "-0.2,0.4"])) == 1
+
+
+def test_exterior_failed_solve_is_not_kept(monkeypatch):
+    calls = []
+
+    def failing(q):
+        calls.append(q)
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(interior_module, "solve_quartic", failing)
+    res = exterior_reflection(2.0, 2.0j)  # the pick solves nothing
+    for read in ("candidates", "on_circle_mask", "tie_indices"):
+        with pytest.raises(NoConvergence):
+            getattr(res, read)
+    assert len(calls) == 3
+    monkeypatch.setattr(interior_module, "solve_quartic", solve_quartic)
+    assert len(res.candidates.roots) == 4

@@ -128,7 +128,6 @@ def test_segment_clears_disk():
 def test_argmin_on_circle_none_when_nothing_survives():
     roots = (1j, -1 + 0j)
     assert _argmin_on_circle(roots, (False, False), abs) is None
-    assert _argmin_on_circle(roots, (True, True), abs, keep=lambda wp: False) is None
 
 
 def test_argmin_on_circle_takes_the_least_cost_of_the_projections():
@@ -142,12 +141,6 @@ def test_argmin_on_circle_takes_the_least_cost_of_the_projections():
     # the cost sees projected roots; the masked-out root would cost 0
     w, c, ties = _argmin_on_circle(roots, mask, cost)
     assert (w, c, ties) == (1j, cost(1j), (1,))
-    # keep removes the winner, so the cheapest of the rest wins
-    w, c, ties = _argmin_on_circle(roots, mask, cost, keep=lambda wp: wp.imag <= 0.0)
-    assert (w, c, ties) == (1 + 0j, cost(1 + 0j), (0,))
-    # a lone survivor wins whatever its cost
-    w, c, ties = _argmin_on_circle(roots, mask, cost, keep=lambda wp: wp.real < 0.0)
-    assert (w, c, ties) == (-1 + 0j, cost(-1 + 0j), (2,))
 
 
 def test_argmin_on_circle_ties_within_1e_10_prefer_largest_im_then_re():

@@ -217,7 +217,9 @@ def test_common_family_quartics_take_ferrari_starts(monkeypatch):
         for a, b in ((z1, z2), (rim, z2), (z1, z1 + 1e-6 * disk()), (z1, -z1.conjugate())):
             if abs(b) < 1.0 and abs(a - b) > 1e-14:
                 minimizing_root(a, b)
-        exterior_reflection(z1 / abs(z1) * (1.0 + 4.0 * rng.random()), 3.0 * z2 / abs(z2))
+        exterior = exterior_reflection(z1 / abs(z1) * (1.0 + 4.0 * rng.random()), 3.0 * z2 / abs(z2))
+        if exterior is not None:
+            exterior.candidates  # the pick solves no quartic; its picture does
         theta = rng.uniform(-math.pi, math.pi)
         try:
             infinity_reflection(ObserverPolar(1.0 + 10.0 ** rng.uniform(-9.0, 3.0), theta))
