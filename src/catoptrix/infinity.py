@@ -20,32 +20,47 @@ between these points holds a zero of T, and as w^2*T is a quartic in w there
 is exactly one in each: all four roots lie on the circle (Bonsall and
 Marden, Proc. AMS 3, 1952). verify_circle_theorem checks these four signs.
 
-Only the central bracket, |phi - theta/2| < pi/4, can hold the answer.
-The wave lights the half Re w >= 0, so an answer has cos(phi) >= 0 and
-|phi| <= pi/2. Then r*cos(2*phi - theta) = cos(phi) + t > 0, which leaves
-the brackets k = 0 and k = 2. In k = 2, phi - theta/2 lies in (3*pi/4, pi]
-or in [-pi, -3*pi/4), as theta is in (-pi, pi]. In the first case phi > pi/4
-and theta < -pi/2, so Im f = r*sin(theta) < 0; but the ray starts at Im w =
-sin(phi) > 0 and heads along e^{2i*phi} with 2*phi in (pi/2, pi], so it never
-descends to f. The second case is its mirror image. A lit forward ray needs
-no visibility test: its direction w^2 has Re(w^2*conj(w)) = cos(phi) >= 0,
-so it leaves the convex disk and does not come back.
+The plane wave is the exterior pair with its source at infinity. With the
+source as z1 = R on the positive real axis, the exterior law of reflection
+(interior.exterior_reflection) in z1's frame, at w = e^{i*phi}, is
 
-The shadow. The central zero is forward whenever it is lit: |f|^2 - 1 =
-t*(t + 2*cos(phi)) > 0, and t < -2*cos(phi) <= 0 would make r*cos(2*phi -
-theta) < 0. T runs from negative to positive across the bracket, so for
-theta in (0, pi] the zero is lit iff theta <= pi/2 or T(pi/2) = Im f - 1 >= 0,
-and for theta < 0 as its mirror image. So the observer is answered iff f
-lies outside the shadow cylinder Re f < 0, |Im f| < 1. The edge belongs to
-the lit side: at |Im f| = 1 the zero is phi = +-pi/2, and the answer is the
-grazing ray from w = +-i. The test runs on obs.point as it is rounded,
-without slack: at r = 1e15 and theta = math.pi, just below the true pi,
-Im f = 0.12, and the true zero lies 4.4e-16 rad past i, unlit.
+    g(phi) = sin(2*phi - theta) + sin(theta - phi)/R - sin(phi)/r,
 
-The zero is found with a bracketed Newton iteration on T/r, which cannot
-overflow, in psi = phi - theta/2. Every observer is solved in the frame of
-|theta| and mirrored, as the picture for -theta is the conjugate of the one
-for theta.
+which is T/r at R = infinity; it needs no square root and cannot overflow.
+A point at infinity sees the half-circle |phi| <= acos(1/R) = pi/2, which
+is the lit half Re w >= 0, and f sees w iff Re(f*conj(w)) >= 1, that is on
+its arc |phi - theta| <= acos(1/r). The answer lies on the joint arc
+[a, b], a = max(-pi/2, theta - acos(1/r)), b = min(pi/2, theta +
+acos(1/r)): it is lit, and a forward ray f = w + t*w^2 with t > 0 has
+Re(f*conj(w)) = 1 + t*cos(phi) >= 1.
+
+The joint arc holds exactly one zero. With beta = arg((f - w)/w) in
+[-pi/2, pi/2], which f's seeing w gives, T = |f - w|*sin(phi - beta), and
+the path functional P = |f - w| - cos(phi) has P' = sin(phi) - sin(beta),
+so T has the sign of P' on the open joint arc. P is strictly convex there:
+|f - e^{i*phi}| is convex where f sees e^{i*phi} (ROADMAP.md item 2), and
+-cos(phi) is convex on |phi| <= pi/2. Each end rises outward: at an end of
+the lit half, -cos(phi) has slope of size 1, rising outward, and |f - w|
+has slope at most 1 in size; at an end of f's arc the two swap roles. So
+P' <= 0 at a and P' >= 0 at b, and P' has one zero on the arc, the least
+of P. T has that zero and no other inside the arc; at an end it can also
+vanish with phi - beta = +-pi, an anti-reflection, but numeric._law_zero
+evaluates g only strictly inside its bracket. Inside the lit half the zero
+is forward: t*cos(phi) = Re(f*conj(w)) - 1 >= 0, cos(phi) > 0 and f != w;
+the edge is below. So the answer is unique, and it is where |f - w| - Re w
+is least over the lit points f sees.
+
+The shadow. For |theta| <= pi/2 the arcs meet at phi = theta. For theta >
+pi/2 they meet iff theta - acos(1/r) <= pi/2, that is iff cos(theta - pi/2)
+= sin(theta) >= 1/r, as both angles lie in [0, pi/2]: iff Im f = r*sin(theta)
+>= 1; theta < -pi/2 is its mirror image. As Re f < 0 there, the observer is
+answered iff f lies outside the shadow cylinder Re f < 0, |Im f| < 1. The
+edge belongs to the lit side: at |Im f| = 1 the zero is phi = +-pi/2, and
+the answer is the grazing ray from w = +-i. The test runs on obs.point as
+it is rounded, without slack: at r = 1e15 and theta = math.pi, just below
+the true pi, Im f = 0.12, and the true zero lies 4.4e-16 rad past i, unlit.
+Near the edge the rounded arc ends can come in either order, which
+numeric._law_zero accepts, and the zero is capped at |phi| <= pi/2.
 """
 
 from __future__ import annotations
@@ -57,7 +72,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .errors import DegenerateLeadingCoefficient, InvalidObserver, RootAtOne, ShadowRegion
-from .numeric import _bracketed_zero, ensure_real, wrap_angle
+from .numeric import _law_zero, ensure_real, wrap_angle
 from .quartic import (
     QuarticCoeffs,
     RealQuarticNature,
@@ -160,67 +175,26 @@ def infinity_quartic_coeffs(obs: ObserverPolar) -> QuarticCoeffs:
     )
 
 
-def _central_zero(r: float, h: float) -> float:
-    """psi in [-pi/4, pi/4] with sin(2*psi) = sin(h + psi)/r, for h in
-    (0, pi/2]: the zero of T/r in the central bracket, at phi = h + psi.
-
-    T/r runs from negative at -pi/4 to positive at pi/4. Newton steps start
-    from the best of three guesses: the far one, exact as r -> infinity; the
-    zero at r = 1, phi = theta or phi = (theta + pi)/3, whichever lies in
-    the bracket; and, near the fold at r = 1, theta = pi/2 where those two
-    meet, the zero of T's quadratic expansion about phi = pi/2. The steps,
-    and the bisection that guards them, are numeric._bracketed_zero's.
-    """
-
-    def t_over_r(x: float) -> float:
-        return math.sin(2.0 * x) - math.sin(h + x) / r
-
-    def slope(x: float) -> float:
-        return 2.0 * math.cos(2.0 * x) - math.cos(h + x) / r
-
-    quarter = 0.25 * math.pi
-    tau = 2.0 * h - 0.5 * math.pi
-    starts = (
-        0.5 * math.asin(math.sin(h) / r),
-        h if h < quarter else (math.pi - h) / 3.0,
-        quarter + (0.5 * tau - math.sqrt(tau * tau + 6.0 * (r - 1.0))) / 3.0,
-    )
-    lo, hi = -quarter, quarter
-    x, value = 0.0, math.inf
-    for start in starts:
-        if not lo <= start <= hi:
-            continue
-        at_start = t_over_r(start)
-        lo, hi = (start, hi) if at_start < 0.0 else (lo, start)
-        if abs(at_start) < abs(value):
-            x, value = start, at_start
-    return _bracketed_zero(t_over_r, slope, lo, hi, x, value, h)
-
-
 def infinity_reflection(obs: ObserverPolar) -> InfinityResult:
     """Physical reflection point for a plane wave arriving from the +x side.
 
-    theta = 0 is the on-axis case, w = 1. Otherwise this raises ShadowRegion
-    when f = obs.point lies in the shadow cylinder Re f < 0, |Im f| < 1, and
-    returns the zero of T in the central bracket |phi - theta/2| < pi/4 when
-    it does not; that zero is lit, its ray points forward, and it is the only
-    lit forward zero (module docstring). It is also where the path functional
+    Raises ShadowRegion when f = obs.point lies in the shadow cylinder
+    Re f < 0, |Im f| < 1, and otherwise returns the one zero of T on the arc
+    of lit points f sees, the only lit forward zero (module docstring); on
+    the axis, theta = 0, it is w = 1. It is also where the path functional
     |f - w| - Re w is least over the lit points f sees, which the grid oracle
     and a point-by-point scan check in the tests.
     """
     theta = obs.theta
     f = obs.point
-    if theta == 0.0:
-        w = 1.0 + 0j
-        phi = 0.0
-    else:
-        if f.real < 0.0 and abs(f.imag) < 1.0:
-            raise ShadowRegion(f"no physically valid reflection for theta = {theta:.6g}")
-        h = 0.5 * abs(theta)
-        # an observer on the cylinder's edge, or rounded onto it, has its
-        # zero at pi/2 at most
-        phi = math.copysign(min(h + _central_zero(obs.r, h), 0.5 * math.pi), theta)
-        w = complex(math.cos(phi), math.sin(phi))
+    if f.real < 0.0 and abs(f.imag) < 1.0:
+        raise ShadowRegion(f"no physically valid reflection for theta = {theta:.6g}")
+    t, half = math.acos(1.0 / obs.r), 0.5 * math.pi
+    phi = _law_zero(math.inf, obs.r, theta, max(-half, theta - t), min(half, theta + t), 0.0)
+    # an observer on the cylinder's edge, or rounded onto it, has its zero
+    # at |phi| = pi/2 at most
+    phi = min(max(phi, -half), half)
+    w = complex(math.cos(phi), math.sin(phi))
 
     return InfinityResult(
         w=w,

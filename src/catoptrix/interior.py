@@ -8,8 +8,10 @@ ellipse.
 
 Outside it, the answer is the one zero of the reflection law on the arc
 that both points see, and exterior_reflection finds it without the
-quartic. A point z with |z| > 1 sees w = e^{i*phi} iff Re(z*conj(w)) >= 1,
-that is on its true visible arc |phi - arg z| <= acos(1/|z|). There
+quartic, with numeric._law_zero. The plane wave is this pair with its
+source at infinity, and infinity.py solves it with the same call. A point
+z with |z| > 1 sees w = e^{i*phi} iff Re(z*conj(w)) >= 1, that is on its
+true visible arc |phi - arg z| <= acos(1/|z|). There
 Re((z - w)/w) = Re(z*conj(w)) - 1 >= 0, so with beta_k = arg((z_k - w)/w)
 in [-pi/2, pi/2] the law
 
@@ -48,7 +50,7 @@ from .numeric import (
     _COINCIDENT_EPS,
     VISIBILITY_SLACK,
     _argmin_on_circle,
-    _bracketed_zero,
+    _law_zero,
     ensure_point,
     on_unit_circle,
     segment_clears_disk,
@@ -245,11 +247,12 @@ def exterior_reflection(z1: complex, z2: complex) -> Optional[ReflectionResult]:
 
         g(x) = sin(2x - delta) + sin(delta - x)/|z1| - sin(x)/|z2|,
 
-    which needs no square root and cannot overflow; as |z2| -> infinity it
+    which needs no square root and cannot overflow; as |z1| -> infinity it
     becomes the plane wave's T/r (infinity.py). g has the sign of the focal
     sum's slope on the joint arc, so when a <= b the arcs meet, g runs from
     negative at a to positive at b, and its one zero there (module
-    docstring) is the answer.
+    docstring) is the answer, which numeric._law_zero finds, as it does the
+    plane wave's.
 
     When a > b the true arcs miss, and only the slack can let both points
     see one w. It widens each end of each arc by at most 2*acos(1 - s), with
@@ -287,19 +290,7 @@ def exterior_reflection(z1: complex, z2: complex) -> Optional[ReflectionResult]:
     a, b = max(-t1, delta - t2), min(t1, delta + t2)
     if a - b > _GRAZING_GAP:
         return None
-
-    def law(x: float) -> float:
-        return math.sin(2.0 * x - delta) + math.sin(delta - x) / r1 - math.sin(x) / r2
-
-    def slope(x: float) -> float:
-        return 2.0 * math.cos(2.0 * x - delta) - math.cos(delta - x) / r1 - math.cos(x) / r2
-
-    lo, hi = min(a, b), max(a, b)
-    x = 0.5 * (lo + hi)
-    value = law(x)
-    lo, hi = (x, hi) if value < 0.0 else (lo, x)
-    base = cmath.phase(z1)
-    phi = base + _bracketed_zero(law, slope, lo, hi, x, value, base)
+    phi = _law_zero(r1, r2, delta, a, b, cmath.phase(z1))
     w = complex(math.cos(phi), math.sin(phi))
     if a > b and not (segment_clears_disk(z1, w) and segment_clears_disk(z2, w)):
         return None

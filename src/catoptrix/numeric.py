@@ -4,9 +4,11 @@ All angles are in radians and all lengths are dimensionless (unit mirror
 radius). Points of the plane are plain ``complex`` values; the helpers here
 validate them at API boundaries so NaN/Inf never propagate into root
 polishing. ``_argmin_on_circle`` is the rule by which the interior pair picks
-its answer among the on-circle roots of its quartic. The plane wave and the
-exterior pair need no such rule: the answer of each is the one zero of a
-bracket (infinity.py, interior.py), which ``_bracketed_zero`` finds.
+its answer among the on-circle roots of its quartic. The exterior pair and
+the plane wave need no such rule: the answer of each is the one zero of the
+law of reflection on the arc that both points see (interior.py,
+infinity.py), and ``_law_zero`` finds it for both, the plane wave being the
+exterior pair with its source at infinity.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ VISIBILITY_SLACK = 1e-9
 # costs within this of the least one count as a tie
 _COST_TIE_EPS = 1e-10
 
-# Newton and bisection steps of a bracketed zero; bisection alone needs
-# about 52 to narrow a bracket of width pi/2 to an ulp of an angle near 1
+# Newton and bisection steps of _law_zero; an exterior pair's joint arc
+# reaches width pi, and bisection alone needs about 54 steps to narrow that
+# to an ulp of an angle near 1
 _MAX_STEPS = 100
 
 
@@ -155,31 +158,38 @@ def _argmin_on_circle(
     return w, c, tuple([t[1] for t in ties])
 
 
-def _bracketed_zero(
-    g: Callable[[float], float], dg: Callable[[float], float], lo: float, hi: float, x: float, value: float, base: float
-) -> float:
-    """The zero of g in [lo, hi], where g runs from negative at lo to positive
-    at hi, by Newton steps from x in [lo, hi], with value = g(x) and the
-    bracket already narrowed by it. A step that would leave the bracket, or a
-    slope that is not positive away from an exact zero, bisects it instead.
+def _law_zero(r1: float, r2: float, delta: float, a: float, b: float, base: float) -> float:
+    """base + x for the zero x, between a and b, of the law of reflection
 
-    The zero is an angle offset from base. The iteration stops when a step,
-    or the bracket, falls below an ulp of max(|base + x|, |x|): base + x is
-    the angle itself, and |x| keeps an angle near 0 from asking for ulps of
-    an offset far larger than it.
+        g(x) = sin(2x - delta) + sin(delta - x)/r1 - sin(x)/r2
+
+    for points r1*e^{i*base} and r2*e^{i*(base + delta)} outside the unit
+    circle, at w = e^{i*(base + x)}; r1 may be math.inf, for a plane wave
+    arriving from the direction base. The ends may come in either order; g
+    runs from negative at the lesser to positive at the greater.
+
+    Newton steps start from the midpoint, and a step that would leave the
+    bracket, or a slope that is not positive away from an exact zero, bisects
+    it instead. The iteration stops when a step, or the bracket, falls below
+    an ulp of max(|base + x|, |x|): base + x is the angle itself, and |x|
+    keeps an angle near 0 from asking for ulps of an offset far larger than
+    it.
     """
+    sin, cos = math.sin, math.cos
+    lo, hi = (a, b) if a < b else (b, a)
+    x = 0.5 * (lo + hi)
     for _ in range(_MAX_STEPS):
-        slope = dg(x)
+        value = sin(2.0 * x - delta) + sin(delta - x) / r1 - sin(x) / r2
+        lo, hi = (x, hi) if value < 0.0 else (lo, x)
+        slope = 2.0 * cos(2.0 * x - delta) - cos(delta - x) / r1 - cos(x) / r2
         step = value / slope if slope > 0.0 else (math.inf if value else 0.0)
         scale = max(abs(base + x), abs(x))
         if abs(step) <= 2.0 ** -52 * scale:
-            return x - step
+            return base + (x - step)
         if lo < x - step < hi:
             x -= step
         else:
             x = 0.5 * (lo + hi)
             if hi - lo <= 2.0 ** -51 * scale:
-                return x
-        value = g(x)
-        lo, hi = (x, hi) if value < 0.0 else (lo, x)
-    return x
+                break
+    return base + x

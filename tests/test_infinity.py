@@ -14,6 +14,7 @@ from catoptrix import (
     InfinityResult,
     ObserverPolar,
     RootSet,
+    exterior_reflection,
     infinity_quartic_coeffs,
     infinity_reflection,
     mobius_real_image,
@@ -29,6 +30,7 @@ from catoptrix.errors import (
     RootAtOne,
     ShadowRegion,
 )
+from catoptrix.interior import _GRAZING_GAP
 from catoptrix.quartic import infinity_real_coeffs
 
 # the path minimizer for r=2, theta=pi/2, to 50 digits (mpmath), and its defect
@@ -128,10 +130,15 @@ def test_selected_root_minimizes_defect_kinematics():
 
 
 def test_conjugation_symmetry():
+    # the picture at -theta is the conjugate of the one at theta, bit for
+    # bit, and so is an exterior pair's at (conj z1, conj z2): the law's
+    # solver is odd in its angles, with no mirroring of its own. theta = pi
+    # and delta = arg(z2/z1) = +-pi are skipped, as (-pi, pi] holds no mirror
+    # of pi
     rng = np.random.default_rng(59)
-    for _ in range(300):
-        r = float(rng.uniform(1.001, 100.0))
-        theta = float(rng.uniform(1e-4, math.pi))
+    for _ in range(1000):
+        r = 1.0 + 10.0 ** float(rng.uniform(-9.0, 3.0))
+        theta = float(rng.uniform(-math.pi, math.pi))
         try:
             plus = infinity_reflection(ObserverPolar(r, theta))
         except ShadowRegion:
@@ -139,8 +146,51 @@ def test_conjugation_symmetry():
                 infinity_reflection(ObserverPolar(r, -theta))
             continue
         minus = infinity_reflection(ObserverPolar(r, -theta))
-        assert abs(minus.w - plus.w.conjugate()) < 1e-9
-        assert abs(minus.path_defect - plus.path_defect) < 1e-9
+        assert minus.w == plus.w.conjugate()
+        assert minus.path_defect == plus.path_defect
+    for _ in range(1000):
+        z1, z2 = [
+            cmath.rect(1.0 + 10.0 ** float(rng.uniform(-9.0, 1.0)), float(rng.uniform(-math.pi, math.pi)))
+            for _ in range(2)
+        ]
+        if abs(cmath.phase(z2 * z1.conjugate())) == math.pi:
+            continue
+        res = exterior_reflection(z1, z2)
+        mirror = exterior_reflection(z1.conjugate(), z2.conjugate())
+        assert (mirror is None) is (res is None)
+        if res is not None:
+            assert mirror.w == res.w.conjugate()
+
+
+@pytest.mark.parametrize("far", [1e6, 1e9, 1e12])
+def test_plane_wave_is_the_exterior_pair_with_a_far_source(far):
+    # a source at R = far on the real axis lights the mirror as the plane
+    # wave does, up to O(1/R): the same decision, and an angle within r/R.
+    # Half the observers lie within 1e-3 rad of the shadow's edge, where the
+    # observer's visible arc just meets the lit half; only where the two
+    # miss or meet by less than the exterior pair's grazing cut, which the
+    # far source shifts by about 1/R, may the slack decide otherwise
+    rng = np.random.default_rng(int(math.log10(far)))
+    answered = shadow = 0
+    for k in range(2000):
+        r = 1.0 + 10.0 ** float(rng.uniform(-6.0, 3.0))
+        theta = float(rng.uniform(-math.pi, math.pi))
+        if k % 2:
+            theta = math.copysign(math.pi / 2 + math.acos(1.0 / r) + float(rng.uniform(-1e-3, 1e-3)), theta)
+        obs = ObserverPolar(r, theta)
+        if abs(abs(obs.theta) - math.pi / 2 - math.acos(1.0 / r)) <= _GRAZING_GAP + 1.0 / far:
+            continue
+        pair = exterior_reflection(obs.point, complex(far, 0.0))
+        try:
+            wave = infinity_reflection(obs)
+        except ShadowRegion:
+            assert pair is None, obs
+            shadow += 1
+            continue
+        assert pair is not None, obs
+        assert abs(cmath.phase(pair.w) - wave.phi) <= r / far, obs
+        answered += 1
+    assert answered > 500 and shadow > 500
 
 
 def test_unit_modulus_of_all_roots():

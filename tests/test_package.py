@@ -125,11 +125,11 @@ def test_no_module_keeps_a_dead_name():
     assert dead == []
 
 
-def _unset_private_defaults(sources):
-    """'file: function(param)' for each defaulted parameter of a private
-    function or method in sources ({file name: source}) that no call in them
-    sets, by position or by keyword. A call with *args or **kwargs sets every
-    parameter of its kind; a method's first parameter is its receiver."""
+def _private_defs_and_calls(sources):
+    """([(file, def node, receiver)], {name: [call nodes]}) of the private
+    functions and methods in sources ({file name: source}) and of every call
+    by name or attribute; receiver is 1 for a method, whose first parameter
+    a call does not pass."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     defs = []
     for file, tree in trees.items():
@@ -149,6 +149,15 @@ def _unset_private_defaults(sources):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return defs, calls
+
+
+def _unset_private_defaults(sources):
+    """'file: function(param)' for each defaulted parameter of a private
+    function or method in sources ({file name: source}) that no call in them
+    sets, by position or by keyword. A call with *args or **kwargs sets every
+    parameter of its kind; a method's first parameter is its receiver."""
+    defs, calls = _private_defs_and_calls(sources)
     unset = []
     for file, fn, receiver in defs:
         args = fn.args
@@ -170,6 +179,43 @@ def _unset_private_defaults(sources):
     return unset
 
 
+def _constant_private_arguments(sources):
+    """'file: function(param)' for each parameter of a private function or
+    method in sources ({file name: source}) to which every call passes the
+    same literal constant, by position or by keyword. A parameter that some
+    call leaves to its default, or may pass through *args or **kwargs, is
+    not counted; a method's first parameter is its receiver."""
+    defs, calls = _private_defs_and_calls(sources)
+    constant = []
+    for file, fn, receiver in defs:
+        sites = calls.get(fn.name, [])
+        args = fn.args
+        params = [(i, a.arg) for i, a in enumerate(args.posonlyargs + args.args) if i >= receiver]
+        params += [(None, a.arg) for a in args.kwonlyargs]
+        for index, param in params:
+            passed = []
+            for call in sites:
+                by_keyword = [k.value for k in call.keywords if k.arg == param]
+                if by_keyword:
+                    passed.append(by_keyword[0])
+                elif (
+                    index is not None
+                    and not any(isinstance(a, ast.Starred) for a in call.args)
+                    and index - receiver < len(call.args)
+                ):
+                    passed.append(call.args[index - receiver])
+                else:
+                    break
+            else:
+                try:
+                    [ast.literal_eval(value) for value in passed]
+                except ValueError:
+                    continue
+                if passed and len({ast.dump(value) for value in passed}) == 1:
+                    constant.append(f"{file}: {fn.name}({param})")
+    return constant
+
+
 def test_no_private_function_keeps_a_default_that_no_call_sets():
     # a default that no caller overrides is a knob that nothing turns: its
     # value is the only one the code runs, so it belongs in the body
@@ -189,3 +235,29 @@ def test_unset_private_default_check_sees_positions_keywords_and_methods():
         "_f(0, 1)\n_g(0)\nK()._m(0, b=1)\nK()._n()\n"
     )
     assert _unset_private_defaults({"m.py": source}) == ["m.py: _f(c)", "m.py: _g(b)", "m.py: _n(a)"]
+
+
+def test_no_private_function_takes_the_same_constant_from_every_call():
+    # a parameter to which every call passes the same literal is a knob that
+    # nothing turns, as a default that no call sets is: its value belongs in
+    # the body
+    package = Path(catoptrix.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _constant_private_arguments(sources) == []
+
+
+def test_constant_private_argument_check_sees_positions_keywords_and_methods():
+    source = (
+        "def _f(a, b, *, c=2):\n    return a\n"
+        "def _g(a, b=1):\n    return a\n"
+        "def _h(a, b):\n    return a\n"
+        "def public(a):\n    return a\n"
+        "class K:\n"
+        "    def _m(self, a, b):\n        return a\n"
+        "_f(0, -1.5, c=3)\n_f(x, b=-1.5, c=3)\n"
+        "_g(0)\n_g(1, 1)\n"
+        "_h(0, 'k')\n_h(*args)\n"
+        "public(0)\npublic(0)\n"
+        "K()._m(0, (1, 2))\nK()._m(a=1, b=(1, 2))\n"
+    )
+    assert _constant_private_arguments({"m.py": source}) == ["m.py: _f(b)", "m.py: _f(c)", "m.py: _m(b)"]
