@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidFocus, NotOnCircle
-from .numeric import ensure_point, ensure_real, on_unit_circle
+from .numeric import _Record, ensure_point, ensure_real, on_unit_circle
 
 __all__ = [
     "LineCoeffs",
@@ -31,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LineCoeffs:
+class LineCoeffs(_Record):
     """A real line written as alpha*z + beta*conj(z) + gamma = 0.
 
     The stored coefficients may carry a common complex factor; normalized()
@@ -44,18 +42,16 @@ class LineCoeffs:
     beta: complex
     gamma: complex
 
-    def __post_init__(self) -> None:
-        alpha = ensure_point(self.alpha, "alpha")
-        beta = ensure_point(self.beta, "beta")
-        gamma = ensure_point(self.gamma, "gamma")
+    def __init__(self, alpha: complex, beta: complex, gamma: complex) -> None:
+        alpha = ensure_point(alpha, "alpha")
+        beta = ensure_point(beta, "beta")
+        gamma = ensure_point(gamma, "gamma")
         if alpha == 0:
             raise ValueError("alpha must be nonzero")
         scale = abs(alpha)
         if abs(abs(beta) - scale) > 1e-9 * max(1.0, scale):
             raise ValueError("coefficients do not describe a real line (|beta| != |alpha|)")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
+        self.__dict__.update(alpha=alpha, beta=beta, gamma=gamma)
 
     def __call__(self, z: complex) -> complex:
         return self.alpha * z + self.beta * z.conjugate() + self.gamma
@@ -89,6 +85,7 @@ class LineCoeffs:
 def point_line_distance(p: complex, line: LineCoeffs) -> float:
     """Distance from p to the line: |alpha*p + conj(alpha*p) + gamma| / (2|alpha|)
     in the normalized representation."""
+    p = ensure_point(p, "p")
     n = line.normalized()
     v = n.alpha * p
     return abs(v + v.conjugate() + n.gamma) / (2.0 * abs(n.alpha))

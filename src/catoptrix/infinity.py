@@ -68,11 +68,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from .errors import DegenerateLeadingCoefficient, InvalidObserver, RootAtOne, ShadowRegion
-from .numeric import _law_zero, ensure_real, wrap_angle
+from .numeric import _law_zero, _Record, ensure_real, wrap_angle
 from .quartic import (
     QuarticCoeffs,
     RealQuarticNature,
@@ -105,29 +104,26 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class ObserverPolar:
+class ObserverPolar(_Record):
     """Observation point r*e^{i*theta} outside the mirror; theta is stored
     reduced to (-pi, pi]."""
 
     r: float
     theta: float
 
-    def __post_init__(self) -> None:
-        r = ensure_real(self.r, "r")
-        theta = ensure_real(self.theta, "theta")
+    def __init__(self, r: float, theta: float) -> None:
+        r = ensure_real(r, "r")
+        theta = ensure_real(theta, "theta")
         if r <= 1.0:
             raise InvalidObserver(f"observer radius must exceed 1, got {r}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "theta", wrap_angle(theta))
+        self.__dict__.update(r=r, theta=wrap_angle(theta))
 
     @property
     def point(self) -> complex:
         return self.r * cmath.exp(1j * self.theta)
 
 
-@dataclass(frozen=True)
-class InfinityResult:
+class InfinityResult(_Record):
     """Selected reflection point, with the full root picture on first read.
 
     path_defect is |f - w| - Re w, the plane-wave travel functional up to a
@@ -150,6 +146,24 @@ class InfinityResult:
     reality_residual: float
     degenerate_axis: bool
     _observer: ObserverPolar
+
+    def __init__(
+        self,
+        w: complex,
+        phi: float,
+        path_defect: float,
+        reality_residual: float,
+        degenerate_axis: bool,
+        _observer: ObserverPolar,
+    ) -> None:
+        self.__dict__.update(
+            w=w,
+            phi=phi,
+            path_defect=path_defect,
+            reality_residual=reality_residual,
+            degenerate_axis=degenerate_axis,
+            _observer=_observer,
+        )
 
     @functools.cached_property
     def all_roots(self) -> RootSet:

@@ -51,6 +51,7 @@ from .numeric import (
     VISIBILITY_SLACK,
     _argmin_on_circle,
     _law_zero,
+    _Record,
     ensure_point,
     on_unit_circle,
     segment_clears_disk,
@@ -73,6 +74,9 @@ __all__ = [
 _GRAZING_GAP = 4.0 * math.acos(1.0 - VISIBILITY_SLACK)
 
 
+# the one dataclass among the value types: bench/test_bench.py builds
+# off-circle answers from a real one with dataclasses.replace, so interior
+# still imports dataclasses
 @dataclass(frozen=True)
 class ReflectionResult:
     """Chosen reflection point with full diagnostics.
@@ -118,8 +122,7 @@ class ReflectionResult:
         return (min(range(len(roots)), key=lambda k: abs(roots[k] - self.w)),)
 
 
-@dataclass(frozen=True)
-class EllipseParams:
+class EllipseParams(_Record):
     """Maximal inscribed ellipse with foci z1, z2: focal sum c, semiaxes
     major = c/2 and minor = sqrt(c^2 - |z1 - z2|^2)/2, and eccentricity."""
 
@@ -127,6 +130,9 @@ class EllipseParams:
     major: float
     minor: float
     eccentricity: float
+
+    def __init__(self, focal_sum: float, major: float, minor: float, eccentricity: float) -> None:
+        self.__dict__.update(focal_sum=focal_sum, major=major, minor=minor, eccentricity=eccentricity)
 
 
 def interior_quartic_coeffs(z1: complex, z2: complex) -> QuarticCoeffs:

@@ -1,4 +1,5 @@
-"""Shared numeric primitives: tolerances, unit-circle predicates, segment geometry.
+"""Shared numeric primitives: the value-type base, tolerances, unit-circle
+predicates, segment geometry.
 
 All angles are in radians and all lengths are dimensionless (unit mirror
 radius). Points of the plane are plain ``complex`` values; the helpers here
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import NonFinitePoint
@@ -33,8 +33,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class _Record:
+    """Base of the package's immutable value types.
+
+    A subclass declares its fields as annotations, in constructor order, and
+    its own __init__ writes them through the instance dict. The base gives
+    what a frozen dataclass would: a record equals only a record of the same
+    class with equal fields (never a tuple of them), equal records hash
+    equal, the repr is ClassName(field=value, ...), and assigning or
+    deleting an attribute raises AttributeError. Pickle and copy restore the
+    instance dict without calling __init__. A value a cached_property keeps
+    in the dict is no field: equality, hash and repr never compute it.
+
+    They are not dataclasses so that a process that builds no
+    ReflectionResult (interior.py) loads neither dataclasses nor inspect.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Tolerances(_Record):
     """The type of DEFAULT_TOLERANCES, the fixed tolerances the package reads.
 
     unit_circle_tol      acceptance band for | |w| - 1 |
@@ -43,9 +83,16 @@ class Tolerances:
                          only by the tests and the benchmark)
     """
 
-    unit_circle_tol: float = 1e-9
-    residual_tol: float = 1e-10
-    oracle_agreement_tol: float = 1e-6
+    unit_circle_tol: float
+    residual_tol: float
+    oracle_agreement_tol: float
+
+    def __init__(
+        self, unit_circle_tol: float = 1e-9, residual_tol: float = 1e-10, oracle_agreement_tol: float = 1e-6
+    ) -> None:
+        self.__dict__.update(
+            unit_circle_tol=unit_circle_tol, residual_tol=residual_tol, oracle_agreement_tol=oracle_agreement_tol
+        )
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -20,10 +20,9 @@ import cmath
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateLeadingCoefficient, InvalidObserver, NoConvergence
-from .numeric import DEFAULT_TOLERANCES, ensure_point, ensure_real
+from .numeric import DEFAULT_TOLERANCES, _Record, ensure_point, ensure_real
 
 __all__ = [
     "QuarticCoeffs",
@@ -54,8 +53,7 @@ _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 _OMEGA2 = _OMEGA.conjugate()
 
 
-@dataclass(frozen=True)
-class QuarticCoeffs:
+class QuarticCoeffs(_Record):
     """Coefficients of c4*w^4 + c3*w^3 + c2*w^2 + c1*w + c0.
 
     c4 may be zero here; degeneracy is rejected at solve time so callers can
@@ -68,13 +66,15 @@ class QuarticCoeffs:
     c1: complex
     c0: complex
 
-    def __post_init__(self) -> None:
+    def __init__(self, c4: complex, c3: complex, c2: complex, c1: complex, c0: complex) -> None:
         # a finite plain complex is stored as given; anything else is coerced
         # or rejected, which also catches a builder's product that overflowed
-        for name in ("c4", "c3", "c2", "c1", "c0"):
-            c = getattr(self, name)
+        coeffs = (c4, c3, c2, c1, c0)
+        for c in coeffs:
             if type(c) is not complex or not cmath.isfinite(c):
-                object.__setattr__(self, name, ensure_point(c, name))
+                c4, c3, c2, c1, c0 = [ensure_point(c, f"c{4 - k}") for k, c in enumerate(coeffs)]
+                break
+        self.__dict__.update(c4=c4, c3=c3, c2=c2, c1=c1, c0=c0)
 
     def as_tuple(self) -> tuple[complex, complex, complex, complex, complex]:
         return (self.c4, self.c3, self.c2, self.c1, self.c0)
@@ -83,8 +83,7 @@ class QuarticCoeffs:
         return _horner_pair(self.as_tuple(), w)[0]
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Record):
     """Polished roots sorted by ascending principal argument, ties by modulus.
 
     residuals[k] is |p(roots[k])| recomputed from the coefficients the set was
@@ -97,6 +96,17 @@ class RootSet:
     polish_iterations: tuple[int, ...]
     min_separation: float
 
+    def __init__(
+        self,
+        roots: tuple[complex, ...],
+        residuals: tuple[float, ...],
+        polish_iterations: tuple[int, ...],
+        min_separation: float,
+    ) -> None:
+        self.__dict__.update(
+            roots=roots, residuals=residuals, polish_iterations=polish_iterations, min_separation=min_separation
+        )
+
     @property
     def has_close_pair(self) -> bool:
         return self.min_separation < _CLOSE_PAIR_THRESHOLD
@@ -108,8 +118,7 @@ class RootNature(enum.Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class RealQuarticNature:
+class RealQuarticNature(_Record):
     """Sign invariants of a real quartic: four real distinct roots iff
     delta > 0, p < 0 and d < 0."""
 
@@ -117,6 +126,9 @@ class RealQuarticNature:
     p: float
     d: float
     classification: RootNature
+
+    def __init__(self, delta: float, p: float, d: float, classification: RootNature) -> None:
+        self.__dict__.update(delta=delta, p=p, d=d, classification=classification)
 
 
 def _horner_pair(coeffs: tuple[complex, ...], w: complex) -> tuple[complex, complex]:
@@ -408,11 +420,28 @@ def polished_roots(coeffs: tuple[complex, ...]) -> RootSet:
     return _solve(coeffs)
 
 
+def _ldexp(x: float, n: int) -> float:
+    """x * 2**n, or +-inf where that overflows float64."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) -> RealQuarticNature:
     """Discriminant-family invariants of a*x^4 + b*x^3 + c*x^2 + d*x + e.
 
     The quartic has four distinct real roots iff delta > 0, p < 0 and d < 0;
     delta == 0 marks repeated roots (classified Degenerate).
+
+    Coefficients so large that an invariant would overflow float64 are
+    classified scaled by a power of two into [0.5, 1). The invariants are
+    homogeneous in the coefficients, of degrees 6, 2 and 4, so the scale
+    keeps their signs; their values are scaled back, to +-inf where they do
+    not fit a float. Invariants that fit unscaled are computed unscaled.
+    The scaled terms keep their digits while every coefficient is within
+    about 2^-170 (1e-51) of the largest; a smaller one can underflow there,
+    and a leading coefficient that scales to zero raises as a zero one does.
     """
     a = ensure_real(a, "a")
     b = ensure_real(b, "b")
@@ -421,21 +450,31 @@ def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) ->
     e = ensure_real(e, "e")
     if a == 0.0:
         raise DegenerateLeadingCoefficient("leading coefficient a is zero")
-    delta = (
-        256.0 * e ** 3 * a ** 3
-        + (-192.0 * e * e * d * b - 128.0 * e * e * c * c + 144.0 * e * d * d * c - 27.0 * d ** 4) * a * a
-        + (
-            (144.0 * e * e * c - 6.0 * e * d * d) * b * b
-            + (-80.0 * e * d * c * c + 18.0 * d ** 3 * c) * b
-            + 16.0 * e * c ** 4
-            - 4.0 * d * d * c ** 3
-        ) * a
-        - 27.0 * e * e * b ** 4
-        + (18.0 * e * d * c - 4.0 * d ** 3) * b ** 3
-        + (-4.0 * e * c ** 3 + d * d * c * c) * b * b
-    )
-    p = 8.0 * a * c - 3.0 * b * b
-    dd = 64.0 * a ** 3 * e - 16.0 * a * a * c * c + 16.0 * a * b * b * c - 16.0 * a * a * d * b - 3.0 * b ** 4
+    try:
+        delta = (
+            256.0 * e ** 3 * a ** 3
+            + (-192.0 * e * e * d * b - 128.0 * e * e * c * c + 144.0 * e * d * d * c - 27.0 * d ** 4) * a * a
+            + (
+                (144.0 * e * e * c - 6.0 * e * d * d) * b * b
+                + (-80.0 * e * d * c * c + 18.0 * d ** 3 * c) * b
+                + 16.0 * e * c ** 4
+                - 4.0 * d * d * c ** 3
+            ) * a
+            - 27.0 * e * e * b ** 4
+            + (18.0 * e * d * c - 4.0 * d ** 3) * b ** 3
+            + (-4.0 * e * c ** 3 + d * d * c * c) * b * b
+        )
+        p = 8.0 * a * c - 3.0 * b * b
+        dd = 64.0 * a ** 3 * e - 16.0 * a * a * c * c + 16.0 * a * b * b * c - 16.0 * a * a * d * b - 3.0 * b ** 4
+        fits = math.isfinite(delta) and math.isfinite(p) and math.isfinite(dd)
+    except OverflowError:
+        fits = False
+    if not fits:
+        k = math.frexp(max(abs(a), abs(b), abs(c), abs(d), abs(e)))[1]
+        scaled = real_quartic_invariants(*[math.ldexp(x, -k) for x in (a, b, c, d, e)])
+        return RealQuarticNature(
+            _ldexp(scaled.delta, 6 * k), _ldexp(scaled.p, 2 * k), _ldexp(scaled.d, 4 * k), scaled.classification
+        )
     if delta == 0.0:
         cls = RootNature.DEGENERATE
     elif delta > 0.0 and p < 0.0 and dd < 0.0:

@@ -244,6 +244,18 @@ def test_infinity_verify_block():
     assert all(isinstance(v, float) for v in verify["mobius_images"])
 
 
+@pytest.mark.parametrize("r", ["5e50", "1e60", "1e80", "1e300"])
+def test_infinity_verify_block_for_a_far_observer(r):
+    # the image quartic's invariants overflow float64 here: they print as
+    # null where they do not fit, and classify as verify_circle_theorem does
+    rc, out, _ = _run(["infinity", "--r", r, "--theta", "0.3", "--verify"])
+    record = json.loads(out)
+    assert rc == 0
+    verify = record["diagnostics"]["verify"]
+    assert verify["delta"] is None
+    assert verify["classification"] == "FourRealDistinct" and verify["four_real_distinct"] is True
+
+
 def test_degrees_flag():
     rc1, out1, _ = _run(["infinity", "--r", "2", "--theta", "90", "--degrees"])
     rc2, out2, _ = _run(["infinity", "--r", "2", "--theta", repr(math.pi / 2)])
@@ -341,7 +353,9 @@ def _src_env():
 
 def test_numpy_loads_only_for_the_oracles():
     # a fresh interpreter, because this one has numpy loaded already; each
-    # command loads only the modules it runs, and svg and oracle none of them
+    # command loads only the modules it runs, and svg and oracle none of them.
+    # dataclasses, and with it inspect, loads only with interior, whose
+    # ReflectionResult is still a dataclass; numpy imports inspect itself
     code = textwrap.dedent(
         """
         import contextlib, io, sys
@@ -351,31 +365,48 @@ def test_numpy_loads_only_for_the_oracles():
         def loaded():
             return {m.split(".")[1] for m in sys.modules if m.startswith("catoptrix.")}
 
-        assert loaded() == {"cli", "errors"}, loaded()
-        steps = [
-            (["interior", "--z1", "0.37,0.11", "--z2", "-0.25,0.42"], {"numeric", "quartic", "interior"}),
-            (["infinity", "--r", "2", "--theta", "0.7", "--verify"], {"infinity"}),
-            (["envelope", "--a", "2", "--samples", "16"], {"envelope"}),
-            (["directrix", "--a", "2", "--phi", "0.3"], set()),
-        ]
         expected = {"cli", "errors"}
-        for argv, added in steps:
+        assert loaded() == expected, loaded()
+
+        def run(argv, added):
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = main(argv)
             assert rc == 0, (argv, rc)
-            expected |= added
+            expected.update(added)
             assert loaded() == expected, (argv, loaded())
+
+        for argv, added in [
+            (["infinity", "--r", "2", "--theta", "0.7", "--verify"], {"numeric", "quartic", "infinity"}),
+            (["envelope", "--a", "2", "--samples", "16"], {"envelope"}),
+            (["directrix", "--a", "2", "--phi", "0.3"], set()),
+        ]:
+            run(argv, added)
+            assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, argv
         assert "numpy" not in sys.modules
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = main(["oracle", "discriminant", "--coeffs", "1,0,0,0,-1"])
-        assert rc == 0, rc
-        assert "numpy" in sys.modules
+        run(["oracle", "discriminant", "--coeffs", "1,0,0,0,-1"], {"oracle"})
+        assert "numpy" in sys.modules and "dataclasses" not in sys.modules
+        run(["interior", "--z1", "0.37,0.11", "--z2", "-0.25,0.42"], {"interior"})
+        assert "dataclasses" in sys.modules and "inspect" in sys.modules
         """
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_discriminant_command_for_a_far_observer():
+    # the image quartic's invariants overflow float64 here; the command, run
+    # as users run it, prints one record (numpy warns on stderr that the
+    # resultant overflows)
+    argv = ["oracle", "discriminant", "--r", "1e80", "--theta", "0.3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "catoptrix.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["diagnostics"]["classification"] == "FourRealDistinct"
+    assert record["diagnostics"]["sign_agreement"] is True
 
 
 # python -m catoptrix.cli, as users and the benchmark run it: cli is then

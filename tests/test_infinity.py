@@ -13,6 +13,7 @@ import catoptrix.infinity as infinity_module
 from catoptrix import (
     InfinityResult,
     ObserverPolar,
+    RootNature,
     RootSet,
     exterior_reflection,
     infinity_quartic_coeffs,
@@ -20,6 +21,7 @@ from catoptrix import (
     mobius_real_image,
     on_unit_circle,
     oracle_infinity_path,
+    real_quartic_invariants,
     solve_quartic,
     verify_circle_theorem,
 )
@@ -271,6 +273,19 @@ def test_verify_circle_theorem_for_a_far_observer(r, theta):
     # the image quartic's invariants, of degree up to 6 in coefficients of
     # modulus r, once overflowed: False from about 6e50, OverflowError from 2e76
     assert verify_circle_theorem(ObserverPolar(r, theta)) is True
+
+
+@pytest.mark.parametrize("theta", [-1.18, 1.18, -0.3, 0.3])
+def test_image_quartic_invariants_classify_a_far_observer_as_verify_does(theta):
+    # unscaled, the image quartic's coefficients have modulus about r, and its
+    # invariants overflow float64 from about r = 6e50; they classify scaled by
+    # a power of two, and agree with verify_circle_theorem, which classifies
+    # the quartic divided by r
+    for k in range(1, 1201):
+        obs = ObserverPolar(10.0 ** (k / 4), theta)
+        nature = real_quartic_invariants(*infinity_real_coeffs(obs.r, obs.theta))
+        four = nature.classification is RootNature.FOUR_REAL_DISTINCT
+        assert four is verify_circle_theorem(obs) is True, obs.r
 
 
 def _edge_observers():

@@ -13,6 +13,8 @@ import textwrap
 import types
 from pathlib import Path
 
+import pytest
+
 import catoptrix
 
 
@@ -261,3 +263,152 @@ def test_constant_private_argument_check_sees_positions_keywords_and_methods():
         "K()._m(0, (1, 2))\nK()._m(a=1, b=(1, 2))\n"
     )
     assert _constant_private_arguments({"m.py": source}) == ["m.py: _f(b)", "m.py: _f(c)", "m.py: _m(b)"]
+
+
+def _non_finite_cases():
+    """(name, callable, valid arguments, indices of its numeric arguments)
+    for every public function and validating constructor that takes points
+    or reals."""
+    from catoptrix import (
+        LineCoeffs, ObserverPolar, QuarticCoeffs, directrix, e1_isolated_point,
+        ellipse_params, envelope_implicit, envelope_param, exterior_reflection,
+        infinity_real_coeffs, interior_quartic_coeffs, limacon_residual,
+        minimizing_root, mirror_point, on_unit_circle, oracle_quartic_discriminant,
+        oracle_smetric, point_line_distance, polished_roots, real_quartic_invariants,
+        s_metric, tangency_point, tangent_line, unit_from_angle, valid_arc,
+    )
+
+    def polished_roots_of(*coeffs):
+        return polished_roots(coeffs)
+
+    line = tangent_line(1.0)
+    cases = [
+        (directrix, (2.0, 1j), (0, 1)),
+        (e1_isolated_point, (2.0,), (0,)),
+        (envelope_implicit, (2.0, 0.5 + 0.5j), (0, 1)),
+        (envelope_param, (2.0, 0.3), (0, 1)),
+        (limacon_residual, (2.0, 0.5, 0.5), (0, 1, 2)),
+        (mirror_point, (2.0, 1j), (0, 1)),
+        (point_line_distance, (0.5 + 0.5j, line), (0,)),
+        (tangency_point, (2.0, 1j), (0, 1)),
+        (tangent_line, (1j,), (0,)),
+        (valid_arc, (2.0,), (0,)),
+        (ellipse_params, (0.3 + 0.1j, -0.2 + 0.4j), (0, 1)),
+        (exterior_reflection, (2.0 + 0j, 0.5 + 3j), (0, 1)),
+        (interior_quartic_coeffs, (0.3 + 0.1j, -0.2 + 0.4j), (0, 1)),
+        (minimizing_root, (0.3 + 0.1j, -0.2 + 0.4j), (0, 1)),
+        (s_metric, (0.3 + 0.1j, -0.2 + 0.4j), (0, 1)),
+        (on_unit_circle, (1j,), (0,)),
+        (unit_from_angle, (0.3,), (0,)),
+        (oracle_quartic_discriminant, (1.0, 0.0, -5.0, 0.0, 4.0), (0, 1, 2, 3, 4)),
+        (oracle_smetric, (0.3 + 0.1j, -0.2 + 0.4j), (0, 1)),
+        (infinity_real_coeffs, (2.0, 0.3), (0, 1)),
+        (real_quartic_invariants, (1.0, 0.0, -5.0, 0.0, 4.0), (0, 1, 2, 3, 4)),
+        (ObserverPolar, (2.0, 0.3), (0, 1)),
+        (QuarticCoeffs, (1, 0, -5, 0, 4), (0, 1, 2, 3, 4)),
+        (LineCoeffs, (1.0, 1.0, -2.0), (0, 1, 2)),
+        (polished_roots_of, (1.0, 0.0, -1.0), (0, 1, 2)),
+    ]
+    for fn, args, numeric in cases:
+        fn(*args)  # the valid arguments are valid
+    return [(fn.__name__, fn, args, numeric) for fn, args, numeric in cases]
+
+
+def test_non_finite_numbers_raise_non_finite_point():
+    # NaN or inf in any numeric argument, of every public function and
+    # validating constructor that takes points or reals, raises
+    # NonFinitePoint rather than flowing into a result
+    from catoptrix.errors import NonFinitePoint
+
+    nan, inf = float("nan"), float("inf")
+    returned = []
+    for name, fn, args, numeric in _non_finite_cases():
+        for k in numeric:
+            bad_values = (nan, inf, -inf)
+            if isinstance(args[k], complex):
+                bad_values += (complex(nan, 0.0), complex(0.5, inf), complex(-inf, 0.5))
+            for bad in bad_values:
+                try:
+                    fn(*args[:k], bad, *args[k + 1:])
+                except NonFinitePoint:
+                    continue
+                returned.append(f"{name}(argument {k} = {bad!r})")
+    assert returned == []
+
+
+def _records():
+    """(record, its constructor arguments, another record of its class, the
+    repr it had as a frozen dataclass) for each value type that is not a
+    dataclass."""
+    from catoptrix import (
+        DEFAULT_TOLERANCES, EllipseParams, InfinityResult, LineCoeffs, ObserverPolar,
+        QuarticCoeffs, RealQuarticNature, RootNature, RootSet,
+    )
+
+    four, degenerate = RootNature.FOUR_REAL_DISTINCT, RootNature.DEGENERATE
+    table = [
+        (QuarticCoeffs, (2, -1, 0, 1j, -2), (2, -1, 0, 1j, -3),
+         "QuarticCoeffs(c4=(2+0j), c3=(-1+0j), c2=0j, c1=1j, c0=(-2+0j))"),
+        (RootSet, ((1 + 0j, -1 + 0j), (0.0, 1e-17), (0, 1), 2.0), ((1 + 0j, -1 + 0j), (0.0, 1e-17), (0, 2), 2.0),
+         "RootSet(roots=((1+0j), (-1+0j)), residuals=(0.0, 1e-17), polish_iterations=(0, 1), "
+         "min_separation=2.0)"),
+        (RealQuarticNature, (5184.0, -40.0, -144.0, four), (5184.0, -40.0, -144.0, degenerate),
+         "RealQuarticNature(delta=5184.0, p=-40.0, d=-144.0, "
+         "classification=<RootNature.FOUR_REAL_DISTINCT: 'FourRealDistinct'>)"),
+        (type(DEFAULT_TOLERANCES), (1e-9, 1e-10, 1e-6), (1e-9, 1e-11, 1e-6),
+         "Tolerances(unit_circle_tol=1e-09, residual_tol=1e-10, oracle_agreement_tol=1e-06)"),
+        (ObserverPolar, (2.0, 0.5), (2.0, -0.5), "ObserverPolar(r=2.0, theta=0.5)"),
+        (InfinityResult, (1 + 0j, 0.0, 0.0, 0.0, True, ObserverPolar(2.0, 0.0)),
+         (1 + 0j, 0.0, 0.0, 0.0, True, ObserverPolar(3.0, 0.0)),
+         "InfinityResult(w=(1+0j), phi=0.0, path_defect=0.0, reality_residual=0.0, degenerate_axis=True, "
+         "_observer=ObserverPolar(r=2.0, theta=0.0))"),
+        (LineCoeffs, (1 + 0j, 1 + 0j, -2 + 0j), (1, 1, 2), "LineCoeffs(alpha=(1+0j), beta=(1+0j), gamma=(-2+0j))"),
+        (EllipseParams, (1.0, 0.5, 0.25, 0.5), (1.0, 0.5, 0.25, 0.25),
+         "EllipseParams(focal_sum=1.0, major=0.5, minor=0.25, eccentricity=0.5)"),
+    ]
+    return [(cls(*args), args, cls(*other), text) for cls, args, other, text in table]
+
+
+def test_value_types_are_immutable_records():
+    import copy
+    import pickle
+
+    for record, args, other, text in _records():
+        cls = type(record)
+        assert repr(record) == text
+        # equal only to a record of the same class with equal fields
+        twin = cls(*args)
+        assert record == twin and not record != twin and hash(record) == hash(twin)
+        assert record != other and other != record
+        assert record != args and args != record
+        field = next(iter(vars(record)))
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert repr(record) == text
+        for clone in [copy.copy(record), copy.deepcopy(record)] + [
+            pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]:
+            assert type(clone) is cls and clone == record and hash(clone) == hash(record)
+            assert repr(clone) == text
+
+
+def test_infinity_result_compares_and_hashes_without_solving(monkeypatch):
+    import catoptrix.infinity as infinity
+
+    def refuse(q):
+        raise AssertionError("solved a quartic")
+
+    obs = infinity.ObserverPolar(2.0, 0.7)
+    a, b = infinity.infinity_reflection(obs), infinity.infinity_reflection(obs)
+    monkeypatch.setattr(infinity, "solve_quartic", refuse)
+    assert a == b and hash(a) == hash(b)
+    repr(a)
+    assert "all_roots" not in vars(a) and "mobius_images" not in vars(a)
+    monkeypatch.undo()
+    # a picture read on one side leaves equality and hash as they were
+    a.mobius_images
+    assert "all_roots" in vars(a) and a == b and hash(a) == hash(b)

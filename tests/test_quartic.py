@@ -343,6 +343,20 @@ def test_real_invariants_classification():
         real_quartic_invariants(0, 1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("k", [-100, 0, 1, 60, 100, 150, 300, 1000])
+def test_real_invariants_of_coefficients_scaled_by_a_power_of_two(k):
+    # delta, p and d are homogeneous in the coefficients, of degrees 6, 2 and
+    # 4: coefficients scaled by 2^k keep the classification and scale each
+    # value by 2^(degree*k) exactly, or give +-inf where that overflows
+    base = infinity_real_coeffs(2.0, 0.3)
+    ref = real_quartic_invariants(*base)
+    nat = real_quartic_invariants(*[math.ldexp(c, k) for c in base])
+    assert nat.classification is ref.classification is RootNature.FOUR_REAL_DISTINCT
+    for got, value, degree in ((nat.delta, ref.delta, 6), (nat.p, ref.p, 2), (nat.d, ref.d, 4)):
+        fits = math.frexp(value)[1] + degree * k <= 1024
+        assert got == (math.ldexp(value, degree * k) if fits else math.copysign(math.inf, value))
+
+
 def test_delta_equals_resultant_discriminant():
     rng = np.random.default_rng(13)
     for _ in range(500):
