@@ -216,7 +216,7 @@ def _run_interior(args: argparse.Namespace) -> _Run:
 
 
 def _run_infinity(args: argparse.Namespace) -> _Run:
-    from .infinity import ObserverPolar, infinity_reflection
+    from .infinity import ObserverPolar, _image_coeffs_over_r, infinity_reflection
     from .quartic import RootNature, infinity_real_coeffs, real_quartic_invariants
 
     obs = ObserverPolar(args.r, args.theta)
@@ -227,11 +227,21 @@ def _run_infinity(args: argparse.Namespace) -> _Run:
         "verify": None,
     }
     if args.verify:
-        nature = real_quartic_invariants(*infinity_real_coeffs(obs.r, obs.theta))
+        coeffs = infinity_real_coeffs(obs.r, obs.theta)
+        if all(map(math.isfinite, coeffs)):
+            nature = real_quartic_invariants(*coeffs)
+            delta, p, d = nature.delta, nature.p, nature.d
+        else:
+            # the coefficients, of modulus about r, overflow from about
+            # r = 4.7e307: classify them divided by r, as verify_circle_theorem
+            # does, and scale the invariants back by r^6, r^2 and r^4
+            r = obs.r
+            nature = real_quartic_invariants(*_image_coeffs_over_r(r, obs.theta))
+            delta, p, d = nature.delta * r * r * r * r * r * r, nature.p * r * r, nature.d * r * r * r * r
         diagnostics["verify"] = {
-            "delta": nature.delta,
-            "p": nature.p,
-            "d": nature.d,
+            "delta": delta,
+            "p": p,
+            "d": d,
             "classification": nature.classification.value,
             "four_real_distinct": nature.classification is RootNature.FOUR_REAL_DISTINCT,
             "mobius_images": list(result.mobius_images) if result.mobius_images else None,

@@ -72,14 +72,7 @@ from typing import Any, Optional
 
 from .errors import DegenerateLeadingCoefficient, InvalidObserver, RootAtOne, ShadowRegion
 from .numeric import _law_zero, _Record, ensure_real, wrap_angle
-from .quartic import (
-    QuarticCoeffs,
-    RealQuarticNature,
-    RootNature,
-    RootSet,
-    real_quartic_invariants,
-    solve_quartic,
-)
+from .quartic import QuarticCoeffs, RootSet, _invariants, solve_quartic
 
 __all__ = [
     "ObserverPolar",
@@ -94,13 +87,18 @@ _ROOT_AT_ONE_EPS = 1e-12
 
 
 def __getattr__(name: str) -> Any:
-    # bench/layers.py counts on_unit_circle calls by wrapping that name on
-    # this module, which no longer calls it. A solve trace built into the
-    # library (ROADMAP.md) would delete this, as it would cli.__getattr__.
+    # bench/layers.py counts on_unit_circle calls and times
+    # real_quartic_invariants by wrapping those names on this module, which
+    # no longer calls either. A solve trace built into the library
+    # (ROADMAP.md) would delete this, as it would cli.__getattr__.
     if name == "on_unit_circle":
         from .numeric import on_unit_circle
 
         return on_unit_circle
+    if name == "real_quartic_invariants":
+        from .quartic import real_quartic_invariants
+
+        return real_quartic_invariants
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -233,35 +231,43 @@ def mobius_real_image(roots: RootSet) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _image_coeffs_over_r(r: float, theta: float) -> tuple[float, float, float, float, float]:
+    """The image quartic (quartic.infinity_real_coeffs) divided by r,
+
+        sin(t)*z^4 + 2*(2*cos(t) - 1/r)*z^3 - 6*sin(t)*z^2
+            - 2*(2*cos(t) + 1/r)*z + sin(t),
+
+    whose coefficients cannot overflow."""
+    st, ct, inv_r = math.sin(theta), math.cos(theta), 1.0 / r
+    return st, 2.0 * (2.0 * ct - inv_r), -6.0 * st, -2.0 * (2.0 * ct + inv_r), st
+
+
 def verify_circle_theorem(obs: ObserverPolar) -> bool:
     """Check, by two independent routes, that all four reflection roots lie
     on the unit circle: the real-coefficient image quartic must classify as
     FourRealDistinct, and T must alternate in sign at the four bracket ends
     phi = theta/2 - pi/4 + k*pi/2, which puts one zero of T, one root on the
     circle, in each quarter turn between them (module docstring). Neither
-    route solves a quartic.
+    route solves a quartic, and neither builds a record.
 
-    The image quartic is classified divided by r, as
+    The image quartic is classified divided by r (_image_coeffs_over_r):
+    delta, P and D are homogeneous in the coefficients, so a positive scale
+    keeps their signs. Unscaled, delta grows like r^6 and overflows from
+    about r = 6e50, and the coefficients themselves from about r = 4.7e307.
 
-        sin(t)*z^4 + 2*(2*cos(t) - 1/r)*z^3 - 6*sin(t)*z^2
-            - 2*(2*cos(t) + 1/r)*z + sin(t),
-
-    whose coefficients cannot overflow: delta, P and D are homogeneous in the
-    coefficients, so a positive scale keeps their signs. Unscaled, delta
-    grows like r^6 and overflows from about r = 6e50.
+    At the bracket ends sin(2*phi - theta) is -1, 1, -1, 1 and sin(phi)/r
+    is s, c, -s, -c, with s and c the sine and cosine of theta/2 - pi/4
+    over r, so T/r = sin(2*phi - theta) - sin(phi)/r takes its four signs
+    from one sine and one cosine.
     """
-    if obs.theta == 0.0 or abs(obs.theta) == math.pi:
+    theta = obs.theta
+    if theta == 0.0 or abs(theta) == math.pi:
         raise DegenerateLeadingCoefficient(
             "theta = 0 (mod pi): the image quartic degenerates"
         )
-    st, ct, inv_r = math.sin(obs.theta), math.cos(obs.theta), 1.0 / obs.r
-    nature: RealQuarticNature = real_quartic_invariants(
-        st, 2.0 * (2.0 * ct - inv_r), -6.0 * st, -2.0 * (2.0 * ct + inv_r), st
-    )
-    if nature.classification is not RootNature.FOUR_REAL_DISTINCT:
+    delta, p, d, _ = _invariants(*_image_coeffs_over_r(obs.r, theta))
+    if not (delta > 0.0 and p < 0.0 and d < 0.0):
         return False
-    for k in range(4):
-        phi = 0.5 * obs.theta + (k - 0.5) * 0.5 * math.pi
-        if (-1) ** k * (math.sin(2.0 * phi - obs.theta) - math.sin(phi) / obs.r) >= 0.0:
-            return False
-    return True
+    half = 0.5 * theta - 0.25 * math.pi
+    s, c = math.sin(half) / obs.r, math.cos(half) / obs.r
+    return -1.0 - s < 0.0 < 1.0 - c and -1.0 + s < 0.0 < 1.0 + c

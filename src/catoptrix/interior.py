@@ -93,7 +93,14 @@ class ReflectionResult:
     candidates           every root of the reflection polynomial
     on_circle_mask       which candidates passed the unit-circle test
     tie_indices          candidate indices attaining the minimal focal sum;
-                         for an exterior pair, the candidate nearest w
+                         for an exterior pair, the candidate nearest w,
+                         which the fixed 1e-9 circle test can reject
+
+    So an exterior result can name a tie that its mask rejects: for the pair
+    (0.04903727425770794-0.9987969492255798j,
+    0.049242098609155745-0.9987869048168334j) tie_indices is (1,), a root
+    1.2e-8 off the circle and 1.2e-8 from w, and the only candidate that
+    passes the circle test is antipodal to w.
 
     minimizing_root keeps the picture it selected from. An exterior pick
     solves no quartic, and the first read of its picture solves once and
@@ -273,6 +280,15 @@ def exterior_reflection(z1: complex, z2: complex) -> Optional[ReflectionResult]:
     smaller gap is solved on [b, a], where g ran from negative at b to
     positive at a on every pair probed, and the zero is the answer only if
     both segments to it pass segment_clears_disk.
+
+    The same slack lets a far source light a sliver of the plane wave's
+    shadow (infinity.py), where the exterior pair answers and its limit
+    does not: the observer ObserverPolar(4.190385547384873,
+    -2.900714870036392) lies 3.6e-4 inside the shadow cylinder, and
+    infinity_reflection raises ShadowRegion there, while the pair of that
+    point and a source R + 0j answers w = -4.4e-5 - 1.0i for R = 1e9, 1e12
+    and 1e15 (and None for R = 1e6): the far source sees up to about
+    4.5e-5 rad past its tangent point at -i.
 
     The root picture is computed on first read (ReflectionResult), from the
     reflection quartic, whose end coefficients have modulus |z1|*|z2|. So

@@ -20,6 +20,7 @@ import cmath
 import enum
 import itertools
 import math
+import sys
 
 from .errors import DegenerateLeadingCoefficient, InvalidObserver, NoConvergence
 from .numeric import DEFAULT_TOLERANCES, _Record, ensure_point, ensure_real
@@ -428,28 +429,20 @@ def _ldexp(x: float, n: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) -> RealQuarticNature:
-    """Discriminant-family invariants of a*x^4 + b*x^3 + c*x^2 + d*x + e.
+# the range of normal floats: an invariant outside it has over- or underflowed
+_TINY = sys.float_info.min
+_HUGE = sys.float_info.max
 
-    The quartic has four distinct real roots iff delta > 0, p < 0 and d < 0;
-    delta == 0 marks repeated roots (classified Degenerate).
 
-    Coefficients so large that an invariant would overflow float64 are
-    classified scaled by a power of two into [0.5, 1). The invariants are
-    homogeneous in the coefficients, of degrees 6, 2 and 4, so the scale
-    keeps their signs; their values are scaled back, to +-inf where they do
-    not fit a float. Invariants that fit unscaled are computed unscaled.
-    The scaled terms keep their digits while every coefficient is within
-    about 2^-170 (1e-51) of the largest; a smaller one can underflow there,
-    and a leading coefficient that scales to zero raises as a zero one does.
+def _invariants(a: float, b: float, c: float, d: float, e: float) -> tuple[float, float, float, int]:
+    """(delta, p, d, k) of finite coefficients, a != 0, such that
+    delta*2^(6k), p*2^(2k) and d*2^(4k) are the invariants.
+
+    k == 0 unless an invariant overflows, or underflows while every
+    coefficient is below 1: then the coefficients are scaled by 2^-k into
+    [0.5, 1), which keeps the signs and, while no term under- or overflows,
+    the bits.
     """
-    a = ensure_real(a, "a")
-    b = ensure_real(b, "b")
-    c = ensure_real(c, "c")
-    d = ensure_real(d, "d")
-    e = ensure_real(e, "e")
-    if a == 0.0:
-        raise DegenerateLeadingCoefficient("leading coefficient a is zero")
     try:
         delta = (
             256.0 * e ** 3 * a ** 3
@@ -466,21 +459,56 @@ def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) ->
         )
         p = 8.0 * a * c - 3.0 * b * b
         dd = 64.0 * a ** 3 * e - 16.0 * a * a * c * c + 16.0 * a * b * b * c - 16.0 * a * a * d * b - 3.0 * b ** 4
+        if _TINY <= abs(delta) <= _HUGE and _TINY <= abs(p) <= _HUGE and _TINY <= abs(dd) <= _HUGE:
+            return delta, p, dd, 0
         fits = math.isfinite(delta) and math.isfinite(p) and math.isfinite(dd)
     except OverflowError:
         fits = False
-    if not fits:
-        k = math.frexp(max(abs(a), abs(b), abs(c), abs(d), abs(e)))[1]
-        scaled = real_quartic_invariants(*[math.ldexp(x, -k) for x in (a, b, c, d, e)])
-        return RealQuarticNature(
-            _ldexp(scaled.delta, 6 * k), _ldexp(scaled.p, 2 * k), _ldexp(scaled.d, 4 * k), scaled.classification
-        )
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d), abs(e)))[1]
+    if fits and k >= 0:
+        # nothing overflowed, and scaling down lifts no underflow
+        return delta, p, dd, 0
+    scaled = [math.ldexp(x, -k) for x in (a, b, c, d, e)]
+    if scaled[0] == 0.0:
+        raise DegenerateLeadingCoefficient("leading coefficient a is zero")
+    delta, p, dd, _ = _invariants(*scaled)
+    return delta, p, dd, k
+
+
+def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) -> RealQuarticNature:
+    """Discriminant-family invariants of a*x^4 + b*x^3 + c*x^2 + d*x + e.
+
+    The quartic has four distinct real roots iff delta > 0, p < 0 and d < 0;
+    delta == 0 marks repeated roots (classified Degenerate).
+
+    Coefficients so large that an invariant would overflow float64, or all
+    below 1 and so small that one would underflow below the normal range,
+    are classified scaled by a power of two into [0.5, 1). The invariants
+    are homogeneous in the coefficients, of degrees 6, 2 and 4, so the scale
+    keeps their signs; their values are scaled back, to +-inf, 0 or a
+    subnormal where they do not fit a normal float, and the classification
+    is that of the scaled values. Invariants that fit unscaled keep their
+    bits. The scaled terms keep their digits while every coefficient is
+    within about 2^-170 (1e-51) of the largest; a smaller one can underflow
+    there, and a leading coefficient that scales to zero raises as a zero
+    one does.
+    """
+    a = ensure_real(a, "a")
+    b = ensure_real(b, "b")
+    c = ensure_real(c, "c")
+    d = ensure_real(d, "d")
+    e = ensure_real(e, "e")
+    if a == 0.0:
+        raise DegenerateLeadingCoefficient("leading coefficient a is zero")
+    delta, p, dd, k = _invariants(a, b, c, d, e)
     if delta == 0.0:
         cls = RootNature.DEGENERATE
     elif delta > 0.0 and p < 0.0 and dd < 0.0:
         cls = RootNature.FOUR_REAL_DISTINCT
     else:
         cls = RootNature.NOT_FOUR_REAL_DISTINCT
+    if k:
+        delta, p, dd = _ldexp(delta, 6 * k), _ldexp(p, 2 * k), _ldexp(dd, 4 * k)
     return RealQuarticNature(delta=delta, p=p, d=dd, classification=cls)
 
 

@@ -244,10 +244,11 @@ def test_infinity_verify_block():
     assert all(isinstance(v, float) for v in verify["mobius_images"])
 
 
-@pytest.mark.parametrize("r", ["5e50", "1e60", "1e80", "1e300"])
+@pytest.mark.parametrize("r", ["5e50", "1e60", "1e80", "1e300", "1e308", "1.7e308"])
 def test_infinity_verify_block_for_a_far_observer(r):
     # the image quartic's invariants overflow float64 here: they print as
-    # null where they do not fit, and classify as verify_circle_theorem does
+    # null where they do not fit, and classify as verify_circle_theorem does;
+    # from about r = 4.7e307 its coefficients overflow too
     rc, out, _ = _run(["infinity", "--r", r, "--theta", "0.3", "--verify"])
     record = json.loads(out)
     assert rc == 0

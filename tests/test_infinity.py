@@ -291,6 +291,7 @@ def test_image_quartic_invariants_classify_a_far_observer_as_verify_does(theta):
 def _edge_observers():
     rng = np.random.default_rng(79)
     pairs = [(1.0 + 1e-9, 0.7), (1.0 + 1e-9, math.pi / 2), (1e3, 0.3), (1e3, math.pi - 1e-6)]
+    pairs += [(1.0 + 1e-15, 0.7), (1.0 + 1e-15, math.pi / 2), (1.0 + 1e-15, math.pi - 1e-6), (1e3, math.pi / 2)]
     pairs += [(2.0, math.pi / 2 + d) for d in (-1e-9, 0.0, 1e-9)]
     pairs += [(3.0, math.pi - d) for d in (1e-9, 1e-6, 1e-3)]
     pairs += [(1.0 + 10 ** rng.uniform(-9, 3), rng.uniform(1e-4, math.pi - 1e-4)) for _ in range(200)]
@@ -304,6 +305,28 @@ def test_verify_circle_theorem_matches_direct_solve():
         for obs in (ObserverPolar(r, theta), ObserverPolar(r, -theta)):
             direct = all(on_unit_circle(w) for w in solve_quartic(infinity_quartic_coeffs(obs)).roots)
             assert verify_circle_theorem(obs) == direct, (r, obs.theta)
+
+
+def test_verify_circle_theorem_validates_nothing_and_builds_no_record(monkeypatch):
+    # verify builds the image quartic's coefficients itself, so it classifies
+    # them without the public function's validation or its record
+    import catoptrix.quartic as quartic_module
+
+    def refuse(*args):
+        raise AssertionError("validated a coefficient or built a record")
+
+    # an observer of each plane-wave family of the benchmark, r - 1 from
+    # 1e-9 to 999: theta uniform, near 0, near +-pi/2 and near pi
+    thetas = (0.7, 2.5, 1e-12, 0.1, math.pi / 2 - 1e-12, math.pi / 2 + 1e-3, math.pi - 1e-12, math.pi - 0.1)
+    observers = [ObserverPolar(r, s * t) for r in (1.0 + 1e-9, 1.5, 1e3) for t in thetas for s in (1.0, -1.0)]
+    axis = [ObserverPolar(2.0, 0.0), ObserverPolar(2.0, math.pi)]
+    monkeypatch.setattr(quartic_module.RealQuarticNature, "__init__", refuse)
+    monkeypatch.setattr(quartic_module, "ensure_real", refuse)
+    for obs in observers:
+        assert verify_circle_theorem(obs) is True, obs
+    for obs in axis:  # the axis family, where the image quartic degenerates
+        with pytest.raises(DegenerateLeadingCoefficient):
+            verify_circle_theorem(obs)
 
 
 def _count_solves(monkeypatch):

@@ -455,6 +455,19 @@ def test_exterior_pair_next_to_the_circle_sees_its_reflection_point():
     assert res.reflection_residual <= 1e-14
 
 
+def test_exterior_tie_index_is_the_candidate_nearest_w_even_off_the_circle():
+    # the same pair's picture: the quartic's roots near w miss the fixed
+    # 1e-9 circle test, and the tie index names the nearest of them all the
+    # same; the one candidate that passes lies across the circle from w
+    z1, z2 = 0.04903727425770794 - 0.9987969492255798j, 0.049242098609155745 - 0.9987869048168334j
+    res = exterior_reflection(z1, z2)
+    roots = res.candidates.roots
+    assert res.tie_indices == (1,)
+    assert 1e-8 < abs(abs(roots[1]) - 1.0) < 1.3e-8 and 1e-8 < abs(roots[1] - res.w) < 1.3e-8
+    assert res.on_circle_mask == (False, False, False, True)
+    assert abs(roots[3] + res.w) < 1e-3
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(
     log_gap1=st.floats(-9.0, 3.0),

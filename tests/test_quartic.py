@@ -343,11 +343,12 @@ def test_real_invariants_classification():
         real_quartic_invariants(0, 1, 1, 1, 1)
 
 
-@pytest.mark.parametrize("k", [-100, 0, 1, 60, 100, 150, 300, 1000])
+@pytest.mark.parametrize("k", [-500, -200, -100, 0, 1, 60, 100, 150, 300, 1000])
 def test_real_invariants_of_coefficients_scaled_by_a_power_of_two(k):
     # delta, p and d are homogeneous in the coefficients, of degrees 6, 2 and
     # 4: coefficients scaled by 2^k keep the classification and scale each
-    # value by 2^(degree*k) exactly, or give +-inf where that overflows
+    # value by 2^(degree*k) exactly, or give +-inf where that overflows, and
+    # 0 or a subnormal where it underflows (delta from k = -200, d at -500)
     base = infinity_real_coeffs(2.0, 0.3)
     ref = real_quartic_invariants(*base)
     nat = real_quartic_invariants(*[math.ldexp(c, k) for c in base])
