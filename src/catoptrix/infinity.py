@@ -18,7 +18,8 @@ Four brackets. At phi = theta/2 - pi/4 + k*pi/2, T = (-1)^(k+1)*r - sin(phi),
 which has the sign of (-1)^(k+1) as r > 1. So each of the four quarter turns
 between these points holds a zero of T, and as w^2*T is a quartic in w there
 is exactly one in each: all four roots lie on the circle (Bonsall and
-Marden, Proc. AMS 3, 1952). verify_circle_theorem checks these four signs.
+Marden, Proc. AMS 3, 1952). The signs hold for every float r > 1, so
+verify_circle_theorem does not test them; it classifies the image quartic.
 
 The plane wave is the exterior pair with its source at infinity. With the
 source as z1 = R on the positive real axis, the exterior law of reflection
@@ -84,6 +85,8 @@ __all__ = [
 ]
 
 _ROOT_AT_ONE_EPS = 1e-12
+_INF = math.inf
+_HALF_PI = 0.5 * math.pi
 
 
 def __getattr__(name: str) -> Any:
@@ -110,11 +113,18 @@ class ObserverPolar(_Record):
     theta: float
 
     def __init__(self, r: float, theta: float) -> None:
-        r = ensure_real(r, "r")
-        theta = ensure_real(theta, "theta")
-        if r <= 1.0:
-            raise InvalidObserver(f"observer radius must exceed 1, got {r}")
-        self.__dict__.update(r=r, theta=wrap_angle(theta))
+        # a plain float r in (1, inf) and a plain float theta in (-pi, pi]
+        # are kept as they are, which is what validation and wrap_angle
+        # return for them; anything else converts, raises and wraps
+        if not (type(r) is float and type(theta) is float and 1.0 < r < _INF and -math.pi < theta <= math.pi):
+            r = ensure_real(r, "r")
+            theta = ensure_real(theta, "theta")
+            if r <= 1.0:
+                raise InvalidObserver(f"observer radius must exceed 1, got {r}")
+            theta = wrap_angle(theta)
+        fields = self.__dict__
+        fields["r"] = r
+        fields["theta"] = theta
 
     @property
     def point(self) -> complex:
@@ -154,14 +164,14 @@ class InfinityResult(_Record):
         degenerate_axis: bool,
         _observer: ObserverPolar,
     ) -> None:
-        self.__dict__.update(
-            w=w,
-            phi=phi,
-            path_defect=path_defect,
-            reality_residual=reality_residual,
-            degenerate_axis=degenerate_axis,
-            _observer=_observer,
-        )
+        # item by item: update(w=w, ...) builds a keyword dict first
+        fields = self.__dict__
+        fields["w"] = w
+        fields["phi"] = phi
+        fields["path_defect"] = path_defect
+        fields["reality_residual"] = reality_residual
+        fields["degenerate_axis"] = degenerate_axis
+        fields["_observer"] = _observer
 
     @functools.cached_property
     def all_roots(self) -> RootSet:
@@ -197,25 +207,22 @@ def infinity_reflection(obs: ObserverPolar) -> InfinityResult:
     |f - w| - Re w is least over the lit points f sees, which the grid oracle
     and a point-by-point scan check in the tests.
     """
-    theta = obs.theta
+    theta, r = obs.theta, obs.r
     f = obs.point
     if f.real < 0.0 and abs(f.imag) < 1.0:
         raise ShadowRegion(f"no physically valid reflection for theta = {theta:.6g}")
-    t, half = math.acos(1.0 / obs.r), 0.5 * math.pi
-    phi = _law_zero(math.inf, obs.r, theta, max(-half, theta - t), min(half, theta + t), 0.0)
+    t = math.acos(1.0 / r)
+    a, b = theta - t, theta + t
+    phi = _law_zero(_INF, r, theta, a if a > -_HALF_PI else -_HALF_PI, b if b < _HALF_PI else _HALF_PI, 0.0)
     # an observer on the cylinder's edge, or rounded onto it, has its zero
     # at |phi| = pi/2 at most
-    phi = min(max(phi, -half), half)
+    if phi < -_HALF_PI:
+        phi = -_HALF_PI
+    elif phi > _HALF_PI:
+        phi = _HALF_PI
     w = complex(math.cos(phi), math.sin(phi))
-
-    return InfinityResult(
-        w=w,
-        phi=phi,
-        path_defect=abs(f - w) - w.real,
-        reality_residual=abs(((f - w) / (w * w)).imag),
-        degenerate_axis=theta == 0.0,
-        _observer=obs,
-    )
+    d = f - w
+    return InfinityResult(w, phi, abs(d) - w.real, abs((d / (w * w)).imag), theta == 0.0, obs)
 
 
 def mobius_real_image(roots: RootSet) -> tuple[float, ...]:
@@ -243,22 +250,21 @@ def _image_coeffs_over_r(r: float, theta: float) -> tuple[float, float, float, f
 
 
 def verify_circle_theorem(obs: ObserverPolar) -> bool:
-    """Check, by two independent routes, that all four reflection roots lie
-    on the unit circle: the real-coefficient image quartic must classify as
-    FourRealDistinct, and T must alternate in sign at the four bracket ends
-    phi = theta/2 - pi/4 + k*pi/2, which puts one zero of T, one root on the
-    circle, in each quarter turn between them (module docstring). Neither
-    route solves a quartic, and neither builds a record.
+    """Check that all four reflection roots lie on the unit circle: the
+    real-coefficient image quartic under the Moebius map must classify as
+    FourRealDistinct by its sign invariants, delta > 0, P < 0 and D < 0. It
+    solves no quartic and builds no record.
 
     The image quartic is classified divided by r (_image_coeffs_over_r):
     delta, P and D are homogeneous in the coefficients, so a positive scale
     keeps their signs. Unscaled, delta grows like r^6 and overflows from
     about r = 6e50, and the coefficients themselves from about r = 4.7e307.
 
-    At the bracket ends sin(2*phi - theta) is -1, 1, -1, 1 and sin(phi)/r
-    is s, c, -s, -c, with s and c the sine and cosine of theta/2 - pi/4
-    over r, so T/r = sin(2*phi - theta) - sin(phi)/r takes its four signs
-    from one sine and one cosine.
+    The four bracket signs of the module docstring are the paper's theorem,
+    not a check: at the bracket ends T/r = +-1 - sin(phi)/r, and a float
+    r > 1 is at least 1 + 2^-52, so |sin(phi)/r| rounds below 1 and the
+    signs alternate for every observer. Only the classification, which runs
+    on rounded invariants, can fail.
     """
     theta = obs.theta
     if theta == 0.0 or abs(theta) == math.pi:
@@ -266,8 +272,4 @@ def verify_circle_theorem(obs: ObserverPolar) -> bool:
             "theta = 0 (mod pi): the image quartic degenerates"
         )
     delta, p, d, _ = _invariants(*_image_coeffs_over_r(obs.r, theta))
-    if not (delta > 0.0 and p < 0.0 and d < 0.0):
-        return False
-    half = 0.5 * theta - 0.25 * math.pi
-    s, c = math.sin(half) / obs.r, math.cos(half) / obs.r
-    return -1.0 - s < 0.0 < 1.0 - c and -1.0 + s < 0.0 < 1.0 + c
+    return delta > 0.0 and p < 0.0 and d < 0.0

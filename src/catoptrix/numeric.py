@@ -221,20 +221,41 @@ def _law_zero(r1: float, r2: float, delta: float, a: float, b: float, base: floa
     an ulp of max(|base + x|, |x|): base + x is the angle itself, and |x|
     keeps an angle near 0 from asking for ulps of an offset far larger than
     it.
+
+    An infinite r1 drops the source terms sin(delta - x)/r1 and
+    cos(delta - x)/r1 from g and its slope instead of evaluating them. Each
+    is a finite sine or cosine over inf, a signed zero, and adding a zero to
+    a nonzero term changes no bit; sin(2x - delta) is zero only at 2x =
+    delta, where it is +0 (x is -0 only in a bracket of width 0), and +0
+    plus either zero is +0. So every value, slope and step, and the angle
+    returned, keeps its bits.
     """
     sin, cos = math.sin, math.cos
+    far = r1 == math.inf
     lo, hi = (a, b) if a < b else (b, a)
     x = 0.5 * (lo + hi)
     for _ in range(_MAX_STEPS):
-        value = sin(2.0 * x - delta) + sin(delta - x) / r1 - sin(x) / r2
-        lo, hi = (x, hi) if value < 0.0 else (lo, x)
-        slope = 2.0 * cos(2.0 * x - delta) - cos(delta - x) / r1 - cos(x) / r2
+        u = 2.0 * x - delta
+        if far:
+            value = sin(u) - sin(x) / r2
+            slope = 2.0 * cos(u) - cos(x) / r2
+        else:
+            v = delta - x
+            value = sin(u) + sin(v) / r1 - sin(x) / r2
+            slope = 2.0 * cos(u) - cos(v) / r1 - cos(x) / r2
+        if value < 0.0:
+            lo = x
+        else:
+            hi = x
         step = value / slope if slope > 0.0 else (math.inf if value else 0.0)
-        scale = max(abs(base + x), abs(x))
+        scale = abs(base + x)
+        if abs(x) > scale:
+            scale = abs(x)
+        nx = x - step
         if abs(step) <= 2.0 ** -52 * scale:
-            return base + (x - step)
-        if lo < x - step < hi:
-            x -= step
+            return base + nx
+        if lo < nx < hi:
+            x = nx
         else:
             x = 0.5 * (lo + hi)
             if hi - lo <= 2.0 ** -51 * scale:

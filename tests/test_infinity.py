@@ -29,6 +29,7 @@ from catoptrix.errors import (
     DegenerateLeadingCoefficient,
     InvalidObserver,
     NoConvergence,
+    NonFinitePoint,
     RootAtOne,
     ShadowRegion,
 )
@@ -55,6 +56,30 @@ def test_observer_validation_and_wrapping():
     obs = ObserverPolar(2.0, math.tau + 0.25)
     assert abs(obs.theta - 0.25) < 1e-15
     assert abs(obs.point - 2.0 * cmath.exp(0.25j)) < 1e-14
+
+
+def test_observer_keeps_plain_floats_and_converts_the_rest():
+    # plain floats with r in (1, inf) and theta in (-pi, pi] are stored as
+    # they are; anything else converts, validates r, then theta, and wraps
+    cases = [
+        ((2, 1), (2.0, 1.0)),
+        ((np.float64(2.5), np.float32(0.5)), (2.5, 0.5)),
+        (("3.0", "-0.5"), (3.0, -0.5)),
+        ((2.0, 7.0), (2.0, 7.0 - math.tau)),
+        ((2.0, -math.pi), (2.0, math.pi)),
+        ((2.0, math.pi), (2.0, math.pi)),
+        ((1.0 + 2.0 ** -52, -0.0), (1.0 + 2.0 ** -52, -0.0)),
+    ]
+    for args, fields in cases:
+        obs = ObserverPolar(*args)
+        assert (type(obs.r), type(obs.theta)) == (float, float), args
+        assert (obs.r.hex(), obs.theta.hex()) == (fields[0].hex(), fields[1].hex()), args
+    for r, theta in [(math.nan, 0.3), (math.inf, 0.3), (2.0, math.nan), (2.0, -math.inf), (0.5, math.nan)]:
+        with pytest.raises(NonFinitePoint):
+            ObserverPolar(r, theta)
+    for r in (1.0, True, 0.5, -2.0):
+        with pytest.raises(InvalidObserver):
+            ObserverPolar(r, 0.3)
 
 
 def test_coefficients_axial():
@@ -162,6 +187,44 @@ def test_conjugation_symmetry():
         assert (mirror is None) is (res is None)
         if res is not None:
             assert mirror.w == res.w.conjugate()
+
+
+# (r, theta, phi, Re w, Im w) as float.hex, pinned from the law solver as
+# it evaluated the source terms sin(delta - x)/r1 and cos(delta - x)/r1 at
+# r1 = inf: theta uniform, near 0, near +-pi/2, lit near pi, the cylinder
+# edge (Im f is exactly 1.0 at theta = 2.8017557441356713), r - 1 = 1e-15,
+# r = 1e300 and the axis
+PINNED_PLANE_WAVE = [
+    (2.5, 0.7, "0x1.bd0be474f4802p-2", "0x1.d0667d4c5f7bcp-1", "0x1.af2ad5caf530ep-2"),
+    (1.3, -1.1, "-0x1.b931d054a0befp-1", "0x1.4d627b9f8643ep-1", "-0x1.8495df42ca086p-1"),
+    (1.7, 1e-12, "0x1.8ec1977010b98p-41", "0x1.0000000000000p+0", "0x1.8ec1977010b98p-41"),
+    (40.0, -3e-09, "-0x1.a1893b4e38046p-30", "0x1.0000000000000p+0", "-0x1.a1893b4e38046p-30"),
+    (1.2, math.pi / 2 - 1e-12, "0x1.3d35c827998d5p+0", "0x1.4d7607fc11971p-2", "0x1.e417843e10e8cp-1"),
+    (1.2, math.pi / 2 + 1e-3, "0x1.3d5fcd3e069f7p+0", "0x1.4cd71889b1265p-2", "0x1.e432dbb76e25ap-1"),
+    (3.0, -math.pi / 2 + 1e-10, "-0x1.d6d0477e8daafp-1", "0x1.365c2a5b23dedp-1", "-0x1.9735f8b8e1efcp-1"),
+    (1e3, math.pi - 0.01, "0x1.90f8cbb60b2b5p+0", "0x1.26e94cfcc7225p-8", "0x1.fffeac42ddd69p-1"),
+    (1e6, -(math.pi - 1e-5), "-0x1.921f69c4e87e5p+0", "0x1.2dfd694ccd458p-18", "-0x1.ffffffffe9bc2p-1"),
+    (3.0, 2.8017557441356713, "0x1.921fb54442d18p+0", "0x1.1a62633145c07p-54", "0x1.0000000000000p+0"),
+    (1.0 + 1e-15, 0.3, "0x1.333333333332dp-2", "0x1.e921dd42f09bbp-1", "0x1.2e9cd95baba2ep-2"),
+    (1.0 + 1e-15, -math.pi / 2, "-0x1.921fb4d19363bp+0", "0x1.cabdb751a6262p-26", "-0x1.ffffffffffffdp-1"),
+    (1e300, 1.0, "0x1.0000000000000p-1", "0x1.c1528065b7d50p-1", "0x1.eaee8744b05f0p-2"),
+    (1e300, -3.0, "-0x1.8000000000000p+0", "0x1.21bd54fc5f9a7p-4", "-0x1.feb7a9b2c6d8bp-1"),
+    (2.0, 0.0, "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("r, theta, phi, re_w, im_w", PINNED_PLANE_WAVE)
+def test_plane_wave_answers_are_pinned_bit_for_bit(r, theta, phi, re_w, im_w):
+    # the law solver drops the source terms at r1 = inf instead of adding
+    # their signed zeros, which must move no bit of an answer
+    obs = ObserverPolar(r, theta)
+    res = infinity_reflection(obs)
+    assert (res.phi.hex(), res.w.real.hex(), res.w.imag.hex()) == (phi, re_w, im_w)
+    if obs.theta == 0.0:
+        return  # the axis is its own mirror: -0.0 gives phi = +0.0
+    mirror = infinity_reflection(ObserverPolar(r, -theta))
+    assert mirror.phi.hex() == (-res.phi).hex()
+    assert (mirror.w.real.hex(), mirror.w.imag.hex()) == (re_w, (-res.w.imag).hex())
 
 
 @pytest.mark.parametrize("far", [1e6, 1e9, 1e12])
@@ -299,8 +362,8 @@ def _edge_observers():
 
 
 def test_verify_circle_theorem_matches_direct_solve():
-    # the image quartic and the signs of T at the bracket ends, neither of
-    # which solves the reflection quartic, decide as a direct solve does
+    # the image quartic's sign invariants, which solve no quartic, decide
+    # as a direct solve does
     for r, theta in _edge_observers():
         for obs in (ObserverPolar(r, theta), ObserverPolar(r, -theta)):
             direct = all(on_unit_circle(w) for w in solve_quartic(infinity_quartic_coeffs(obs)).roots)
