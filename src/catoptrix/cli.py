@@ -188,7 +188,7 @@ def _run_interior(args: argparse.Namespace) -> _Run:
     from .interior import _ellipse_of, minimizing_root
 
     result = minimizing_root(args.z1, args.z2)
-    ellipse = _ellipse_of(result, args.z1, args.z2)
+    ellipse = _ellipse_of(result)
     diagnostics: dict[str, Any] = {
         "candidates": [_pair(w) for w in result.candidates.roots],
         "on_circle": list(result.on_circle_mask),

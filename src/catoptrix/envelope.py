@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import InvalidFocus, NotOnCircle
+from .errors import InvalidFocus, NonFinitePoint, NotOnCircle
 from .numeric import _Record, ensure_point, ensure_real, on_unit_circle
 
 __all__ = [
@@ -135,12 +135,18 @@ def directrix(a: float, w: complex) -> LineCoeffs:
 def envelope_implicit(a: float, z: complex) -> float:
     """Residual of the envelope equation
 
-        (z*conj(z))^2 - 2(a^2 + 2)*z*conj(z) + 4a*(z + conj(z)) + a^4 - 4a^2.
+        (z*conj(z))^2 - 2(a^2 + 2)*z*conj(z) + 4a*(z + conj(z)) + a^4 - 4a^2,
+
+    or NonFinitePoint where it overflows float64, from about a = 1e77.
     """
     a = _check_focus(a)
     z = ensure_point(z, "z")
     zz = z.real * z.real + z.imag * z.imag
-    return zz * zz - 2.0 * (a * a + 2.0) * zz + 4.0 * a * (2.0 * z.real) + a ** 4 - 4.0 * a * a
+    try:
+        value = zz * zz - 2.0 * (a * a + 2.0) * zz + 4.0 * a * (2.0 * z.real) + a ** 4 - 4.0 * a * a
+    except OverflowError:  # a ** 4 past float64
+        value = math.inf
+    return _finite_residual(value, a, z)
 
 
 def envelope_param(a: float, theta: float) -> complex:
@@ -162,13 +168,25 @@ def limacon_residual(a: float, x: float, y: float) -> float:
 
         ((x - a)^2 + y^2 + 2a*(x - a))^2 - 4*((x - a)^2 + y^2),
 
-    algebraically identical to envelope_implicit at z = x + i*y.
+    algebraically identical to envelope_implicit at z = x + i*y, or
+    NonFinitePoint where it overflows float64.
     """
     a = _check_focus(a)
     x = ensure_real(x, "x")
     y = ensure_real(y, "y")
-    u = (x - a) ** 2 + y * y
-    return (u + 2.0 * a * (x - a)) ** 2 - 4.0 * u
+    try:
+        u = (x - a) ** 2 + y * y
+        value = (u + 2.0 * a * (x - a)) ** 2 - 4.0 * u
+    except OverflowError:  # a square past float64
+        value = math.inf
+    return _finite_residual(value, a, complex(x, y))
+
+
+def _finite_residual(value: float, a: float, z: complex) -> float:
+    # an overflowed residual is inf, or nan where two infinite terms meet
+    if not math.isfinite(value):
+        raise NonFinitePoint(f"the residual at a = {a!r}, z = {z!r} overflows float64")
+    return value
 
 
 def e1_isolated_point(a: float) -> complex:

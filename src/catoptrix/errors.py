@@ -10,8 +10,8 @@ class CatoptrixError(Exception):
 
 
 class NonFinitePoint(CatoptrixError, ValueError):
-    """A coordinate was NaN or infinite, or an exterior pair lies so far out
-    that |z1|*|z2| overflows float64."""
+    """A coordinate was NaN or infinite, an exterior pair lies so far out
+    that |z1|*|z2| overflows float64, or an envelope residual overflows."""
 
 
 class DegenerateLeadingCoefficient(CatoptrixError):

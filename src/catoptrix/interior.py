@@ -2,9 +2,8 @@
 
 Inside the disk, minimizing_root solves the degree-4 reflection equation,
 selects the minimizing root (the boundary point minimizing the focal sum
-|z1 - w| + |z2 - w|) with numeric._argmin_on_circle, and derives the
-triangular ratio metric and the parameters of the maximal inscribed
-ellipse.
+|z1 - w| + |z2 - w|) with _least_focal_sum, and derives the triangular ratio
+metric and the parameters of the maximal inscribed ellipse.
 
 Outside it, the answer is the one zero of the reflection law on the arc
 that both points see, and exterior_reflection finds it without the
@@ -44,12 +43,11 @@ from .errors import (
     NonFinitePoint,
     NoRootOnCircle,
     PointInsideDomain,
-    PointOutsideDomain,
 )
 from .numeric import (
     _COINCIDENT_EPS,
     VISIBILITY_SLACK,
-    _argmin_on_circle,
+    _ensure_in_disk,
     _law_zero,
     _Record,
     ensure_point,
@@ -72,6 +70,9 @@ __all__ = [
 # an exterior pair whose true visible arcs miss by more than this has no
 # point that VISIBILITY_SLACK lets both see (exterior_reflection)
 _GRAZING_GAP = 4.0 * math.acos(1.0 - VISIBILITY_SLACK)
+
+# focal sums within this of the least one count as a tie (minimizing_root)
+_TIE_EPS = 1e-10
 
 
 # the one dataclass among the value types: bench/test_bench.py builds
@@ -201,19 +202,37 @@ def minimizing_root(z1: complex, z2: complex) -> ReflectionResult:
     """
     z1 = ensure_point(z1, "z1")
     z2 = ensure_point(z2, "z2")
-    if abs(z1) >= 1.0 or abs(z2) >= 1.0:
-        raise PointOutsideDomain("both points must lie in the open unit disk")
+    _ensure_in_disk(z1, z2)
     d = _distance(z1, z2)
     q = interior_quartic_coeffs(z1, z2)
     roots = _candidates(q)
-    mask = tuple([on_unit_circle(w) for w in roots.roots])
-    sel = _argmin_on_circle(roots.roots, mask, lambda wp: abs(z1 - wp) + abs(z2 - wp))
-    if sel is None:
-        raise NoRootOnCircle("no root passed the unit-circle test")
-    result = _result(z1, z2, sel[0], sel[1], d, q.c4 == 0)
+    w, fs, mask, ties = _least_focal_sum(z1, z2, roots.roots)
+    result = _result(z1, z2, w, fs, d, q.c4 == 0)
     # the picture the pick was made from, so that no read solves again
-    vars(result).update(candidates=roots, on_circle_mask=mask, tie_indices=sel[2])
+    vars(result).update(candidates=roots, on_circle_mask=mask, tie_indices=ties)
     return result
+
+
+def _least_focal_sum(z1: complex, z2: complex, roots: tuple[complex, ...]) -> tuple:
+    """(w, focal sum, on-circle mask, tie indices) of minimizing_root's pick:
+    the least focal sum over the projections w / |w| of the roots that pass
+    on_unit_circle. Sums within _TIE_EPS of the least tie, and among the
+    tied roots the largest Im w, then the largest Re w, wins. Raises
+    NoRootOnCircle when no root passes.
+    """
+    mask, ties = [], []
+    for k, root in enumerate(roots):
+        mask.append(on_unit_circle(root))
+        if mask[-1]:
+            w = root / abs(root)
+            ties.append((abs(z1 - w) + abs(z2 - w), k, w))
+    if not ties:
+        raise NoRootOnCircle("no root passed the unit-circle test")
+    # the indices are distinct, so min never compares two w
+    cut = min(ties)[0] + _TIE_EPS
+    ties = [t for t in ties if t[0] <= cut]
+    fs, _, w = max(ties, key=lambda t: (t[2].imag, t[2].real))
+    return w, fs, tuple(mask), tuple([t[1] for t in ties])
 
 
 def s_metric(z1: complex, z2: complex) -> float:
@@ -229,14 +248,13 @@ def ellipse_params(z1: complex, z2: complex) -> EllipseParams:
 
     The eccentricity equals the triangular ratio metric of the pair.
     """
-    z1 = ensure_point(z1, "z1")
-    z2 = ensure_point(z2, "z2")
-    return _ellipse_of(minimizing_root(z1, z2), z1, z2)
+    return _ellipse_of(minimizing_root(z1, z2))
 
 
-def _ellipse_of(result: ReflectionResult, z1: complex, z2: complex) -> EllipseParams:
-    """The maximal inscribed ellipse of a solved pair of validated points,
-    without solving again."""
+def _ellipse_of(result: ReflectionResult) -> EllipseParams:
+    """The maximal inscribed ellipse of a solved interior pair, from the
+    validated pair the result holds, without solving again."""
+    z1, z2 = result._pair
     c = result.focal_sum
     d = abs(z1 - z2)
     # the eccentricity d / c is s itself, so it keeps s's digits

@@ -4,21 +4,20 @@ predicates, segment geometry.
 All angles are in radians and all lengths are dimensionless (unit mirror
 radius). Points of the plane are plain ``complex`` values; the helpers here
 validate them at API boundaries so NaN/Inf never propagate into root
-polishing. ``_argmin_on_circle`` is the rule by which the interior pair picks
-its answer among the on-circle roots of its quartic. The exterior pair and
-the plane wave need no such rule: the answer of each is the one zero of the
-law of reflection on the arc that both points see (interior.py,
+polishing. The answer of the exterior pair and of the plane wave is the one
+zero of the law of reflection on the arc that both points see (interior.py,
 infinity.py), and ``_law_zero`` finds it for both, the plane wave being the
-exterior pair with its source at infinity.
+exterior pair with its source at infinity. The interior pair's rule, the
+least focal sum among the on-circle roots of its quartic with its tie band,
+lives beside its one caller in interior.py.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Optional, Sequence
 
-from .errors import NonFinitePoint
+from .errors import NonFinitePoint, PointOutsideDomain
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -106,9 +105,6 @@ _COINCIDENT_EPS = 1e-14
 # and the exterior pair's bound on how far its visible arcs may miss
 VISIBILITY_SLACK = 1e-9
 
-# costs within this of the least one count as a tie
-_COST_TIE_EPS = 1e-10
-
 # Newton and bisection steps of _law_zero; an exterior pair's joint arc
 # reaches width pi, and bisection alone needs about 54 steps to narrow that
 # to an ulp of an angle near 1
@@ -129,6 +125,18 @@ def ensure_real(x: float, name: str = "value") -> float:
     if not math.isfinite(x):
         raise NonFinitePoint(f"{name} must be finite, got {x!r}")
     return x
+
+
+def _ensure_in_disk(z1: complex, z2: complex) -> None:
+    """Raise PointOutsideDomain unless both finite points lie in the open
+    unit disk. A modulus past float64, where abs raises OverflowError, lies
+    outside; hypot would round some finite moduli differently from abs."""
+    try:
+        if abs(z1) < 1.0 and abs(z2) < 1.0:
+            return
+    except OverflowError:
+        pass
+    raise PointOutsideDomain("both points must lie in the open unit disk")
 
 
 def on_unit_circle(w: complex) -> bool:
@@ -179,30 +187,6 @@ def segment_clears_disk(p: complex, q: complex) -> bool:
     absorbs the numerical drift of projected roots.
     """
     return segment_min_distance_to_origin(p, q) >= 1.0 - VISIBILITY_SLACK
-
-
-def _argmin_on_circle(
-    roots: Sequence[complex], mask: Sequence[bool], cost: Callable[[complex], float]
-) -> Optional[tuple[complex, float, tuple[int, ...]]]:
-    """(w, cost, tie_indices) of the least-cost projection w / |w| of a masked
-    root, or None when no root is masked. Costs within _COST_TIE_EPS of the
-    least tie; among them the largest Im, then the largest Re, wins.
-    """
-    best: list[tuple[float, int, complex]] = []
-    for k, w in enumerate(roots):
-        if mask[k]:
-            wp = w / abs(w)
-            best.append((cost(wp), k, wp))
-    if len(best) < 2:
-        # nothing to tie
-        return (best[0][2], best[0][0], (best[0][1],)) if best else None
-    cut = min([t[0] for t in best]) + _COST_TIE_EPS
-    ties = [t for t in best if t[0] <= cut]
-    if len(ties) == 1:
-        c, k, w = ties[0]
-        return w, c, (k,)
-    c, _, w = max(ties, key=lambda t: (t[2].imag, t[2].real))
-    return w, c, tuple([t[1] for t in ties])
 
 
 def _law_zero(r1: float, r2: float, delta: float, a: float, b: float, base: float) -> float:

@@ -80,12 +80,12 @@ from .errors import (
     CoincidentPoints,
     DegenerateLeadingCoefficient,
     InvalidObserver,
-    PointOutsideDomain,
 )
 from .infinity import ObserverPolar
 from .numeric import (
     _COINCIDENT_EPS,
     VISIBILITY_SLACK,
+    _ensure_in_disk,
     ensure_point,
     ensure_real,
     unit_from_angle,
@@ -224,8 +224,7 @@ def oracle_smetric(z1: complex, z2: complex) -> tuple[complex, float]:
     """
     z1 = ensure_point(z1, "z1")
     z2 = ensure_point(z2, "z2")
-    if abs(z1) >= 1.0 or abs(z2) >= 1.0:
-        raise PointOutsideDomain("both points must lie in the open unit disk")
+    _ensure_in_disk(z1, z2)
     dist = abs(z1 - z2)
     if dist < _COINCIDENT_EPS:
         raise CoincidentPoints("points coincide")

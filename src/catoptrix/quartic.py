@@ -412,8 +412,7 @@ def polished_roots(coeffs: tuple[complex, ...]) -> RootSet:
     QuarticCoeffs does, and NoConvergence as solve_quartic does.
     """
     deg = len(coeffs) - 1
-    coeffs = tuple([c if type(c) is complex and cmath.isfinite(c) else ensure_point(c, f"c{deg - k}")
-                    for k, c in enumerate(coeffs)])
+    coeffs = tuple([ensure_point(c, f"c{deg - k}") for k, c in enumerate(coeffs)])
     if not coeffs or coeffs[0] == 0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
     if not 1 <= deg <= 4:

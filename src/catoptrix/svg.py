@@ -126,7 +126,8 @@ def infinity_figure(obs: ObserverPolar, result: InfinityResult) -> str:
         span = 1.2 * extent
         for k in range(257):
             y = -span + 2 * span * k / 256
-            x = 0.5 * (d + f.real) - (y - f.imag) ** 2 / (2.0 * (d - f.real))
+            # divide before the second factor: (y - f.imag) ** 2 overflows from about r = 1e154
+            x = 0.5 * (d + f.real) - (y - f.imag) / (2.0 * (d - f.real)) * (y - f.imag)
             if abs(x) <= 2 * extent:
                 pts.append(complex(x, y))
         if len(pts) >= 2:

@@ -13,6 +13,8 @@ from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catoptrix.cli import main
 
@@ -106,8 +108,11 @@ def test_non_finite_input_echoes_as_null(argv, field, echoed):
         # the oracles' grid is fixed; the flags that set it are gone
         (["oracle", "smetric", "--z1", "0.4,0", "--z2", "0,0.3", "--grid", "1000"], "unrecognized arguments: --grid 1000"),
         (["oracle", "infinity", "--r", "2", "--theta", "1.2", "--refine-iters", "60"], "unrecognized arguments: --refine-iters 60"),
+        (["oracle", "discriminant", "--coeffs", "1,2,3"], "expected five coefficients, got 3"),
+        (["oracle", "discriminant", "--coeffs", "1,x,3,4,5"], "expected A,B,C,D,E, got '1,x,3,4,5'"),
     ],
-    ids=["unknown-flag", "missing-z2", "malformed-z1", "removed-grid", "removed-refine-iters"],
+    ids=["unknown-flag", "missing-z2", "malformed-z1", "removed-grid", "removed-refine-iters", "three-coeffs",
+         "malformed-coeffs"],
 )
 def test_usage_error_prints_one_record(argv, message):
     rc, out, err = _run(argv)
@@ -209,8 +214,10 @@ def test_value_flags_match_the_parser():
             ["envelope", "--a", "2", "--samples", "4", "--directrices", "-3"],
             "directrices must not be negative",
         ),
+        (["envelope", "--a", "2", "--samples", "0"], "samples must be positive"),
+        (["oracle", "discriminant", "--r", "3"], "discriminant needs --coeffs or both --r and --theta"),
     ],
-    ids=["coeffs-with-observer", "negative-directrices"],
+    ids=["coeffs-with-observer", "negative-directrices", "no-samples", "r-without-theta"],
 )
 def test_conflicting_or_negative_flags_are_invalid(argv, message):
     rc, out, _ = _run(argv)
@@ -219,6 +226,55 @@ def test_conflicting_or_negative_flags_are_invalid(argv, message):
     assert record["status"] == "InvalidArgument"
     assert record["error"] == message
     assert record["results"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["interior", "--z1", "1.5e308,1.5e308", "--z2", "0,0.5"], "PointOutsideDomain"),
+        (["oracle", "smetric", "--z1", "1.5e308,1.5e308", "--z2", "0,0.5"], "PointOutsideDomain"),
+        (["envelope", "--a", "2e77", "--samples", "4"], "NonFinitePoint"),
+        (["infinity", "--r", "1e200", "--theta", "0.3", "--svg"], "ok"),
+    ],
+    ids=["interior-modulus", "oracle-smetric-modulus", "envelope-a4", "infinity-svg-parabola"],
+)
+def test_finite_input_past_float64_prints_one_record(tmp_path, argv, status):
+    # finite flags whose arithmetic passes float64: the modulus in the disk
+    # test, a ** 4 in the envelope residual, and the square in the
+    # plane-wave figure's parabola, which is still drawn
+    if argv[-1] == "--svg":
+        argv = argv + [str(tmp_path / "far.svg")]
+    rc, out, _ = _run(argv)
+    assert out.count("\n") == 1
+    record = json.loads(out)
+    assert record["status"] == status and rc == (0 if status == "ok" else 2)
+    if status == "ok":
+        root = ET.parse(tmp_path / "far.svg").getroot()
+        assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 1
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POINT = st.tuples(_FINITE, _FINITE).map(lambda p: f"{p[0]!r},{p[1]!r}")
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    argv=st.one_of(
+        st.tuples(st.just("interior"), st.just("--z1"), _POINT, st.just("--z2"), _POINT),
+        st.tuples(st.just("infinity"), st.just("--r"), _FINITE.map(repr), st.just("--theta"),
+                  _FINITE.map(repr), st.just("--verify")),
+        st.tuples(st.just("envelope"), st.just("--a"), _FINITE.map(repr), st.just("--samples"),
+                  st.integers(1, 8).map(str)),
+        st.tuples(st.just("directrix"), st.just("--a"), _FINITE.map(repr), st.just("--phi"), _FINITE.map(repr)),
+    )
+)
+def test_extreme_finite_input_prints_one_record(argv):
+    # the oracle commands are left out: their numpy scans may warn on
+    # overflow, which the test run turns into an error
+    rc, out, _ = _run(list(argv))
+    assert rc in (0, 2) and out.count("\n") == 1
+    record = json.loads(out, parse_constant=_reject_constant)
+    assert (record["status"] == "ok") == (rc == 0)
 
 
 def test_shadow_region_error_code():

@@ -19,7 +19,7 @@ from catoptrix import (
     tangent_line,
     valid_arc,
 )
-from catoptrix.errors import InvalidFocus, NotOnCircle
+from catoptrix.errors import InvalidFocus, NonFinitePoint, NotOnCircle
 from catoptrix.numeric import unit_from_angle
 
 FOCI = [1.5, 2.0, 3.0, 10.0]
@@ -138,6 +138,18 @@ def test_limacon_hand_values():
     assert limacon_residual(2.0, -4.0, 0.0) == 0.0
 
 
+def test_residuals_past_float64_raise_non_finite_point():
+    # a^4 in the implicit form, and the outer square in the limacon form,
+    # overflow float64 for these foci
+    with pytest.raises(NonFinitePoint, match="overflows float64"):
+        envelope_implicit(2e77, envelope_param(2e77, 0.5))
+    with pytest.raises(NonFinitePoint, match="overflows float64"):
+        limacon_residual(1e100, 1.0, 0.0)
+    # a point too far out for its squared modulus to fit
+    with pytest.raises(NonFinitePoint, match="overflows float64"):
+        envelope_implicit(2.0, 1e200 + 0j)
+
+
 def test_limacon_identity_with_implicit_form():
     rng = np.random.default_rng(103)
     for a in FOCI:
@@ -216,3 +228,8 @@ def test_line_coeffs_validation_and_normalization():
     # normalization preserves the zero set
     z = tangency_point(3.0, unit_from_angle(0.7))
     assert abs(norm(z)) < 1e-9
+    # |beta| = |alpha|, but gamma is not real in the normalized form
+    with pytest.raises(ValueError, match="do not describe a real line"):
+        LineCoeffs(1 + 0j, 1 + 0j, 1j).normalized()
+    # the first significant of (A, B) comes out negative and is flipped
+    assert LineCoeffs(-1 + 0.1j, -1 - 0.1j, 0.5).real_form() == (1.0, 0.1, -0.25)

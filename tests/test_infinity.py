@@ -227,6 +227,27 @@ def test_plane_wave_answers_are_pinned_bit_for_bit(r, theta, phi, re_w, im_w):
     assert (mirror.w.real.hex(), mirror.w.imag.hex()) == (re_w, (-res.w.imag).hex())
 
 
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="next to the circle near theta = pi/2, sin(2*phi - theta) and sin(phi)/r cancel and the slope of "
+    "T/r is about cos(theta), so rounding moves its zero by 7.9e-11 rad here (ROADMAP item 2)",
+)
+def test_plane_wave_next_to_the_circle_near_a_quarter_turn_matches_a_50_digit_zero():
+    # r - 1 = 1e-14 and theta 6.3e-7 below pi/2: the zero of
+    # T(phi) = r*sin(2*phi - theta) - sin(phi) on the observer's lit arc,
+    # to 50 digits, should be the angle to 4 ulps of 1
+    import mpmath
+
+    obs = ObserverPolar(1.00000000000001, 1.5707957075736374)
+    with mpmath.workdps(50):
+        r, theta = mpmath.mpf(obs.r), mpmath.mpf(obs.theta)
+        half = mpmath.acos(1 / r)
+        arc = (max(-mpmath.pi / 2, theta - half), min(mpmath.pi / 2, theta + half))
+        phi = float(mpmath.findroot(lambda x: r * mpmath.sin(2 * x - theta) - mpmath.sin(x), arc, solver="anderson"))
+    assert abs(infinity_reflection(obs).phi - phi) <= 4 * math.ulp(1.0)
+
+
 @pytest.mark.parametrize("far", [1e6, 1e9, 1e12])
 def test_plane_wave_is_the_exterior_pair_with_a_far_source(far):
     # a source at R = far on the real axis lights the mirror as the plane

@@ -31,6 +31,7 @@ from catoptrix.errors import (
     PointInsideDomain,
     PointOutsideDomain,
 )
+from catoptrix.interior import _least_focal_sum
 from catoptrix.numeric import VISIBILITY_SLACK, segment_clears_disk, unit_from_angle
 
 # boundary-grid oracle values for (0.4, 0.3i), grid 10^6 with golden refinement
@@ -220,6 +221,87 @@ def test_no_root_on_circle_with_absurd_tolerance(monkeypatch):
     res = exterior_reflection(1.5 + 0j, 2j)
     assert res is not None
     assert res.on_circle_mask == (False,) * 4
+
+
+def test_least_focal_sum_raises_when_no_root_passes():
+    # roots off the circle, one just outside the 1e-9 band: nothing to pick
+    roots = (0.5j, 2.0 + 0j, (1.0 + 2e-9) * cmath.exp(0.3j))
+    with pytest.raises(NoRootOnCircle):
+        _least_focal_sum(0.3 + 0j, -0.2j, roots)
+
+
+def test_least_focal_sum_takes_the_least_sum_of_the_projections():
+    # both points lie toward target, where the focal sum is least; the root
+    # nearest it is off the circle, so it is masked out although its
+    # projection would cost less, and the sum is taken at the projections
+    # of roots inside the band, not at the roots
+    target = complex(0.6, 0.8)
+    z1, z2 = 0.9 * target, 0.8 * target
+    roots = ((1.0 + 8e-10) + 0j, (1.0 - 8e-10) * cmath.exp(1.4j), -(1.0 + 5e-10) + 0j, 0.999 * target)
+    w, fs, mask, ties = _least_focal_sum(z1, z2, roots)
+    assert mask == (True, True, True, False)
+    assert w == roots[1] / abs(roots[1]) and w != roots[1]
+    assert fs == abs(z1 - w) + abs(z2 - w) and ties == (1,)
+    assert abs(z1 - target) + abs(z2 - target) < fs
+
+
+def test_least_focal_sum_ties_within_1e_10_prefer_largest_im_then_re():
+    # for the pair (0.5, -0.5) the focal sum is 2 at w = -1 and about
+    # 2 + phi^2/3 at e^{i*phi}: sums 3e-11 and 9e-11 above the least tie
+    # with it, and the largest Im among them wins; a sum 2e-10 above does
+    # not tie, though its Im is larger still
+    z1, z2 = 0.5 + 0j, -0.5 + 0j
+    roots = tuple(cmath.exp(1j * math.sqrt(3.0 * d)) for d in (3e-11, 9e-11, 2e-10)) + (-1.0 + 0j,)
+    sums = [abs(z1 - w) + abs(z2 - w) for w in roots]
+    assert sums[3] == 2.0 and sums[1] - 2.0 < 1e-10 < sums[2] - 2.0
+    w, fs, _, ties = _least_focal_sum(z1, z2, roots)
+    assert ties == (0, 1, 3) and w == roots[1] and fs == sums[1]
+    # equal Im: the larger Re wins
+    roots = (complex(-0.6, 0.8), complex(0.6, 0.8))
+    w, _, _, ties = _least_focal_sum(0.3 + 0j, -0.3 + 0j, roots)
+    assert ties == (0, 1) and w == complex(0.6, 0.8)
+
+
+# (solver, z1, z2, Re w, Im w, s, focal sum, tie_indices), the reals as
+# float.hex, pinned from the pick as numeric._argmin_on_circle made it: the
+# first seed-1 benchmark pair of the uniform, near_rim, near_coincident and
+# near_coincident_origin families, a near_origin pair that takes the Newton
+# polygon's starts, the origin cubic, the diametral tie, a symmetric tie,
+# a point 1e-70 from the origin, an exterior pair and both grazing pairs
+PINNED_PAIRS = [
+    ("minimizing_root", -0.43452816556302326 - 0.32998967730928713j, 0.32761416406021754 - 0.9162632269170236j,
+     "0x1.47ea93fd9d0a4p-2", "-0x1.e509b0ecb440ap-1", "0x1.e8e16a2cab470p-1", "0x1.01cc2fa291e13p+0", (2,)),
+    ("minimizing_root", 0.06090608078274884 + 0.9981419592440539j, -0.11679177057497178 + 0.24124679948589395j,
+     "0x1.f2f0f42c26610p-5", "0x1.ff0caa96fde99p-1", "0x1.ffff7d0b5b2c9p-1", "0x1.8e118d9cbcb15p-1", (1,)),
+    ("minimizing_root", -0.2799000883214061 + 0.515804480402409j, 1.763720099174818e-11 + 2.227777551011906e-11j,
+     "-0x1.e8657c4ff52f2p-2", "0x1.c20331e579d6ep-1", "0x1.a93fd2f728409p-2", "0x1.69c3e59dcb78ap+0", (3,)),
+    ("minimizing_root", 0j, 0.5 + 0j,
+     "0x1.0000000000000p+0", "0x1.0000000000000p-53", "0x1.5555555555555p-2", "0x1.8000000000000p+0", (1,)),
+    ("minimizing_root", 0.5 + 0j, -0.5 + 0j,
+     "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p-1", "0x1.0000000000000p+1", (1, 3)),
+    ("minimizing_root", -0.8032522755834922 + 0.5308845264617177j, 0.8032522755834922 - 0.5308845264617177j,
+     "-0x1.ab23b67376fa6p-1", "0x1.1a4df564b652bp-1", "0x1.ecf8cd41f01dep-1", "0x1.0000000000000p+1", (1, 3)),
+    ("minimizing_root", 0.023447935412646226 + 0.3057634359507971j, 0.02344793521006707 + 0.3057634354782582j,
+     "0x1.39303e7142fa6p-4", "0x1.fe8049351a285p-1", "0x1.97a916977637cp-32", "0x1.62fd4e0444a72p+0", (1,)),
+    ("minimizing_root", 0.0025868277088522537 + 0.0013536825173323754j,
+     0.0026773870262672044 + 0.0013910646626231335j,
+     "0x1.c5febe5321e32p-1", "0x1.d96c6ba81d0a3p-2", "0x1.9c254a63b3a22p-15", "0x1.fe7aed0660706p+0", (1,)),
+    ("minimizing_root", 1e-70 * cmath.exp(0.7j), EPS_PARTNER,
+     "-0x1.63bd515593fe4p-2", "0x1.e01c5b30be737p-1", "0x1.1c364d47c11bfp-1", "0x1.493d286dec7d6p+0", (3,)),
+    ("exterior_reflection", 1.850662448884409 - 1.334356488822503j, 0.05456170642033646 + 2.2349717569942134j,
+     "0x1.c97011787f1fdp-1", "0x1.cbfa16d9e4c75p-2", "0x1.ffd1435c2a120p-1", "0x1.ffa3b3bfbc6f0p+1", (2,)),
+    ("exterior_reflection", 0.8845714342206823 + 0.7327530244356987j, 1.0950286964075882 - 0.441145756054372j,
+     "0x1.f7f70521d6ad4p-1", "0x1.6967bb126416ap-3", "0x1.ffffffffd3c13p-1", "0x1.314f37eff06dcp+0", (2,)),
+    ("exterior_reflection", 2.8071166842147535 + 1.0335046750069157j, -0.8891013558124188 - 2.039739317983885j,
+     "0x1.4756751bc9668p-1", "-0x1.89b15aca67f2ep-1", "0x1.ffffffffddf8cp-1", "0x1.33a53810b16a7p+2", (1,)),
+]
+
+
+@pytest.mark.parametrize("solver, z1, z2, re_w, im_w, s, fs, ties", PINNED_PAIRS)
+def test_pair_answers_are_pinned_bit_for_bit(solver, z1, z2, re_w, im_w, s, fs, ties):
+    res = getattr(interior_module, solver)(z1, z2)
+    assert (res.w.real.hex(), res.w.imag.hex(), res.s_value.hex(), res.focal_sum.hex()) == (re_w, im_w, s, fs)
+    assert res.tie_indices == ties
 
 
 def test_s_metric_symmetric_family():
@@ -448,6 +530,24 @@ def test_exterior_grazing_pair_matches_a_50_digit_zero(z1, z2):
     assert abs(cmath.phase(res.w) - float(phi)) <= 1e-15
     assert segment_clears_disk(z1, res.w) and segment_clears_disk(z2, res.w)
     assert res.reflection_residual <= 1e-14
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="near the rim the three terms of the law cancel to about (|z| - 1)*x, so rounding moves its "
+    "zero by about u*x/(|z| - 1): 8.0e-11 rad here (ROADMAP item 2)",
+)
+def test_exterior_pair_within_1e_10_of_the_circle_matches_a_50_digit_zero():
+    # |z| - 1 is 6.0e-11 and 1.0e-12, and the true visible arcs overlap by
+    # 2.1e-6 rad; the angle should be the 50-digit zero to 4 ulps of 1, which
+    # ROADMAP item 2's product form of the law met on every row it measured
+    z1, z2 = 0.8980712965599453 + 0.4398499135107619j, 0.8980758024601084 + 0.43984071325612545j
+    phi, gap = _law_zero_50_digits(z1, z2)
+    assert -3e-6 < gap < -1e-6
+    res = exterior_reflection(z1, z2)
+    assert res is not None
+    assert abs(cmath.phase(res.w) - float(phi)) <= 4 * math.ulp(1.0)
 
 
 def test_exterior_pair_the_slack_cannot_bridge_is_occluded():

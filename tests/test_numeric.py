@@ -9,7 +9,6 @@ import pytest
 from catoptrix import DEFAULT_TOLERANCES, on_unit_circle, unit_from_angle
 from catoptrix.errors import NonFinitePoint
 from catoptrix.numeric import (
-    _argmin_on_circle,
     ensure_point,
     segment_clears_disk,
     segment_min_distance_to_origin,
@@ -119,36 +118,14 @@ def test_segment_distance_of_a_segment_too_long_to_square():
     assert not segment_clears_disk(-1 + 0j, 1e300 + 0j)
 
 
+def test_segment_distance_when_both_squared_norms_overflow():
+    # neither end compares nearer, the projection overflows to t = inf, and
+    # the clamp at t = 1 gives the far end's modulus
+    q = 1e199 + 1e199j
+    assert segment_min_distance_to_origin(1e200 + 0j, q) == abs(q)
+
+
 def test_segment_clears_disk():
     assert segment_clears_disk(2 + 0j, 1 + 0j)  # touches the circle at its endpoint
     assert not segment_clears_disk(2 + 0j, -1 + 0j)  # crosses the disk
     assert segment_clears_disk(2 + 2j, -2 + 2j)  # passes above
-
-
-def test_argmin_on_circle_none_when_nothing_survives():
-    roots = (1j, -1 + 0j)
-    assert _argmin_on_circle(roots, (False, False), abs) is None
-
-
-def test_argmin_on_circle_takes_the_least_cost_of_the_projections():
-    target = complex(0.6, 0.8)
-    roots = (2 + 0j, 0.5j, -3 + 0j, 0.5 * target)
-    mask = (True, True, True, False)
-
-    def cost(wp):
-        return abs(wp - target)
-
-    # the cost sees projected roots; the masked-out root would cost 0
-    w, c, ties = _argmin_on_circle(roots, mask, cost)
-    assert (w, c, ties) == (1j, cost(1j), (1,))
-
-
-def test_argmin_on_circle_ties_within_1e_10_prefer_largest_im_then_re():
-    roots = (1 + 0j, 1j, -1 + 0j, -1j)
-    costs = {1 + 0j: 1.0, 1j: 1.0 + 5e-11, -1 + 0j: 1.0 + 2e-10, -1j: 0.99999999995}
-    w, cost, ties = _argmin_on_circle(roots, (True,) * 4, costs.__getitem__)
-    assert ties == (0, 1, 3) and w == 1j and cost == costs[1j]
-    # equal Im: the larger Re wins
-    roots = (complex(-0.6, 0.8), complex(0.6, 0.8))
-    w, _, ties = _argmin_on_circle(roots, (True, True), lambda wp: 0.0)
-    assert ties == (0, 1) and w == complex(0.6, 0.8)

@@ -41,6 +41,13 @@ def test_exports_are_listed_in_their_modules_all():
     assert unlisted == []
 
 
+def test_dir_lists_every_public_name():
+    # the hook itself, whatever __getattr__ has cached in the module so far
+    listed = catoptrix.__dir__()
+    assert listed == sorted({*vars(catoptrix), *catoptrix.__all__})
+    assert set(catoptrix.__all__) <= set(listed) and "__version__" in listed
+
+
 def test_no_public_callable_takes_tol():
     # the tolerances are the fixed DEFAULT_TOLERANCES, not a per-call option
     takes_tol = []

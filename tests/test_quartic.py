@@ -70,6 +70,8 @@ def test_degenerate_leading_coefficient():
         solve_quartic(QuarticCoeffs(0, 1, 0, 0, -1))
     with pytest.raises(DegenerateLeadingCoefficient):
         polished_roots((0j, 1 + 0j))
+    with pytest.raises(ValueError, match="degree 5 not supported"):
+        polished_roots((1, 0, 0, 0, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -136,6 +138,15 @@ def test_zero_trailing_coefficients_give_exact_zero_roots():
         for rs in (solve_quartic(QuarticCoeffs(*coeffs)), polished_roots(coeffs)):
             assert [w for w in rs.roots if w == 0] == [0j] * (4 - len(nonzero))
             _match_multisets([w for w in rs.roots if w != 0], nonzero, 1e-9)
+
+
+def test_pure_powers_give_exact_zero_roots():
+    # w^3 and w^2: Cardano's cube root of 0 and its u == 0 roots, and the
+    # quadratic whose q is 0; p(0) = 0 accepts each as it is
+    for coeffs in ((1, 0, 0, 0), (1, 0, 0)):
+        rs = polished_roots(coeffs)
+        n = len(coeffs) - 1
+        assert rs.roots == (0j,) * n and rs.residuals == (0.0,) * n and rs.polish_iterations == (0,) * n
 
 
 def _poly_from_roots(roots):
@@ -341,6 +352,9 @@ def test_real_invariants_classification():
     assert nat.classification is RootNature.DEGENERATE
     with pytest.raises(DegenerateLeadingCoefficient):
         real_quartic_invariants(0, 1, 1, 1, 1)
+    # scaled by 2^-997 with the rest, the leading 1e-300 underflows to zero
+    with pytest.raises(DegenerateLeadingCoefficient):
+        real_quartic_invariants(1e-300, 1e300, 0, 0, 1)
 
 
 @pytest.mark.parametrize("k", [-500, -200, -100, 0, 1, 60, 100, 150, 300, 1000])
