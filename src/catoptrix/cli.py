@@ -233,8 +233,8 @@ def _run_infinity(args: argparse.Namespace) -> _Run:
             delta, p, d = nature.delta, nature.p, nature.d
         else:
             # the coefficients, of modulus about r, overflow from about
-            # r = 4.7e307: classify them divided by r, as verify_circle_theorem
-            # does, and scale the invariants back by r^6, r^2 and r^4
+            # r = 4.7e307: classify them divided by r, and scale the
+            # invariants back by r^6, r^2 and r^4
             r = obs.r
             nature = real_quartic_invariants(*_image_coeffs_over_r(r, obs.theta))
             delta, p, d = nature.delta * r * r * r * r * r * r, nature.p * r * r, nature.d * r * r * r * r

@@ -19,7 +19,9 @@ which has the sign of (-1)^(k+1) as r > 1. So each of the four quarter turns
 between these points holds a zero of T, and as w^2*T is a quartic in w there
 is exactly one in each: all four roots lie on the circle (Bonsall and
 Marden, Proc. AMS 3, 1952). The signs hold for every float r > 1, so
-verify_circle_theorem does not test them; it classifies the image quartic.
+verify_circle_theorem does not test them; it evaluates the image quartic's
+sign invariants in a closed form in cos(theta) and 1/r whose terms never
+cancel, and so returns True on every observer off the axis.
 
 The plane wave is the exterior pair with its source at infinity. With the
 source as z1 = R on the positive real axis, the exterior law of reflection
@@ -73,7 +75,7 @@ from typing import Any, Optional
 
 from .errors import DegenerateLeadingCoefficient, InvalidObserver, RootAtOne, ShadowRegion
 from .numeric import _law_zero, _Record, ensure_real, wrap_angle
-from .quartic import QuarticCoeffs, RootSet, _invariants, solve_quartic
+from .quartic import QuarticCoeffs, RootSet, solve_quartic
 
 __all__ = [
     "ObserverPolar",
@@ -244,32 +246,89 @@ def _image_coeffs_over_r(r: float, theta: float) -> tuple[float, float, float, f
         sin(t)*z^4 + 2*(2*cos(t) - 1/r)*z^3 - 6*sin(t)*z^2
             - 2*(2*cos(t) + 1/r)*z + sin(t),
 
-    whose coefficients cannot overflow."""
+    whose coefficients cannot overflow. The CLI's --verify block classifies
+    it for an observer whose unscaled coefficients overflow."""
     st, ct, inv_r = math.sin(theta), math.cos(theta), 1.0 / r
     return st, 2.0 * (2.0 * ct - inv_r), -6.0 * st, -2.0 * (2.0 * ct + inv_r), st
+
+
+def _image_invariants(r: float, theta: float) -> tuple[float, float, float]:
+    """(delta, P, D) of _image_coeffs_over_r(r, theta), in closed form.
+
+    With s = sin(theta), c = cos(theta) and rho = 1/r the coefficients are
+    a = e = s, b = 2*(2c - rho), C = -6s and d = -2*(2c + rho). Put into
+    the invariants of quartic.real_quartic_invariants, with s^2 = 1 - c^2,
+    s drops out and
+
+        delta = 256*[(1 - rho^2)*(64 + 16*rho^2 + rho^4) + 27*c^2*rho^4],
+        P     = -12*(4 + rho^2 - 4*c*rho),
+        D     = -16*[A*c^2 - B*c + K],
+
+    with A = 44*rho^2 + 16, B = (24*rho^2 + 96)*rho and K = 3*rho^4 +
+    28*rho^2 + 32. The quadratic has discriminant B^2 - 4*A*K =
+    16*(rho^2 - 4)^2*(3*rho^2 - 8), so completing the square gives
+    A*c^2 - B*c + K = [(A*c - B/2)^2 + 4*(4 - rho^2)^2*(8 - 3*rho^2)]/A,
+    and 4 + rho^2 - 4*c*rho = (2 - rho)^2 + 4*rho*(1 - c).
+
+    These last two forms are what is evaluated, with 1 - rho^2 in delta as
+    (r - 1)/r * (r + 1)/r: each is a sum of terms >= 0, so none cancels,
+    r - 1 is exact near the rim, where 1 - rho*rho would lose its digits,
+    and nothing overflows up to the largest float r. Against the generic
+    invariants at 50 digits each value is within 64 ulps, for r - 1 down to
+    an ulp, r up to the largest float and theta near 0, +-pi/2 and pi
+    (tests/test_infinity.py).
+    """
+    c = math.cos(theta)
+    rho = 1.0 / r
+    rr = rho * rho
+    delta = 256.0 * ((r - 1.0) / r * ((r + 1.0) / r) * (64.0 + rr * (16.0 + rr)) + 27.0 * c * c * rr * rr)
+    t = 2.0 - rho
+    p = -12.0 * (t * t + 4.0 * rho * (1.0 - c))
+    lead = 44.0 * rr + 16.0
+    v = lead * c - (12.0 * rr + 48.0) * rho
+    u = 4.0 - rr
+    d = -16.0 * (v * v + 4.0 * u * u * (8.0 - 3.0 * rr)) / lead
+    return delta, p, d
 
 
 def verify_circle_theorem(obs: ObserverPolar) -> bool:
     """Check that all four reflection roots lie on the unit circle: the
     real-coefficient image quartic under the Moebius map must classify as
     FourRealDistinct by its sign invariants, delta > 0, P < 0 and D < 0. It
-    solves no quartic and builds no record.
+    solves no quartic and builds no record. On the axis, theta = 0 or
+    |theta| = pi, the image quartic degenerates, and it raises
+    DegenerateLeadingCoefficient.
 
-    The image quartic is classified divided by r (_image_coeffs_over_r):
-    delta, P and D are homogeneous in the coefficients, so a positive scale
-    keeps their signs. Unscaled, delta grows like r^6 and overflows from
-    about r = 6e50, and the coefficients themselves from about r = 4.7e307.
+    The invariants are those of the image quartic divided by r, in the
+    closed form of _image_invariants: they are homogeneous in the
+    coefficients, so a positive scale keeps their signs, and the form takes
+    one cosine and cannot overflow.
 
-    The four bracket signs of the module docstring are the paper's theorem,
-    not a check: at the bracket ends T/r = +-1 - sin(phi)/r, and a float
-    r > 1 is at least 1 + 2^-52, so |sin(phi)/r| rounds below 1 and the
-    signs alternate for every observer. Only the classification, which runs
-    on rounded invariants, can fail.
+    Each sign holds for every float r > 1, in floats. Such an r is at least
+    1 + 2^-52, so 1/r is below 1 by more than half an ulp of 1 and rho =
+    fl(1/r) < 1; rho*rho <= 1 too, and math.cos gives |c| <= 1.
+    - delta: (r - 1)/r and (r + 1)/r are positive normal floats, so the
+      first term is at least 64 times a positive product, and the second
+      is >= 0: delta > 0.
+    - P: 4 + rho^2 - 4*c*rho >= (2 - rho)^2 > 0. In floats 2 - rho rounds
+      to at least 1 and 1 - c to at least 0, so the sum is >= 1: P <= -12.
+    - D: the bracket is a quadratic in c with discriminant
+      16*(3*rho^6 - 32*rho^4 + 112*rho^2 - 128) = 16*(rho^2 - 4)^2*(3*rho^2
+      - 8) <= 16*9*(-5) = -720, and A <= 60, so it is at least
+      720/(4*60) = 3 for every real c. In floats the completed square is
+      >= 0, 4 - rho^2 >= 3 and 8 - 3*rho^2 >= 5, so its second term is at
+      least 180, and A rounds to at most 60: D <= -48.
+
+    So verify returns True on its whole off-axis domain, which is the
+    theorem. Where the generic invariants (quartic.real_quartic_invariants)
+    of the same quartic give False, within a few ulps of the rim and theta
+    near +-pi/2, it is because their delta cancels to a rounded 0.0. The
+    three forms are still computed and tested, as the documented check.
     """
     theta = obs.theta
     if theta == 0.0 or abs(theta) == math.pi:
         raise DegenerateLeadingCoefficient(
             "theta = 0 (mod pi): the image quartic degenerates"
         )
-    delta, p, d, _ = _invariants(*_image_coeffs_over_r(obs.r, theta))
+    delta, p, d = _image_invariants(obs.r, theta)
     return delta > 0.0 and p < 0.0 and d < 0.0

@@ -111,12 +111,18 @@ def interior_figure(z1: complex, z2: complex, result: ReflectionResult, ellipse:
 
 def infinity_figure(obs: ObserverPolar, result: InfinityResult) -> str:
     """Unit circle, the four roots, the observer, the incoming and reflected
-    rays, and the tangential parabola through the selected root."""
-    f = obs.point
+    rays, and the tangential parabola through the selected root.
+
+    The figure is drawn in units of 2^k, with k > 0 only where the canvas
+    arithmetic, up to about 2.8*r, would overflow. A power of two scales
+    every coordinate without rounding, and the canvas maps the scaled box
+    onto the same pixels, so no pixel moves."""
+    unit = math.ldexp(1.0, -max(0, math.frexp(obs.r)[1] - 1021))
+    f = obs.point * unit
     extent = max(1.5, abs(f) * 1.15)
     canvas = _Canvas(extent)
-    canvas.circle(0j, 1.0, "#444444")
-    w = result.w
+    canvas.circle(0j, unit, "#444444")
+    w = result.w * unit
     canvas.segment(complex(extent, w.imag), w, "#ff7f0e")  # incoming horizontal ray
     canvas.segment(w, f, "#ff7f0e")
     # parabola with focus f and vertical directrix x = Re w + |w - f|
@@ -133,7 +139,7 @@ def infinity_figure(obs: ObserverPolar, result: InfinityResult) -> str:
         if len(pts) >= 2:
             canvas.polyline(pts, "#1f77b4")
     for root in result.all_roots.roots:
-        canvas.dot(root, "#9467bd", 3.0)
+        canvas.dot(root * unit, "#9467bd", 3.0)
     canvas.dot(w, "#2ca02c")
     canvas.dot(f, "#d62728")
     return canvas.render()

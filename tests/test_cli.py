@@ -303,8 +303,8 @@ def test_infinity_verify_block():
 @pytest.mark.parametrize("r", ["5e50", "1e60", "1e80", "1e300", "1e308", "1.7e308"])
 def test_infinity_verify_block_for_a_far_observer(r):
     # the image quartic's invariants overflow float64 here: they print as
-    # null where they do not fit, and classify as verify_circle_theorem does;
-    # from about r = 4.7e307 its coefficients overflow too
+    # null where they do not fit, and classify as verify_circle_theorem's
+    # closed form does; from about r = 4.7e307 its coefficients overflow too
     rc, out, _ = _run(["infinity", "--r", r, "--theta", "0.3", "--verify"])
     record = json.loads(out)
     assert rc == 0
@@ -366,6 +366,24 @@ def test_svg_outputs_are_well_formed(tmp_path):
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
         assert json.loads(out)["diagnostics"]["svg"] == str(path)
+
+
+def _svg_numbers(path):
+    for element in ET.parse(path).getroot():
+        for name in ("cx", "cy", "r", "x1", "y1", "x2", "y2", "points"):
+            for value in element.get(name, "").replace(",", " ").split():
+                yield float(value)
+
+
+@pytest.mark.parametrize("r, theta", [("8e307", "3.0"), ("1e308", "0.3"), ("1.5e308", "-1.2"), ("1.7e308", "0.3")])
+def test_infinity_svg_coordinates_are_finite_for_a_far_observer(tmp_path, r, theta):
+    # the canvas arithmetic, up to about 2.8*r, once overflowed here and
+    # wrote nan coordinates under status ok
+    path = tmp_path / "far.svg"
+    rc, out, _ = _run(["infinity", "--r", r, "--theta", theta, "--svg", str(path)])
+    assert rc == 0 and json.loads(out)["status"] == "ok"
+    numbers = list(_svg_numbers(path))
+    assert numbers and all(map(math.isfinite, numbers))
 
 
 def test_oracle_smetric_command():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import sys
 
 import numpy as np
@@ -363,13 +364,52 @@ def test_verify_circle_theorem_for_a_far_observer(r, theta):
 def test_image_quartic_invariants_classify_a_far_observer_as_verify_does(theta):
     # unscaled, the image quartic's coefficients have modulus about r, and its
     # invariants overflow float64 from about r = 6e50; they classify scaled by
-    # a power of two, and agree with verify_circle_theorem, which classifies
-    # the quartic divided by r
+    # a power of two, and agree with verify_circle_theorem, which evaluates
+    # the invariants of the quartic divided by r in closed form
     for k in range(1, 1201):
         obs = ObserverPolar(10.0 ** (k / 4), theta)
         nature = real_quartic_invariants(*infinity_real_coeffs(obs.r, obs.theta))
         four = nature.classification is RootNature.FOUR_REAL_DISTINCT
         assert four is verify_circle_theorem(obs) is True, obs.r
+
+
+def test_verify_circle_theorem_holds_where_the_generic_invariants_round_to_zero():
+    # an ulp from the rim and within 1e-6 of +-pi/2 the generic delta of the
+    # image quartic cancels to exactly 0.0; its true value is about 1.2e-11
+    for theta in (1.5707963079004843, -1.5707963079004843, 1.570796308135573, 1.570796306916724, 1.5707963083874499):
+        assert verify_circle_theorem(ObserverPolar(1.0000000000000002, theta)) is True, theta
+
+
+def _image_invariants_observers():
+    rng = random.Random(28)
+    radii = (
+        lambda: 1.0 + 10 ** rng.uniform(-15.6, 3),
+        lambda: 10 ** rng.uniform(3, 308.25),
+    )
+    angles = (
+        lambda: rng.uniform(-math.pi, math.pi),
+        lambda: rng.choice((-1.0, 1.0)) * (math.pi / 2 + rng.uniform(-1e-6, 1e-6)),
+        lambda: rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-300, -1),
+        lambda: rng.choice((-1.0, 1.0)) * (math.pi - 10 ** rng.uniform(-15, -1)),
+    )
+    pairs = [(radius(), angle()) for radius in radii for angle in angles for _ in range(100)]
+    return pairs + [(1.0 + 2.0 ** -52, math.pi / 2), (sys.float_info.max, 0.3), (sys.float_info.max, -3.0)]
+
+
+def test_image_invariants_match_the_generic_invariants_at_50_digits():
+    # the closed forms verify_circle_theorem evaluates, against the generic
+    # invariants of the same image quartic at the same float observer
+    import mpmath
+
+    from catoptrix.quartic import _invariants
+
+    with mpmath.workdps(50):
+        for r, theta in _image_invariants_observers():
+            s, c, rho = mpmath.sin(theta), mpmath.cos(theta), 1 / mpmath.mpf(r)
+            *exact, k = _invariants(s, 2 * (2 * c - rho), -6 * s, -2 * (2 * c + rho), s)
+            assert k == 0
+            for name, got, ref in zip(("delta", "P", "D"), infinity_module._image_invariants(r, theta), exact):
+                assert abs(got - ref) <= 64 * math.ulp(float(ref)), (name, r, theta, got, ref)
 
 
 def _edge_observers():
