@@ -28,7 +28,7 @@ import math
 import sys
 from typing import Any, NoReturn, Optional, Sequence
 
-from .errors import CatoptrixError
+from .errors import CatoptrixError, DegenerateLeadingCoefficient
 
 __all__ = ["main"]
 
@@ -216,8 +216,8 @@ def _run_interior(args: argparse.Namespace) -> _Run:
 
 
 def _run_infinity(args: argparse.Namespace) -> _Run:
-    from .infinity import ObserverPolar, _image_coeffs_over_r, infinity_reflection
-    from .quartic import RootNature, infinity_real_coeffs, real_quartic_invariants
+    from .infinity import ObserverPolar, _image_invariants, infinity_reflection
+    from .quartic import RootNature, _nature
 
     obs = ObserverPolar(args.r, args.theta)
     result = infinity_reflection(obs)
@@ -227,23 +227,23 @@ def _run_infinity(args: argparse.Namespace) -> _Run:
         "verify": None,
     }
     if args.verify:
-        coeffs = infinity_real_coeffs(obs.r, obs.theta)
-        if all(map(math.isfinite, coeffs)):
-            nature = real_quartic_invariants(*coeffs)
-            delta, p, d = nature.delta, nature.p, nature.d
-        else:
-            # the coefficients, of modulus about r, overflow from about
-            # r = 4.7e307: classify them divided by r, and scale the
-            # invariants back by r^6, r^2 and r^4
-            r = obs.r
-            nature = real_quartic_invariants(*_image_coeffs_over_r(r, obs.theta))
-            delta, p, d = nature.delta * r * r * r * r * r * r, nature.p * r * r, nature.d * r * r * r * r
+        if obs.theta == 0.0:
+            # the image quartic's leading coefficient r*sin(theta) is zero
+            raise DegenerateLeadingCoefficient("leading coefficient a is zero")
+        # the invariants of the image quartic divided by r, in the closed
+        # form verify_circle_theorem evaluates, keep their digits next to the
+        # rim, where the generic ones cancel; they are homogeneous of degrees
+        # 6, 2 and 4, so they scale back by r^6, r^2 and r^4 with their signs
+        r = obs.r
+        delta, p, d = _image_invariants(r, obs.theta)
+        nature = _nature(delta, p, d)
+        delta, p, d = delta * r * r * r * r * r * r, p * r * r, d * r * r * r * r
         diagnostics["verify"] = {
             "delta": delta,
             "p": p,
             "d": d,
-            "classification": nature.classification.value,
-            "four_real_distinct": nature.classification is RootNature.FOUR_REAL_DISTINCT,
+            "classification": nature.value,
+            "four_real_distinct": nature is RootNature.FOUR_REAL_DISTINCT,
             "mobius_images": list(result.mobius_images) if result.mobius_images else None,
         }
     files = {}

@@ -21,7 +21,8 @@ is exactly one in each: all four roots lie on the circle (Bonsall and
 Marden, Proc. AMS 3, 1952). The signs hold for every float r > 1, so
 verify_circle_theorem does not test them; it evaluates the image quartic's
 sign invariants in a closed form in cos(theta) and 1/r whose terms never
-cancel, and so returns True on every observer off the axis.
+cancel, and so returns True on every observer off the axis. The CLI's
+--verify block prints the same closed form, scaled back by powers of r.
 
 The plane wave is the exterior pair with its source at infinity. With the
 source as z1 = R on the positive real axis, the exterior law of reflection
@@ -240,20 +241,15 @@ def mobius_real_image(roots: RootSet) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _image_coeffs_over_r(r: float, theta: float) -> tuple[float, float, float, float, float]:
-    """The image quartic (quartic.infinity_real_coeffs) divided by r,
+def _image_invariants(r: float, theta: float) -> tuple[float, float, float]:
+    """(delta, P, D) of the image quartic (quartic.infinity_real_coeffs)
+    divided by r,
 
         sin(t)*z^4 + 2*(2*cos(t) - 1/r)*z^3 - 6*sin(t)*z^2
             - 2*(2*cos(t) + 1/r)*z + sin(t),
 
-    whose coefficients cannot overflow. The CLI's --verify block classifies
-    it for an observer whose unscaled coefficients overflow."""
-    st, ct, inv_r = math.sin(theta), math.cos(theta), 1.0 / r
-    return st, 2.0 * (2.0 * ct - inv_r), -6.0 * st, -2.0 * (2.0 * ct + inv_r), st
-
-
-def _image_invariants(r: float, theta: float) -> tuple[float, float, float]:
-    """(delta, P, D) of _image_coeffs_over_r(r, theta), in closed form.
+    in closed form. Times r^6, r^2 and r^4 they are the invariants of the
+    image quartic itself; the CLI's --verify block prints them so.
 
     With s = sin(theta), c = cos(theta) and rho = 1/r the coefficients are
     a = e = s, b = 2*(2c - rho), C = -6s and d = -2*(2c + rho). Put into

@@ -77,8 +77,9 @@ _TIE_EPS = 1e-10
 
 # the one dataclass among the value types: bench/test_bench.py builds
 # off-circle answers from a real one with dataclasses.replace, so interior
-# still imports dataclasses
-@dataclass(frozen=True)
+# still imports dataclasses. Its own __init__ writes the instance dict; the
+# generated one sets each field through object.__setattr__
+@dataclass(frozen=True, init=False)
 class ReflectionResult:
     """Chosen reflection point with full diagnostics.
 
@@ -116,6 +117,23 @@ class ReflectionResult:
     degree_dropped: bool
     _pair: tuple[complex, complex]
 
+    def __init__(
+        self,
+        w: complex,
+        s_value: float,
+        focal_sum: float,
+        reflection_residual: float,
+        degree_dropped: bool,
+        _pair: tuple[complex, complex],
+    ) -> None:
+        fields = self.__dict__
+        fields["w"] = w
+        fields["s_value"] = s_value
+        fields["focal_sum"] = focal_sum
+        fields["reflection_residual"] = reflection_residual
+        fields["degree_dropped"] = degree_dropped
+        fields["_pair"] = _pair
+
     @functools.cached_property
     def candidates(self) -> RootSet:
         return _candidates(interior_quartic_coeffs(*self._pair))
@@ -151,15 +169,14 @@ def interior_quartic_coeffs(z1: complex, z2: complex) -> QuarticCoeffs:
 
     Defined for any finite pair; the range checks live in the solvers.
     """
-    z1 = ensure_point(z1, "z1")
-    z2 = ensure_point(z2, "z2")
-    return QuarticCoeffs(
-        c4=z1.conjugate() * z2.conjugate(),
-        c3=-(z1.conjugate() + z2.conjugate()),
-        c2=0j,
-        c1=z1 + z2,
-        c0=-z1 * z2,
-    )
+    # a finite plain complex is what validation returns for it: the solvers
+    # pass their validated pair on as it is
+    if not (type(z1) is complex and type(z2) is complex and cmath.isfinite(z1) and cmath.isfinite(z2)):
+        z1 = ensure_point(z1, "z1")
+        z2 = ensure_point(z2, "z2")
+    b1, b2 = z1.conjugate(), z2.conjugate()
+    # c4, c3, c2, c1, c0
+    return QuarticCoeffs(b1 * b2, -(b1 + b2), 0j, z1 + z2, -z1 * z2)
 
 
 def _candidates(q: QuarticCoeffs) -> RootSet:
@@ -209,7 +226,10 @@ def minimizing_root(z1: complex, z2: complex) -> ReflectionResult:
     w, fs, mask, ties = _least_focal_sum(z1, z2, roots.roots)
     result = _result(z1, z2, w, fs, d, q.c4 == 0)
     # the picture the pick was made from, so that no read solves again
-    vars(result).update(candidates=roots, on_circle_mask=mask, tie_indices=ties)
+    fields = result.__dict__
+    fields["candidates"] = roots
+    fields["on_circle_mask"] = mask
+    fields["tie_indices"] = ties
     return result
 
 
@@ -221,16 +241,23 @@ def _least_focal_sum(z1: complex, z2: complex, roots: tuple[complex, ...]) -> tu
     NoRootOnCircle when no root passes.
     """
     mask, ties = [], []
+    least = math.inf
     for k, root in enumerate(roots):
-        mask.append(on_unit_circle(root))
-        if mask[-1]:
+        on = on_unit_circle(root)
+        mask.append(on)
+        if on:
             w = root / abs(root)
-            ties.append((abs(z1 - w) + abs(z2 - w), k, w))
+            fs = abs(z1 - w) + abs(z2 - w)
+            ties.append((fs, k, w))
+            if fs < least:
+                least = fs
     if not ties:
         raise NoRootOnCircle("no root passed the unit-circle test")
-    # the indices are distinct, so min never compares two w
-    cut = min(ties)[0] + _TIE_EPS
+    cut = least + _TIE_EPS
     ties = [t for t in ties if t[0] <= cut]
+    if len(ties) == 1:
+        fs, k, w = ties[0]
+        return w, fs, tuple(mask), (k,)
     fs, _, w = max(ties, key=lambda t: (t[2].imag, t[2].real))
     return w, fs, tuple(mask), tuple([t[1] for t in ties])
 

@@ -104,9 +104,12 @@ class RootSet(_Record):
         polish_iterations: tuple[int, ...],
         min_separation: float,
     ) -> None:
-        self.__dict__.update(
-            roots=roots, residuals=residuals, polish_iterations=polish_iterations, min_separation=min_separation
-        )
+        # item by item: update(roots=roots, ...) builds a keyword dict first
+        fields = self.__dict__
+        fields["roots"] = roots
+        fields["residuals"] = residuals
+        fields["polish_iterations"] = polish_iterations
+        fields["min_separation"] = min_separation
 
     @property
     def has_close_pair(self) -> bool:
@@ -235,13 +238,16 @@ def _polish(
     The sum repels each root from the others, so two starts in one basin
     cannot both converge onto the same root, as independent Newton steps can
     (Aberth, Math. Comp. 27, 1973). A root already within its bound does not
-    move.
+    move, and is done: it is not evaluated or tested again.
 
     The acceptance bound grows with |root|^degree: below that, float64 cannot
     even evaluate the polynomial, so a flat bound would be unreachable for
     roots far outside the unit disk. A non-finite residual never passes it,
     and it ends the polish at once: no step can leave inf or NaN. The
-    NoConvergence reports the root's last finite residual, or inf.
+    NoConvergence reports the root's last finite residual, or inf. A root
+    held back by a vanishing derivative, or still moving after the last
+    step, is tested once more at the end, in index order, and the first
+    one above its bound raises.
 
     The repel sum is accumulated left to right over the current roots,
     starting from the integer 0; roots moved earlier in the same step count
@@ -250,26 +256,26 @@ def _polish(
     deriv_stall = 1e-290
     degree = len(coeffs) - 1
     cur = list(roots)
-    resid = [math.inf] * len(cur)
-    iters = [0] * len(cur)
-    pending = range(len(cur))
-    for step in range(_MAX_POLISH_ITERATIONS + 1):
-        moving = []
-        for k in pending:
-            w = cur[k]
-            f, df = _horner_pair(coeffs, w)
-            res = abs(f)
-            if not math.isfinite(res):
-                raise _stalled(resid[k], w, base_bound, degree)
-            resid[k] = res
-            iters[k] = step
-            if step == _MAX_POLISH_ITERATIONS:
-                continue
-            a = abs(w)
-            if not (res <= base_bound * (a if a > 1.0 else 1.0) ** degree or abs(df) < deriv_stall):
+    resid = []
+    moving = []
+    held = []
+    # step 0, one pass over the starts: most pass here and are done
+    for k, w in enumerate(cur):
+        f, df = _horner_pair(coeffs, w)
+        res = abs(f)
+        if not res < math.inf:
+            raise _stalled(math.inf, w, base_bound, degree)
+        resid.append(res)
+        a = abs(w)
+        if not res <= base_bound * (a if a > 1.0 else 1.0) ** degree:
+            if abs(df) < deriv_stall:
+                held.append(k)
+            else:
                 moving.append((k, f / df))
-        if not moving:
-            break
+    iters = [0] * len(cur)
+    step = 0
+    while moving:
+        step += 1
         for k, newton in moving:
             w = cur[k]
             repel = 0
@@ -280,7 +286,26 @@ def _polish(
             denom = 1.0 - newton * repel
             cur[k] = w - (newton / denom if denom != 0 else newton)
         pending = [k for k, _ in moving]
-    for k, w in enumerate(cur):
+        moving = []
+        for k in pending:
+            w = cur[k]
+            f, df = _horner_pair(coeffs, w)
+            res = abs(f)
+            if not res < math.inf:
+                raise _stalled(resid[k], w, base_bound, degree)
+            resid[k] = res
+            iters[k] = step
+            if step == _MAX_POLISH_ITERATIONS:
+                held.append(k)
+                continue
+            a = abs(w)
+            if not res <= base_bound * (a if a > 1.0 else 1.0) ** degree:
+                if abs(df) < deriv_stall:
+                    held.append(k)
+                else:
+                    moving.append((k, f / df))
+    for k in sorted(held):
+        w = cur[k]
         a = abs(w)
         if not resid[k] <= base_bound * (a if a > 1.0 else 1.0) ** degree:
             raise _stalled(resid[k], w, base_bound, degree)
@@ -289,21 +314,16 @@ def _polish(
 
 def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex], cmax: float) -> RootSet:
     ws, res, its = _polish(coeffs, roots, DEFAULT_TOLERANCES.residual_tol * cmax)
-    keys = [(cmath.phase(w), abs(w)) for w in ws]
-    # sorted is stable, so roots with equal keys keep their polish order
-    order = sorted(range(len(ws)), key=keys.__getitem__)
-    rs = tuple([ws[k] for k in order])
+    # by phase, then modulus; the index keeps roots with equal keys in their
+    # polish order
+    keyed = sorted([(cmath.phase(w), abs(w), k) for k, w in enumerate(ws)])
+    rs = tuple([ws[t[2]] for t in keyed])
     min_sep = math.inf
     for a, b in itertools.combinations(rs, 2):
         d = abs(a - b)
         if d < min_sep:
             min_sep = d
-    return RootSet(
-        roots=rs,
-        residuals=tuple([res[k] for k in order]),
-        polish_iterations=tuple([its[k] for k in order]),
-        min_separation=min_sep,
-    )
+    return RootSet(rs, tuple([res[t[2]] for t in keyed]), tuple([its[t[2]] for t in keyed]), min_sep)
 
 
 def _closed_form(coeffs: tuple[complex, ...]) -> list[complex]:
@@ -374,10 +394,12 @@ def _solve(coeffs: tuple[complex, ...]) -> RootSet:
         cmax = max(mods)
         m4, m0 = mods[0], mods[-1]
         # the chord lies nowhere below min(|c4|, |c0|): a cheap first test
-        if len(mods) == 5 and cmax > _SPREAD * (m4 if m4 < m0 else m0) and _spread(*mods):
+        if len(mods) != 5:
+            raw = _closed_form(coeffs)
+        elif cmax > _SPREAD * (m4 if m4 < m0 else m0) and _spread(*mods):
             raw = _polygon_starts(coeffs, mods)
         else:
-            raw = _closed_form(coeffs)
+            raw = _ferrari(coeffs)
         return _sorted_rootset(coeffs, raw, cmax)
     except OverflowError as exc:
         raise NoConvergence(f"float overflow while solving: {exc}") from exc
@@ -474,6 +496,15 @@ def _invariants(a: float, b: float, c: float, d: float, e: float) -> tuple[float
     return delta, p, dd, k
 
 
+def _nature(delta: float, p: float, d: float) -> RootNature:
+    """The classification by the signs of the invariants."""
+    if delta == 0.0:
+        return RootNature.DEGENERATE
+    if delta > 0.0 and p < 0.0 and d < 0.0:
+        return RootNature.FOUR_REAL_DISTINCT
+    return RootNature.NOT_FOUR_REAL_DISTINCT
+
+
 def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) -> RealQuarticNature:
     """Discriminant-family invariants of a*x^4 + b*x^3 + c*x^2 + d*x + e.
 
@@ -500,12 +531,7 @@ def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) ->
     if a == 0.0:
         raise DegenerateLeadingCoefficient("leading coefficient a is zero")
     delta, p, dd, k = _invariants(a, b, c, d, e)
-    if delta == 0.0:
-        cls = RootNature.DEGENERATE
-    elif delta > 0.0 and p < 0.0 and dd < 0.0:
-        cls = RootNature.FOUR_REAL_DISTINCT
-    else:
-        cls = RootNature.NOT_FOUR_REAL_DISTINCT
+    cls = _nature(delta, p, dd)
     if k:
         delta, p, dd = _ldexp(delta, 6 * k), _ldexp(p, 2 * k), _ldexp(dd, 4 * k)
     return RealQuarticNature(delta=delta, p=p, d=dd, classification=cls)

@@ -302,15 +302,41 @@ def test_infinity_verify_block():
 
 @pytest.mark.parametrize("r", ["5e50", "1e60", "1e80", "1e300", "1e308", "1.7e308"])
 def test_infinity_verify_block_for_a_far_observer(r):
-    # the image quartic's invariants overflow float64 here: they print as
-    # null where they do not fit, and classify as verify_circle_theorem's
-    # closed form does; from about r = 4.7e307 its coefficients overflow too
+    # the image quartic's invariants, verify_circle_theorem's closed form
+    # scaled back by r^6, r^2 and r^4, overflow float64 here: they print as
+    # null where they do not fit, and classify by the closed form's signs
     rc, out, _ = _run(["infinity", "--r", r, "--theta", "0.3", "--verify"])
     record = json.loads(out)
     assert rc == 0
     verify = record["diagnostics"]["verify"]
     assert verify["delta"] is None
     assert verify["classification"] == "FourRealDistinct" and verify["four_real_distinct"] is True
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [1.5707963079004843, -1.5707963079004843, 1.570796308135573, 1.570796306916724, 1.5707963083874499,
+     math.pi / 2],
+)
+def test_infinity_verify_block_keeps_its_digits_at_the_rim(theta):
+    # an ulp from the rim, near theta = pi/2, the generic invariants of the
+    # image quartic cancel: delta came out up to 65% off. Each printed value
+    # is within 16 ulps of the 50-digit invariants of the same float observer
+    import mpmath
+
+    from catoptrix.quartic import _invariants
+
+    r = 1.0000000000000002
+    rc, out, _ = _run(["infinity", "--r", repr(r), "--theta", repr(theta), "--verify"])
+    assert rc == 0
+    verify = json.loads(out)["diagnostics"]["verify"]
+    with mpmath.workdps(50):
+        s, c, rr = mpmath.sin(theta), mpmath.cos(theta), mpmath.mpf(r)
+        *exact, k = _invariants(rr * s, 2 * (2 * rr * c - 1), -6 * rr * s, -2 * (2 * rr * c + 1), rr * s)
+        assert k == 0
+        for name, ref in zip(("delta", "p", "d"), exact):
+            assert abs(verify[name] - ref) <= 16 * math.ulp(float(ref)), (name, verify[name], ref)
+    assert verify["classification"] == "FourRealDistinct"
 
 
 def test_degrees_flag():

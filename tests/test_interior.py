@@ -67,6 +67,30 @@ def test_quartic_coefficients_coincident_substitution():
     assert abs(q(w)) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.2), complex(0.1, math.inf), math.nan, -math.inf])
+def test_quartic_coefficients_reject_a_non_finite_point_naming_it(bad):
+    for z1, z2, name in ((bad, 0.3 + 0.1j, "z1"), (0.3 + 0.1j, bad, "z2")):
+        with pytest.raises(NonFinitePoint, match=f"^{name} has non-finite component"):
+            interior_quartic_coeffs(z1, z2)
+
+
+def test_quartic_coefficients_of_real_and_numpy_points_equal_those_of_complex():
+    cases = [(1, -2), (0.5, -0.25), (np.complex128(0.3 + 0.1j), np.complex128(-0.2 + 0.4j)), (np.float64(0.7), 1j)]
+    for z1, z2 in cases:
+        got = interior_quartic_coeffs(z1, z2).as_tuple()
+        want = interior_quartic_coeffs(complex(z1), complex(z2)).as_tuple()
+        assert [(c.real.hex(), c.imag.hex()) for c in got] == [(c.real.hex(), c.imag.hex()) for c in want]
+        assert all(type(c) is complex for c in got)
+
+
+def test_quartic_coefficients_reject_an_overflowing_product_naming_it():
+    # conj(z1)*conj(z2) overflows to -inf*i: the coefficient is named, as
+    # QuarticCoeffs names a non-finite field
+    for z1 in (1e200, 1e200 + 0j):
+        with pytest.raises(NonFinitePoint, match=r"^c4 has non-finite component: -infj$"):
+            interior_quartic_coeffs(z1, 1e200j)
+
+
 def test_minimizing_root_diametral_pair():
     # focal sum on the circle is minimal at the circle points on the diameter
     # through the pair; the tie {1, -1} breaks toward the larger real part
@@ -302,6 +326,96 @@ def test_pair_answers_are_pinned_bit_for_bit(solver, z1, z2, re_w, im_w, s, fs, 
     res = getattr(interior_module, solver)(z1, z2)
     assert (res.w.real.hex(), res.w.imag.hex(), res.s_value.hex(), res.focal_sum.hex()) == (re_w, im_w, s, fs)
     assert res.tie_indices == ties
+
+
+# the root picture of each pair above, and of two more seed-2 benchmark
+# pairs: a near_coincident_origin pair whose four roots take one polish step
+# each, and a near_origin pair on the Newton polygon's starts. (solver, z1,
+# z2, candidates as "Re Im" float.hex, residuals as float.hex,
+# polish_iterations, min_separation as float.hex, on_circle_mask)
+PINNED_PICTURES = [
+    ("minimizing_root", (-0.43452816556302326-0.32998967730928713j), (0.32761416406021754-0.9162632269170236j),
+     "-0x1.19d5492e5e2b6p-2 -0x1.7184f43467f10p-2, -0x1.5614dc28ab2aap+0 -0x1.c0833c22f14e8p+0, "
+     "0x1.47ea93fd9d0a4p-2 -0x1.e509b0ecb440ap-1, 0x1.6bded3ef9f540p-3 0x1.f7daa270c0575p-1",
+     "0x1.1e3779b97f4a8p-53 0x1.465655f122ff6p-51 0x1.f3db2174e7468p-52 0x1.0000000000000p-53",
+     (0, 0, 0, 0), "0x1.abeb89ecd5708p-1", (False, False, True, True)),
+    ("minimizing_root", (0.06090608078274884+0.9981419592440539j), (-0.11679177057497178+0.24124679948589395j),
+     "0x1.7069aa61e9ba8p-4 -0x1.fdecbc6a2cf20p-1, 0x1.f2f0f42c26610p-5 0x1.ff0caa96fde99p-1, "
+     "-0x1.a224d7ef2c028p+0 0x1.094b62622fd9dp+2, -0x1.51077783638a4p-4 0x1.aba9473cf8d78p-3",
+     "0x1.bdb55b550fdbcp-51 0x1.4000000000000p-53 0x1.6d2041e7f68bdp-47 0x1.4e16fdacff937p-53",
+     (0, 0, 0, 0), "0x1.9abae2247965fp-1", (True, True, False, False)),
+    ("minimizing_root", (-0.2799000883214061+0.515804480402409j), (1.763720099174818e-11+2.227777551011906e-11j),
+     "0x1.e8657c4ff52f1p-2 -0x1.c20331e579d6cp-1, 0x1.4585020da1500p+34 0x1.9b2afea39e2f2p+34, "
+     "0x1.3646e44d8cc4bp-36 0x1.87ea2e75f9621p-36, -0x1.e8657c4ff52f2p-2 0x1.c20331e579d6ep-1",
+     "0x1.0dbd83cb74988p-35 0x1.131807ae7fa7ep+52 0x1.07e0f66afed07p-88 0x1.0dbd46be97d40p-35",
+     (0, 0, 0, 0), "0x1.ffffffffe770bp-1", (True, False, False, True)),
+    ("minimizing_root", 0j, (0.5+0j),
+     "-0x1.0000000000000p-52 -0x1.0000000000000p-53, 0x1.0000000000000p+0 0x1.0000000000000p-53, "
+     "-0x1.fffffffffffffp-1 0x1.0000000000000p-54",
+     "0x1.1e3779b97f4a8p-53 0x1.0000000000000p-53 0x1.1e3779b97f4a7p-53",
+     (0, 0, 0), "0x1.ffffffffffffdp-1", (False, True, True)),
+    ("minimizing_root", (0.5+0j), (-0.5+0j),
+     "-0x0.0p+0 -0x1.0000000000000p+0, 0x1.0000000000000p+0 0x0.0p+0, "
+     "0x0.0p+0 0x1.0000000000000p+0, -0x1.0000000000000p+0 0x0.0p+0",
+     "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+     (0, 0, 0, 0), "0x1.6a09e667f3bcdp+0", (True, True, True, True)),
+    ("minimizing_root", (-0.8032522755834922+0.5308845264617177j), (0.8032522755834922-0.5308845264617177j),
+     "-0x1.1a4df564b652bp-1 -0x1.ab23b67376fa6p-1, 0x1.ab23b67376fa6p-1 -0x1.1a4df564b652bp-1, "
+     "0x1.1a4df564b652bp-1 0x1.ab23b67376fa6p-1, -0x1.ab23b67376fa6p-1 0x1.1a4df564b652bp-1",
+     "0x1.94c583ada5b53p-52 0x1.94c583ada5b53p-52 0x1.94c583ada5b53p-52 0x1.94c583ada5b53p-52",
+     (0, 0, 0, 0), "0x1.6a09e667f3bccp+0", (True, True, True, True)),
+    ("minimizing_root", (0.023447935412646226+0.3057634359507971j), (0.02344793521006707+0.3057634354782582j),
+     "-0x1.39303e7142f9cp-4 -0x1.fe8049351a28cp-1, 0x1.39303e7142fa8p-4 0x1.fe8049351a289p-1, "
+     "0x1.f2573cc431dd6p-2 0x1.96269ee7624e2p+2, 0x1.89a783b2f9798p-7 0x1.40d4ad91ec9b0p-3",
+     "0x1.6b51c56c6b990p-50 0x1.a2891949784dcp-52 0x1.408f7fd32db32p-48 0x1.69e24b28248aap-52",
+     (0, 0, 0, 0), "0x1.af8e8b044d1bfp-1", (True, True, False, False)),
+    ("minimizing_root", (0.0025868277088522537+0.0013536825173323754j), (0.0026773870262672044+0.0013910646626231335j),
+     "-0x1.c5febc19d909bp-1 -0x1.d96c742fcd418p-2, 0x1.c5febe5321e32p-1 0x1.d96c6ba81d0a3p-2, "
+     "0x1.58e52aeae0355p-10 0x1.67b27b5033e35p-11, 0x1.2ac9c008baf38p+9 0x1.379c7df898a46p+8",
+     "0x1.eb7e6ffb3281fp-61 0x1.1b0c36031dfe2p-62 0x0.0p+0 0x1.40199f47b69b1p-35",
+     (1, 1, 1, 0), "0x1.ff3d83c00a7ecp-1", (True, True, False, False)),
+    ("minimizing_root", 1e-70 * cmath.exp(0.7j), EPS_PARTNER,
+     "0x1.63bd515593fe3p-2 -0x1.e01c5b30be736p-1, 0x1.0e4596f5e3743p-233 0x1.c74b2cc5848a9p-234, "
+     "0x1.1bb21ba89fc55p+232 0x1.dde840fbe5a4bp+231, -0x1.63bd515593fe4p-2 0x1.e01c5b30be737p-1",
+     "0x1.07e0f66afed06p-53 0x0.0p+0 0x1.91537e729b162p+644 0x1.0000000000000p-55",
+     (0, 0, 0, 0), "0x1.fffffffffffffp-1", (True, False, False, True)),
+    ("exterior_reflection", (1.850662448884409-1.334356488822503j), (0.05456170642033646+2.2349717569942134j),
+     "-0x1.cb55a82404767p-1 -0x1.c45a46ba1d80ap-2, 0x1.3d27197b4c4f3p-1 -0x1.91f165eb31a37p-1, "
+     "0x1.c97011787f1fdp-1 0x1.cbfa16d9e4c71p-2, -0x1.fe8df92d2449ap-3 0x1.efd5c477a6624p-1",
+     "0x1.cd82b446159f3p-50 0x1.027ce7b7ea376p-47 0x1.ad5336963eefcp-49 0x1.cd82b446159f3p-49",
+     (0, 0, 0, 0), "0x1.41522ecfc7a15p+0", (True, True, True, True)),
+    ("exterior_reflection", (0.8845714342206823+0.7327530244356987j), (1.0950286964075882-0.441145756054372j),
+     "-0x1.fa2d86765f708p-1 -0x1.33f95c124f933p-3, 0x1.a7b007e5a7ed4p-1 -0x1.1f758f1baf99bp-1, "
+     "0x1.f7f70521d6ad2p-1 0x1.6967bb1264178p-3, 0x1.44116f716d27bp-1 0x1.8c637654180b5p-1",
+     "0x1.cd82b446159f3p-51 0x1.99ccc999fff00p-51 0x1.cd82b446159f3p-52 0x1.cd82b446159f3p-52",
+     (0, 0, 0, 0), "0x1.62feca829c839p-1", (True, True, True, True)),
+    ("exterior_reflection", (2.8071166842147535+1.0335046750069157j), (-0.8891013558124188-2.039739317983885j),
+     "-0x1.365c5ae5d2709p-1 -0x1.9735d3b9bcf86p-1, 0x1.4756751bc9667p-1 -0x1.89b15aca67f30p-1, "
+     "0x1.a3c0038ec162cp-1 0x1.252dcf2196e24p-1, -0x1.700cdaffd676dp-1 0x1.63ecf49b82652p-1",
+     "0x1.cd82b446159f3p-50 0x1.58a68a4a8d9f3p-48 0x1.6a09e667f3bcdp-50 0x1.1e3779b97f4a8p-50",
+     (0, 0, 0, 0), "0x1.3eebbe0a99e20p+0", (True, True, True, True)),
+    ("minimizing_root", (-0.0007362385710865847+0.0018231697563211653j), (-0.0007350082952413489+0.001823056172906383j),
+     "0x1.7f2a95564b55ep-2 -0x1.dace1b6e4cc84p-1, -0x1.81adc98975b09p-12 0x1.ddeb2b50844eep-11, "
+     "-0x1.7cab87e3e9b20p+8 0x1.d7b63edf790e2p+9, -0x1.7f2a9558cfdd8p-2 0x1.dace1b6dcabfcp-1",
+     "0x1.421e34a537096p-64 0x1.0000000000000p-71 0x1.d770613bff50cp-32 0x1.3bba668333525p-61",
+     (1, 1, 1, 1), "0x1.ff7f29202b2c1p-1", (True, False, False, True)),
+    ("minimizing_root", (0.7055033645946416+0.2143309197844021j), (-5.514846766822455e-13-1.2371885172932213e-12j),
+     "-0x1.e9e45477ee170p-1 -0x1.29a82ce104868p-2, -0x1.36755161f36ffp-41 -0x1.5c3cd3f3113dap-40, "
+     "-0x1.17ee768d1ab17p+38 -0x1.39fefde4cf698p+39, 0x1.e9e45477ee170p-1 0x1.29a82ce104867p-2",
+     "0x1.a8d6d6eaaec32p-40 0x0.0p+0 0x1.faf70c228c166p+38 0x1.a8d66d7971d2fp-40",
+     (0, 0, 0, 0), "0x1.fffffffffe0c8p-1", (True, False, False, True)),
+]
+
+
+@pytest.mark.parametrize("solver, z1, z2, roots, residuals, iterations, separation, mask", PINNED_PICTURES)
+def test_pair_pictures_are_pinned_bit_for_bit(solver, z1, z2, roots, residuals, iterations, separation, mask):
+    res = getattr(interior_module, solver)(z1, z2)
+    picture = res.candidates
+    assert ", ".join(f"{w.real.hex()} {w.imag.hex()}" for w in picture.roots) == roots
+    assert " ".join(x.hex() for x in picture.residuals) == residuals
+    assert picture.polish_iterations == iterations
+    assert picture.min_separation.hex() == separation
+    assert res.on_circle_mask == mask
 
 
 def test_s_metric_symmetric_family():
@@ -704,6 +818,43 @@ def test_exterior_root_picture_is_solved_once_on_first_read(monkeypatch):
     assert solves(lambda: inner.candidates, lambda: inner.on_circle_mask, lambda: inner.tie_indices) == 0
     with redirect_stdout(io.StringIO()):
         assert solves(lambda: cli_main(["interior", "--z1", "0.3,0.1", "--z2", "-0.2,0.4"])) == 1
+
+
+def test_reflection_result_is_a_frozen_dataclass_whose_picture_is_no_field(monkeypatch):
+    import copy
+    import dataclasses
+    import pickle
+
+    solves = _count_solves(monkeypatch)
+    res = minimizing_root(0.3 + 0.1j, -0.2 + 0.4j)
+    text = (
+        "ReflectionResult(w=(-1.1102230246251565e-16+1j), s_value=0.36878177829171555, "
+        "focal_sum=1.5811388300841895, reflection_residual=5.551115123125788e-18, degree_dropped=False, "
+        "_pair=((0.3+0.1j), (-0.2+0.4j)))"
+    )
+    assert dataclasses.is_dataclass(res) and repr(res) == text
+    for name in ("w", "_pair", "candidates", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(res, name, 0)
+    for name in ("w", "s_value"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(res, name)
+    # replace builds a result with no picture, which its first read solves,
+    # once; equality and hash compare the fields and the pair only
+    moved = dataclasses.replace(res, w=res.w * 1.01)
+    assert "candidates" not in vars(moved) and moved != res
+    same = dataclasses.replace(res)
+    assert "candidates" not in vars(same) and same == res and hash(same) == hash(res)
+    assert solves(lambda: same.candidates, lambda: same.on_circle_mask, lambda: same.tie_indices) == 1
+    assert same.candidates == res.candidates and same.on_circle_mask == res.on_circle_mask
+    assert same == res and hash(same) == hash(res) and repr(same) == text
+    # a copy or a pickle round trip keeps the fields and the picture
+    clones = [copy.copy(res), copy.deepcopy(res)]
+    clones += [pickle.loads(pickle.dumps(res, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert type(clone) is type(res) and clone == res and hash(clone) == hash(res) and repr(clone) == text
+        assert vars(clone) == vars(res)
+    assert solves(*[lambda c=c: (c.candidates, c.on_circle_mask, c.tie_indices) for c in clones]) == 0
 
 
 def test_exterior_failed_solve_is_not_kept(monkeypatch):
