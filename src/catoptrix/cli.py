@@ -28,7 +28,7 @@ import math
 import sys
 from typing import Any, NoReturn, Optional, Sequence
 
-from .errors import CatoptrixError, DegenerateLeadingCoefficient
+from .errors import CatoptrixError
 
 __all__ = ["main"]
 
@@ -216,8 +216,8 @@ def _run_interior(args: argparse.Namespace) -> _Run:
 
 
 def _run_infinity(args: argparse.Namespace) -> _Run:
-    from .infinity import ObserverPolar, _image_invariants, infinity_reflection
-    from .quartic import RootNature, _nature
+    from .infinity import ObserverPolar, _image_invariants, infinity_reflection, verify_circle_theorem
+    from .quartic import _nature
 
     obs = ObserverPolar(args.r, args.theta)
     result = infinity_reflection(obs)
@@ -227,9 +227,9 @@ def _run_infinity(args: argparse.Namespace) -> _Run:
         "verify": None,
     }
     if args.verify:
-        if obs.theta == 0.0:
-            # the image quartic's leading coefficient r*sin(theta) is zero
-            raise DegenerateLeadingCoefficient("leading coefficient a is zero")
+        # raises on the axis, theta = 0 or |theta| = pi, where the image
+        # quartic degenerates
+        four_real_distinct = verify_circle_theorem(obs)
         # the invariants of the image quartic divided by r, in the closed
         # form verify_circle_theorem evaluates, keep their digits next to the
         # rim, where the generic ones cancel; they are homogeneous of degrees
@@ -243,7 +243,7 @@ def _run_infinity(args: argparse.Namespace) -> _Run:
             "p": p,
             "d": d,
             "classification": nature.value,
-            "four_real_distinct": nature is RootNature.FOUR_REAL_DISTINCT,
+            "four_real_distinct": four_real_distinct,
             "mobius_images": list(result.mobius_images) if result.mobius_images else None,
         }
     files = {}

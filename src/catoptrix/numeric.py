@@ -86,15 +86,13 @@ class Tolerances(_Record):
     residual_tol: float
     oracle_agreement_tol: float
 
-    def __init__(
-        self, unit_circle_tol: float = 1e-9, residual_tol: float = 1e-10, oracle_agreement_tol: float = 1e-6
-    ) -> None:
+    def __init__(self, unit_circle_tol: float, residual_tol: float, oracle_agreement_tol: float) -> None:
         self.__dict__.update(
             unit_circle_tol=unit_circle_tol, residual_tol=residual_tol, oracle_agreement_tol=oracle_agreement_tol
         )
 
 
-DEFAULT_TOLERANCES = Tolerances()
+DEFAULT_TOLERANCES = Tolerances(1e-9, 1e-10, 1e-6)
 
 # pairs closer than this are CoincidentPoints, in the solvers and the oracle
 _COINCIDENT_EPS = 1e-14

@@ -231,23 +231,29 @@ def _polish(
     coeffs: tuple[complex, ...], roots: list[complex], base_bound: float
 ) -> tuple[list[complex], list[float], list[int]]:
     """Polish all roots together; returns (roots, residuals, iterations used),
-    each root its last iterate and each residual that iterate's |p|.
+    each root its last iterate, each residual that iterate's |p| and each
+    iteration count the step of that evaluation.
 
-    Each step moves every root still above its bound by the Aberth-Ehrlich
-    correction N / (1 - N * sum_{j != k} 1/(w_k - w_j)), N = p(w_k)/p'(w_k).
-    The sum repels each root from the others, so two starts in one basin
-    cannot both converge onto the same root, as independent Newton steps can
-    (Aberth, Math. Comp. 27, 1973). A root already within its bound does not
-    move, and is done: it is not evaluated or tested again.
+    Each pass evaluates every pending root, and one rule decides for each:
+    - a root within its bound is done: it does not move and is not
+      evaluated or tested again;
+    - a root above its bound takes an Aberth-Ehrlich step,
+      N / (1 - N * sum_{j != k} 1/(w_k - w_j)), N = p(w_k)/p'(w_k);
+    - a root above its bound that cannot step, because |p'| < 1e-290 or the
+      50th step has been taken, raises NoConvergence at once.
+    The repel sum keeps two starts in one basin from converging onto the
+    same root, as independent Newton steps can (Aberth, Math. Comp. 27,
+    1973). A root that cannot step would never move again, so a later test
+    of it could only repeat the one it failed: the first such root in index
+    order, in the first pass that has one, raises there.
 
     The acceptance bound grows with |root|^degree: below that, float64 cannot
     even evaluate the polynomial, so a flat bound would be unreachable for
     roots far outside the unit disk. A non-finite residual never passes it,
-    and it ends the polish at once: no step can leave inf or NaN. The
-    NoConvergence reports the root's last finite residual, or inf. A root
-    held back by a vanishing derivative, or still moving after the last
-    step, is tested once more at the end, in index order, and the first
-    one above its bound raises.
+    and it ends the polish at once: no step can leave inf or NaN. Every
+    NoConvergence reports the root's bound and a residual: that of the
+    failing iterate, or for a non-finite one the root's last finite residual,
+    inf for a start.
 
     The repel sum is accumulated left to right over the current roots,
     starting from the integer 0; roots moved earlier in the same step count
@@ -256,25 +262,27 @@ def _polish(
     deriv_stall = 1e-290
     degree = len(coeffs) - 1
     cur = list(roots)
-    resid = []
-    moving = []
-    held = []
-    # step 0, one pass over the starts: most pass here and are done
-    for k, w in enumerate(cur):
-        f, df = _horner_pair(coeffs, w)
-        res = abs(f)
-        if not res < math.inf:
-            raise _stalled(math.inf, w, base_bound, degree)
-        resid.append(res)
-        a = abs(w)
-        if not res <= base_bound * (a if a > 1.0 else 1.0) ** degree:
-            if abs(df) < deriv_stall:
-                held.append(k)
-            else:
-                moving.append((k, f / df))
+    resid = [math.inf] * len(cur)
     iters = [0] * len(cur)
+    pending = range(len(cur))
     step = 0
-    while moving:
+    while True:
+        moving = []
+        for k in pending:
+            w = cur[k]
+            f, df = _horner_pair(coeffs, w)
+            res = abs(f)
+            if not res < math.inf:
+                raise _stalled(resid[k], w, base_bound, degree)
+            resid[k] = res
+            iters[k] = step
+            a = abs(w)
+            if not res <= base_bound * (a if a > 1.0 else 1.0) ** degree:
+                if step == _MAX_POLISH_ITERATIONS or abs(df) < deriv_stall:
+                    raise _stalled(res, w, base_bound, degree)
+                moving.append((k, f / df))
+        if not moving:
+            return cur, resid, iters
         step += 1
         for k, newton in moving:
             w = cur[k]
@@ -286,30 +294,6 @@ def _polish(
             denom = 1.0 - newton * repel
             cur[k] = w - (newton / denom if denom != 0 else newton)
         pending = [k for k, _ in moving]
-        moving = []
-        for k in pending:
-            w = cur[k]
-            f, df = _horner_pair(coeffs, w)
-            res = abs(f)
-            if not res < math.inf:
-                raise _stalled(resid[k], w, base_bound, degree)
-            resid[k] = res
-            iters[k] = step
-            if step == _MAX_POLISH_ITERATIONS:
-                held.append(k)
-                continue
-            a = abs(w)
-            if not res <= base_bound * (a if a > 1.0 else 1.0) ** degree:
-                if abs(df) < deriv_stall:
-                    held.append(k)
-                else:
-                    moving.append((k, f / df))
-    for k in sorted(held):
-        w = cur[k]
-        a = abs(w)
-        if not resid[k] <= base_bound * (a if a > 1.0 else 1.0) ** degree:
-            raise _stalled(resid[k], w, base_bound, degree)
-    return cur, resid, iters
 
 
 def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex], cmax: float) -> RootSet:
@@ -394,12 +378,10 @@ def _solve(coeffs: tuple[complex, ...]) -> RootSet:
         cmax = max(mods)
         m4, m0 = mods[0], mods[-1]
         # the chord lies nowhere below min(|c4|, |c0|): a cheap first test
-        if len(mods) != 5:
-            raw = _closed_form(coeffs)
-        elif cmax > _SPREAD * (m4 if m4 < m0 else m0) and _spread(*mods):
+        if len(mods) == 5 and cmax > _SPREAD * (m4 if m4 < m0 else m0) and _spread(*mods):
             raw = _polygon_starts(coeffs, mods)
         else:
-            raw = _ferrari(coeffs)
+            raw = _closed_form(coeffs)
         return _sorted_rootset(coeffs, raw, cmax)
     except OverflowError as exc:
         raise NoConvergence(f"float overflow while solving: {exc}") from exc
@@ -417,9 +399,14 @@ def solve_quartic(q: QuarticCoeffs) -> RootSet:
 
     Raises
     ------
-    DegenerateLeadingCoefficient if q.c4 == 0, NoConvergence if a root cannot
-    be polished below the residual bound within 50 polish steps, or if the
-    coefficients are so badly scaled that float64 overflows on the way.
+    DegenerateLeadingCoefficient if q.c4 == 0. NoConvergence, "root polishing
+    stalled at residual ... (bound ...)", for the first root in index order
+    whose residual is still above its bound when it cannot step: its
+    derivative vanishes or 50 polish steps are taken. It reports that root's
+    residual and bound; a residual that turns inf or NaN raises the same way
+    with the root's last finite residual, inf for a start. NoConvergence,
+    "float overflow while solving: ...", if the coefficients are so badly
+    scaled that float64 overflows on the way.
     """
     if q.c4 == 0:
         raise DegenerateLeadingCoefficient("quartic leading coefficient is zero")

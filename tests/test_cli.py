@@ -339,6 +339,25 @@ def test_infinity_verify_block_keeps_its_digits_at_the_rim(theta):
     assert verify["classification"] == "FourRealDistinct"
 
 
+@pytest.mark.parametrize(
+    "r,theta,extra",
+    [("2", "0", []), ("1e16", "3.141592653589793", []), ("1e16", "180", ["--degrees"])],
+    ids=["theta-0", "theta-pi", "theta-180-degrees"],
+)
+def test_infinity_verify_on_the_axis_raises_as_verify_circle_theorem_does(r, theta, extra):
+    # past r of about 8.2e15 the float pi observer leaves the shadow (Im f =
+    # r*sin(pi) >= 1) and is answered; its image quartic still degenerates
+    from catoptrix import DegenerateLeadingCoefficient, ObserverPolar, verify_circle_theorem
+
+    obs = ObserverPolar(float(r), math.radians(float(theta)) if extra else float(theta))
+    with pytest.raises(DegenerateLeadingCoefficient) as raised:
+        verify_circle_theorem(obs)
+    rc, out, _ = _run(["infinity", "--r", r, "--theta", theta, *extra, "--verify"])
+    record = json.loads(out)
+    assert rc == 2
+    assert record["status"] == raised.value.code and record["error"] == str(raised.value)
+
+
 def test_degrees_flag():
     rc1, out1, _ = _run(["infinity", "--r", "2", "--theta", "90", "--degrees"])
     rc2, out2, _ = _run(["infinity", "--r", "2", "--theta", repr(math.pi / 2)])

@@ -8,6 +8,7 @@ polyroots at 50 digits.
 import cmath
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -128,6 +129,33 @@ def test_polish_stops_at_a_nan_start_root(monkeypatch):
     with pytest.raises(NoConvergence, match="stalled at residual inf"):
         quartic._polish((1 + 0j, 0j, 0j, 0j, -1 + 0j), [complex(math.nan, math.nan)] * 4, 1e-10)
     assert len(calls) <= 1
+
+
+@pytest.mark.parametrize(
+    "name,args,message",
+    [
+        # p'(0) = 0 at a start above its bound: that root cannot step
+        ("_polish", ((1 + 0j, 0j, 0j, 0j, -1 + 0j), [0j, 1 + 0j, 1j, -1 + 0j], 1e-10),
+         "residual 1.000e+00 (bound 1.000e-10)"),
+        # one root still above its bound after the 50th step
+        ("polished_roots", ((
+            -3.6482513417253646e+55 - 2.8304627597536388e-136j, 1.7612664010399393e+65 + 3.884550704505777e-105j,
+            1.9513873572770606e-144 + 1.2811478205133073e-131j, -2.68069143762841e+55 - 3.9093246808235286e-90j),),
+         "residual 3.272e+55 (bound 1.761e+55)"),
+        # two roots above their bounds after the 50th step: the lower index raises
+        ("polished_roots", ((
+            1.0751259593156582e-136 - 1.503275438612133e+128j, 5.119964968717576e+132 + 1.5327735270738273e-20j,
+            -2.463568080582824e-112 + 760.2909829176144j, 6.825919653765659e+43 + 1.4207447922107872e-15j,
+            4.605099138816744e-44 + 5.879658496064775e+123j),),
+         "residual 5.878e+123 (bound 5.120e+122)"),
+    ],
+    ids=["derivative-stall", "step-cap", "two-at-the-cap"],
+)
+def test_a_root_that_cannot_step_raises_with_its_residual_and_bound(name, args, message):
+    from catoptrix import quartic
+
+    with pytest.raises(NoConvergence, match=re.escape(f"root polishing stalled at {message}")):
+        getattr(quartic, name)(*args)
 
 
 def test_zero_trailing_coefficients_give_exact_zero_roots():
