@@ -3,7 +3,11 @@
 Inside the disk, minimizing_root solves the degree-4 reflection equation,
 selects the minimizing root (the boundary point minimizing the focal sum
 |z1 - w| + |z2 - w|) with _least_focal_sum, and derives the triangular ratio
-metric and the parameters of the maximal inscribed ellipse.
+metric and the parameters of the maximal inscribed ellipse. The pick reads
+the roots in the order the polish left them, since neither the least sum nor
+its tie set depends on that order. The sorted roots, their separation, the
+on-circle mask and the tie indices are computed when the root picture is
+first read.
 
 Outside it, the answer is the one zero of the reflection law on the arc
 that both points see, and exterior_reflection finds it without the
@@ -78,7 +82,10 @@ _TIE_EPS = 1e-10
 # the one dataclass among the value types: bench/test_bench.py builds
 # off-circle answers from a real one with dataclasses.replace, so interior
 # still imports dataclasses. Its own __init__ writes the instance dict; the
-# generated one sets each field through object.__setattr__
+# generated one sets each field through object.__setattr__. minimizing_root
+# adds the unread RootSet it picked from as candidates, and nothing else: a
+# kept result costs the collector no more objects than that, and the mask
+# and ties are computed on first read
 @dataclass(frozen=True, init=False)
 class ReflectionResult:
     """Chosen reflection point with full diagnostics.
@@ -92,10 +99,11 @@ class ReflectionResult:
 
     The root picture is not a constructor argument:
 
-    candidates           every root of the reflection polynomial
+    candidates           every root of the reflection polynomial, sorted
     on_circle_mask       which candidates passed the unit-circle test
-    tie_indices          candidate indices attaining the minimal focal sum;
-                         for an exterior pair, the candidate nearest w,
+    tie_indices          for an interior pair, the candidate indices
+                         attaining the minimal focal sum, by minimizing_root's
+                         rule; for an exterior pair, the candidate nearest w,
                          which the fixed 1e-9 circle test can reject
 
     So an exterior result can name a tie that its mask rejects: for the pair
@@ -104,10 +112,13 @@ class ReflectionResult:
     1.2e-8 off the circle and 1.2e-8 from w, and the only candidate that
     passes the circle test is antipodal to w.
 
-    minimizing_root keeps the picture it selected from. An exterior pick
-    solves no quartic, and the first read of its picture solves once and
-    keeps the result; a failed solve is not kept, and the next read solves
-    again. Equality compares the fields and the pair, never the picture.
+    minimizing_root keeps the roots it selected from, in the order the
+    polish left them: the first read sorts them (RootSet), and the mask and
+    the ties are computed on their first read from the sorted roots, by the
+    rules the pick used, so no read solves again. An exterior pick solves no
+    quartic, and the first read of its picture solves once and keeps the
+    result; a failed solve is not kept, and the next read solves again.
+    Equality compares the fields and the pair, never the picture.
     """
 
     w: complex
@@ -144,7 +155,12 @@ class ReflectionResult:
 
     @functools.cached_property
     def tie_indices(self) -> tuple[int, ...]:
+        z1, z2 = self._pair
         roots = self.candidates.roots
+        if abs(z1) < 1.0:
+            # an interior pair: the tie set of minimizing_root's pick, whose
+            # rule reads the roots in any order
+            return _least_focal_sum(z1, z2, roots)[3]
         return (min(range(len(roots)), key=lambda k: abs(roots[k] - self.w)),)
 
 
@@ -223,13 +239,13 @@ def minimizing_root(z1: complex, z2: complex) -> ReflectionResult:
     d = _distance(z1, z2)
     q = interior_quartic_coeffs(z1, z2)
     roots = _candidates(q)
-    w, fs, mask, ties = _least_focal_sum(z1, z2, roots.roots)
+    # the least sum and its tie set do not depend on the order of the roots,
+    # and tied roots with equal keys are the same w: the polish order picks
+    # what the sorted one would, and the set sorts only if the picture is read
+    w, fs, _, _ = _least_focal_sum(z1, z2, roots._any_order)
     result = _result(z1, z2, w, fs, d, q.c4 == 0)
-    # the picture the pick was made from, so that no read solves again
-    fields = result.__dict__
-    fields["candidates"] = roots
-    fields["on_circle_mask"] = mask
-    fields["tie_indices"] = ties
+    # the roots the pick was made from, so that no read solves again
+    result.__dict__["candidates"] = roots
     return result
 
 
@@ -322,9 +338,12 @@ def exterior_reflection(z1: complex, z2: complex) -> Optional[ReflectionResult]:
     concave on [0, 1], so acos(rho/|z|) - acos(1/|z|) <= acos(rho). So a pair
     whose gap a - b exceeds 4*acos(1 - s) (about 1.8e-4) returns None; the
     gap round the other side of the circle is the larger, as |delta| <= pi. A
-    smaller gap is solved on [b, a], where g ran from negative at b to
-    positive at a on every pair probed, and the zero is the answer only if
-    both segments to it pass segment_clears_disk.
+    smaller gap is solved on [b, a], and the zero is the answer only if both
+    segments to it pass segment_clears_disk. In floats g need not change
+    sign on [b, a]. Of 193002 such pairs drawn with random.Random(7), each
+    |z| - 1 in 10^U(-12, 3) and each gap below the bound, 26443 had none,
+    with |g| at most 3.9e-16 at both ends. What held is the law: each of the
+    150315 answers had |Im((z1 - w)(z2 - w)/w^2)| at most 1.6e-15*|z1|*|z2|.
 
     The same slack lets a far source light a sliver of the plane wave's
     shadow (infinity.py), where the exterior pair answers and its limit

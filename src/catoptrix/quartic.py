@@ -90,6 +90,14 @@ class RootSet(_Record):
     residuals[k] is |p(roots[k])| recomputed from the coefficients the set was
     solved from. min_separation flags clustered (near-multiple) roots; no
     deflation is attempted for them.
+
+    The constructor takes the fields as given. A set that solve_quartic or
+    polished_roots returns keeps the roots in the order the polish left them
+    and computes its fields when one of them is first read: it sorts the
+    roots and finds min_separation then, once. A caller that reads the roots
+    in any order, as minimizing_root's pick does, pays for neither. Equality,
+    hash, repr, has_close_pair, pickle and copy give the same fields either
+    way.
     """
 
     roots: tuple[complex, ...]
@@ -110,6 +118,32 @@ class RootSet(_Record):
         fields["residuals"] = residuals
         fields["polish_iterations"] = polish_iterations
         fields["min_separation"] = min_separation
+
+    def __getattr__(self, name: str) -> object:
+        # runs only for a name the instance dict lacks: a field of a set that
+        # _polished_rootset made, on its first read, or no field at all
+        fields = self.__dict__
+        if name not in self._fields or "_polished" not in fields:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ws, res, its = fields.pop("_polished")
+        # by phase, then modulus; the index keeps roots with equal keys in their
+        # polish order
+        keyed = sorted([(cmath.phase(w), abs(w), k) for k, w in enumerate(ws)])
+        rs = tuple([ws[t[2]] for t in keyed])
+        min_sep = math.inf
+        for a, b in itertools.combinations(rs, 2):
+            d = abs(a - b)
+            if d < min_sep:
+                min_sep = d
+        RootSet.__init__(self, rs, tuple([res[t[2]] for t in keyed]), tuple([its[t[2]] for t in keyed]), min_sep)
+        return fields[name]
+
+    @property
+    def _any_order(self) -> tuple[complex, ...]:
+        """The roots in the order the polish left them while the fields are
+        unread, else the sorted roots: for a reader that needs no order."""
+        polished = self.__dict__.get("_polished")
+        return self.roots if polished is None else polished[0]
 
     @property
     def has_close_pair(self) -> bool:
@@ -296,18 +330,13 @@ def _polish(
         pending = [k for k, _ in moving]
 
 
-def _sorted_rootset(coeffs: tuple[complex, ...], roots: list[complex], cmax: float) -> RootSet:
+def _polished_rootset(coeffs: tuple[complex, ...], roots: list[complex], cmax: float) -> RootSet:
     ws, res, its = _polish(coeffs, roots, DEFAULT_TOLERANCES.residual_tol * cmax)
-    # by phase, then modulus; the index keeps roots with equal keys in their
-    # polish order
-    keyed = sorted([(cmath.phase(w), abs(w), k) for k, w in enumerate(ws)])
-    rs = tuple([ws[t[2]] for t in keyed])
-    min_sep = math.inf
-    for a, b in itertools.combinations(rs, 2):
-        d = abs(a - b)
-        if d < min_sep:
-            min_sep = d
-    return RootSet(rs, tuple([res[t[2]] for t in keyed]), tuple([its[t[2]] for t in keyed]), min_sep)
+    # tuples, not lists: a kept set then costs the collector no work once its
+    # tuples are untracked; RootSet.__getattr__ sorts them on the first read
+    rootset = RootSet.__new__(RootSet)
+    rootset.__dict__["_polished"] = (tuple(ws), tuple(res), tuple(its))
+    return rootset
 
 
 def _closed_form(coeffs: tuple[complex, ...]) -> list[complex]:
@@ -382,7 +411,7 @@ def _solve(coeffs: tuple[complex, ...]) -> RootSet:
             raw = _polygon_starts(coeffs, mods)
         else:
             raw = _closed_form(coeffs)
-        return _sorted_rootset(coeffs, raw, cmax)
+        return _polished_rootset(coeffs, raw, cmax)
     except OverflowError as exc:
         raise NoConvergence(f"float overflow while solving: {exc}") from exc
 
@@ -395,7 +424,9 @@ def solve_quartic(q: QuarticCoeffs) -> RootSet:
     coefficient magnitude. The polish starts from Ferrari's roots, or from
     the Newton polygon's when a middle coefficient lies more than a factor
     1e3 above the geometric interpolation of |c4| and |c0|, as for the
-    reflection quartic of a point within about 1e-3 of the origin.
+    reflection quartic of a point within about 1e-3 of the origin. The
+    returned set sorts its roots and finds min_separation when a field is
+    first read (RootSet).
 
     Raises
     ------
@@ -417,7 +448,8 @@ def polished_roots(coeffs: tuple[complex, ...]) -> RootSet:
     """Roots of a polynomial of degree 1..4 given as (c_n, ..., c_0), c_n != 0.
 
     Used for the degree-dropped instances of the reflection quartics; the
-    degree-4 case routes through the Ferrari chain. Raises NonFinitePoint as
+    degree-4 case routes through the Ferrari chain. The returned set is
+    ordered on first read, as solve_quartic's is. Raises NonFinitePoint as
     QuarticCoeffs does, and NoConvergence as solve_quartic does.
     """
     deg = len(coeffs) - 1

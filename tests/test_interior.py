@@ -872,3 +872,47 @@ def test_exterior_failed_solve_is_not_kept(monkeypatch):
     assert len(calls) == 3
     monkeypatch.setattr(interior_module, "solve_quartic", solve_quartic)
     assert len(res.candidates.roots) == 4
+
+
+def test_the_pick_from_the_polish_order_is_the_pick_from_the_sorted_roots(monkeypatch, interior_family_pairs):
+    # the least sum and its tie set do not depend on the order of the roots:
+    # minimizing_root picks from the polish order, and the picture read
+    # afterwards sorts the same roots and takes its mask and ties from them
+    from catoptrix import polished_roots
+
+    calls = []
+
+    def counting(solver):
+        def solve(*args):
+            calls.append(args)
+            return solver(*args)
+
+        return solve
+
+    monkeypatch.setattr(interior_module, "solve_quartic", counting(solve_quartic))
+    monkeypatch.setattr(interior_module, "polished_roots", counting(polished_roots))
+    pairs = [(z1, z2) for _, z1, z2 in interior_family_pairs(2, 40)]
+    # both golden pairs, the diametral one the symmetric tie
+    pairs += [(0.5 + 0j, -0.5 + 0j), (0j, 0.5 + 0j)]
+    ties = dropped = 0
+    for z1, z2 in pairs:
+        before = len(calls)
+        res = minimizing_root(z1, z2)
+        assert len(calls) == before + 1
+        candidates = res.candidates
+        assert "roots" not in vars(candidates)
+        order = candidates._any_order
+        w, fs, _, _ = _least_focal_sum(z1, z2, order)
+        sorted_w, sorted_fs, mask, tie_set = _least_focal_sum(z1, z2, candidates.roots)
+        assert sorted(order, key=lambda r: (cmath.phase(r), abs(r))) == list(candidates.roots)
+        assert (w.real.hex(), w.imag.hex(), fs.hex()) == (sorted_w.real.hex(), sorted_w.imag.hex(), sorted_fs.hex())
+        assert (res.w.real.hex(), res.w.imag.hex()) == (w.real.hex(), w.imag.hex())
+        assert res.focal_sum == max(fs, abs(z1 - z2))
+        assert res.on_circle_mask == mask and res.tie_indices == tie_set
+        assert res.on_circle_mask == tuple(on_unit_circle(r) for r in candidates.roots)
+        assert len(calls) == before + 1, "reading the picture solved again"
+        ties += len(tie_set) > 1
+        dropped += res.degree_dropped
+    # most symmetric pairs tie; every fourth near_origin pair and the golden
+    # origin pair drop the quartic term
+    assert ties >= 25 and dropped == 11

@@ -6,6 +6,7 @@ keeps a private name or an import that nothing uses."""
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -419,3 +420,13 @@ def test_infinity_result_compares_and_hashes_without_solving(monkeypatch):
     # a picture read on one side leaves equality and hash as they were
     a.mobius_images
     assert "all_roots" in vars(a) and a == b and hash(a) == hash(b)
+
+
+def test_every_bench_record_parses_and_names_its_pr():
+    # the perf trajectory is read by file name: BENCH_n.json records PR n
+    root = Path(__file__).resolve().parents[1]
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        n = int(path.stem.split("_", 1)[1])
+        assert json.loads(path.read_text())["pr"] == n, path.name

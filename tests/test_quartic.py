@@ -447,3 +447,65 @@ def test_image_quartic_four_real_distinct_sampled():
         theta = float(rng.uniform(1e-9, math.pi / 2))
         nat = real_quartic_invariants(*infinity_real_coeffs(r, theta))
         assert nat.classification is RootNature.FOUR_REAL_DISTINCT
+
+
+def _unread_solves(interior_family_pairs):
+    """(label, solve) pairs whose solve returns a fresh RootSet on each call:
+    seeded reflection quartics of the six interior families, the
+    degree-dropped cubic of a point at the origin, and plane-wave all_roots."""
+    from catoptrix import infinity_reflection, interior_quartic_coeffs
+
+    out = []
+    for family, z1, z2 in interior_family_pairs(1, 12):
+        q = interior_quartic_coeffs(z1, z2)
+        if q.c4 == 0:
+            out.append((f"dropped {z1!r} {z2!r}", lambda q=q: polished_roots((q.c3, q.c2, q.c1, q.c0))))
+        else:
+            out.append((f"{family} {z1!r} {z2!r}", lambda q=q: solve_quartic(q)))
+    rng = random.Random(31)
+    for _ in range(8):
+        # a lit observer, |theta| < pi/2, always has an answer
+        obs = ObserverPolar(1.0 + 10.0 ** rng.uniform(-6.0, 2.0), rng.uniform(-1.5, 1.5))
+        out.append((f"plane wave {obs!r}", lambda obs=obs: infinity_reflection(obs).all_roots))
+    return out
+
+
+def test_a_root_set_filled_on_first_read_is_the_eager_one(interior_family_pairs):
+    import copy
+    import pickle
+
+    from catoptrix import RootSet
+
+    solves = _unread_solves(interior_family_pairs)
+    assert sum(label.startswith("dropped") for label, _ in solves) >= 3
+    for label, solve in solves:
+        lazy = solve()
+        assert "roots" not in vars(lazy), label
+        polished = list(zip(*vars(lazy)["_polished"]))
+        assert [t[0] for t in polished] == list(lazy._any_order)
+        # the first read sorts the polish order by phase, then modulus (a
+        # stable sort, as the index key is), each root with its residual and
+        # step count, and finds the least distance between two roots
+        roots = lazy.roots
+        assert list(zip(roots, lazy.residuals, lazy.polish_iterations)) == sorted(
+            polished, key=lambda t: (cmath.phase(t[0]), abs(t[0]))
+        ), label
+        assert lazy.min_separation == min(abs(a - b) for k, a in enumerate(roots) for b in roots[k + 1:]), label
+        eager = RootSet(roots, lazy.residuals, lazy.polish_iterations, lazy.min_separation)
+        assert lazy == eager and hash(lazy) == hash(eager) and vars(lazy) == vars(eager), label
+        assert lazy._any_order == roots
+        text = repr(eager)
+        # each of these, taken from a set no field of which has been read,
+        # gives the same fields
+        assert repr(solve()) == text, label
+        assert solve().has_close_pair == eager.has_close_pair, label
+        for clone in [copy.copy(solve()), copy.deepcopy(solve())] + [
+            pickle.loads(pickle.dumps(solve(), protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]:
+            assert type(clone) is RootSet and "roots" not in vars(clone), label
+            assert repr(clone) == text and clone == eager and hash(clone) == hash(eager), label
+    # no other name reads as a field, read or unread
+    with pytest.raises(AttributeError):
+        solve().extra
+    with pytest.raises(AttributeError):
+        eager.extra
