@@ -5,9 +5,10 @@ selects the minimizing root (the boundary point minimizing the focal sum
 |z1 - w| + |z2 - w|) with _least_focal_sum, and derives the triangular ratio
 metric and the parameters of the maximal inscribed ellipse. The pick reads
 the roots in the order the polish left them, since neither the least sum nor
-its tie set depends on that order. The sorted roots, their separation, the
-on-circle mask and the tie indices are computed when the root picture is
-first read.
+its tie set depends on that order, and it builds no on-circle mask. The
+sorted roots, their separation, the tie indices and the mask are computed
+when the root picture is first read; ReflectionResult.on_circle_mask is the
+mask's one definition.
 
 Outside it, the answer is the one zero of the reflection law on the arc
 that both points see, and exterior_reflection finds it without the
@@ -160,7 +161,7 @@ class ReflectionResult:
         if abs(z1) < 1.0:
             # an interior pair: the tie set of minimizing_root's pick, whose
             # rule reads the roots in any order
-            return _least_focal_sum(z1, z2, roots)[3]
+            return _least_focal_sum(z1, z2, roots)[2]
         return (min(range(len(roots)), key=lambda k: abs(roots[k] - self.w)),)
 
 
@@ -242,7 +243,7 @@ def minimizing_root(z1: complex, z2: complex) -> ReflectionResult:
     # the least sum and its tie set do not depend on the order of the roots,
     # and tied roots with equal keys are the same w: the polish order picks
     # what the sorted one would, and the set sorts only if the picture is read
-    w, fs, _, _ = _least_focal_sum(z1, z2, roots._any_order)
+    w, fs, _ = _least_focal_sum(z1, z2, roots._any_order)
     result = _result(z1, z2, w, fs, d, q.c4 == 0)
     # the roots the pick was made from, so that no read solves again
     result.__dict__["candidates"] = roots
@@ -250,18 +251,18 @@ def minimizing_root(z1: complex, z2: complex) -> ReflectionResult:
 
 
 def _least_focal_sum(z1: complex, z2: complex, roots: tuple[complex, ...]) -> tuple:
-    """(w, focal sum, on-circle mask, tie indices) of minimizing_root's pick:
-    the least focal sum over the projections w / |w| of the roots that pass
+    """(w, focal sum, tie indices) of minimizing_root's pick: the least
+    focal sum over the projections w / |w| of the roots that pass
     on_unit_circle. Sums within _TIE_EPS of the least tie, and among the
     tied roots the largest Im w, then the largest Re w, wins. Raises
-    NoRootOnCircle when no root passes.
+    NoRootOnCircle when no root passes. The on-circle mask is not built
+    here: ReflectionResult.on_circle_mask is its one definition, computed
+    from the sorted roots on its first read.
     """
-    mask, ties = [], []
+    ties = []
     least = math.inf
     for k, root in enumerate(roots):
-        on = on_unit_circle(root)
-        mask.append(on)
-        if on:
+        if on_unit_circle(root):
             w = root / abs(root)
             fs = abs(z1 - w) + abs(z2 - w)
             ties.append((fs, k, w))
@@ -273,9 +274,9 @@ def _least_focal_sum(z1: complex, z2: complex, roots: tuple[complex, ...]) -> tu
     ties = [t for t in ties if t[0] <= cut]
     if len(ties) == 1:
         fs, k, w = ties[0]
-        return w, fs, tuple(mask), (k,)
+        return w, fs, (k,)
     fs, _, w = max(ties, key=lambda t: (t[2].imag, t[2].real))
-    return w, fs, tuple(mask), tuple([t[1] for t in ties])
+    return w, fs, tuple([t[1] for t in ties])
 
 
 def s_metric(z1: complex, z2: complex) -> float:

@@ -112,12 +112,9 @@ class RootSet(_Record):
         polish_iterations: tuple[int, ...],
         min_separation: float,
     ) -> None:
-        # item by item: update(roots=roots, ...) builds a keyword dict first
-        fields = self.__dict__
-        fields["roots"] = roots
-        fields["residuals"] = residuals
-        fields["polish_iterations"] = polish_iterations
-        fields["min_separation"] = min_separation
+        self.__dict__.update(
+            roots=roots, residuals=residuals, polish_iterations=polish_iterations, min_separation=min_separation
+        )
 
     def __getattr__(self, name: str) -> object:
         # runs only for a name the instance dict lacks: a field of a set that
@@ -180,9 +177,8 @@ def _horner_pair(coeffs: tuple[complex, ...], w: complex) -> tuple[complex, comp
 
 
 def _cbrt(z: complex) -> complex:
-    """Principal complex cube root via polar form."""
-    if z == 0:
-        return 0j
+    """Principal complex cube root via polar form; a zero z gives a zero,
+    which _solve_monic_cubic's u == 0 test catches."""
     return abs(z) ** (1.0 / 3.0) * cmath.exp(1j * cmath.phase(z) / 3.0)
 
 
@@ -551,8 +547,8 @@ def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) ->
         raise DegenerateLeadingCoefficient("leading coefficient a is zero")
     delta, p, dd, k = _invariants(a, b, c, d, e)
     cls = _nature(delta, p, dd)
-    if k:
-        delta, p, dd = _ldexp(delta, 6 * k), _ldexp(p, 2 * k), _ldexp(dd, 4 * k)
+    # exact, and so a no-op, for k == 0
+    delta, p, dd = _ldexp(delta, 6 * k), _ldexp(p, 2 * k), _ldexp(dd, 4 * k)
     return RealQuarticNature(delta=delta, p=p, d=dd, classification=cls)
 
 

@@ -1,5 +1,6 @@
 """Tangent lines, directrices, and the limacon envelope."""
 
+import cmath
 import math
 
 import mpmath
@@ -50,6 +51,8 @@ def test_tangent_line_rejects_off_circle():
 def test_mirror_point_hand_values():
     assert mirror_point(2.0, 1 + 0j) == 0j
     assert abs(mirror_point(2.0, 1j) - (2 + 2j)) < 1e-15
+    # a real w is a point of the plane too: the result is complex
+    assert type(mirror_point(3.0, -1)) is complex and mirror_point(3.0, -1) == -5 + 0j
 
 
 def test_mirror_point_is_reflection_across_tangent():
@@ -89,6 +92,26 @@ def test_directrix_rejects_bad_inputs():
         directrix(1.0, 1j)
     with pytest.raises(NotOnCircle):
         directrix(2.0, 0.5 + 0j)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (directrix, (1j,)),
+        (envelope_implicit, (0.5j,)),
+        (envelope_param, (0.3,)),
+        (tangency_point, (1j,)),
+        (limacon_residual, (0.5, 0.5)),
+        (e1_isolated_point, ()),
+        (valid_arc, ()),
+    ],
+    ids=["directrix", "envelope_implicit", "envelope_param", "tangency_point", "limacon_residual",
+         "e1_isolated_point", "valid_arc"],
+)
+def test_every_focus_function_rejects_a_focus_on_the_circle(fn, args):
+    # the focus lies outside the mirror, a > 1: a = 1 is rejected too
+    with pytest.raises(InvalidFocus):
+        fn(1.0, *args)
 
 
 def test_envelope_implicit_hand_values():
@@ -216,6 +239,36 @@ def test_inner_loop_double_point():
         assert abs(theta_star - valid_arc(a)) < 1e-6
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_line_coeffs_hold_a_real_line_to_1e_9(scale):
+    # the constructor holds |beta| to |alpha| within 1e-9*max(1, |alpha|);
+    # normalized() holds beta to conj(alpha) within 1e-9*|alpha|, the tighter
+    # for |alpha| < 1, and Im gamma to 0 within 1e-9*max(1, |gamma|). An
+    # offset of 1e-11 of the scale passes each check, and one of 1e-7 fails it
+    u = cmath.exp(0.4j)
+    m = max(1.0, scale)
+    for passes, off in ((True, 1e-11), (False, 1e-7)):
+        for make in (
+            lambda: LineCoeffs(scale * u, (scale + off * m) * u.conjugate(), 0j),
+            lambda: LineCoeffs(scale * u, scale * (1.0 + off) * u.conjugate(), 0j).normalized(),
+            lambda: LineCoeffs(scale * u, scale * u.conjugate(), complex(scale, off * m)).normalized(),
+        ):
+            if passes:
+                make()
+            else:
+                with pytest.raises(ValueError, match="real line"):
+                    make()
+
+
+def test_line_coeffs_tolerance_bands_include_their_edges():
+    # an offset of exactly 1e-9 of the scale passes each check: |beta| - |alpha|
+    # at |alpha| = 1e-9, beta - conj(alpha) = 2^-10 = 1e-9*|alpha| at
+    # alpha = 976562.5, and Im gamma at |gamma| = 0.5
+    LineCoeffs(1e-9, 2e-9, 0j)
+    LineCoeffs(976562.5, 976562.5 + 2.0 ** -10, 0j).normalized()
+    LineCoeffs(1.0, 1.0, 0.5 + 1e-9j).normalized()
+
+
 def test_line_coeffs_validation_and_normalization():
     with pytest.raises(ValueError):
         LineCoeffs(alpha=1.0 + 0j, beta=2.0 + 0j, gamma=0j)  # |beta| != |alpha|
@@ -233,3 +286,9 @@ def test_line_coeffs_validation_and_normalization():
         LineCoeffs(1 + 0j, 1 + 0j, 1j).normalized()
     # the first significant of (A, B) comes out negative and is flipped
     assert LineCoeffs(-1 + 0.1j, -1 - 0.1j, 0.5).real_form() == (1.0, 0.1, -0.25)
+    # an A of at most 1e-15 of max(|A|, |B|) is not significant, so B's sign
+    # decides; a larger A's own sign does
+    for a, b, flipped in ((1e-16, -1.0, True), (1e-15, -1.0, True), (1e-13, -1.0, False),
+                          (-1e-16, 1.0, False), (-1e-15, 1.0, False), (-1e-13, 1.0, True)):
+        form = (-a, -b, -0.5) if flipped else (a, b, 0.5)
+        assert LineCoeffs(complex(a / 2, -b / 2), complex(a / 2, b / 2), 0.5).real_form() == form

@@ -83,6 +83,16 @@ def test_observer_keeps_plain_floats_and_converts_the_rest():
             ObserverPolar(r, 0.3)
 
 
+def test_module_hook_resolves_only_the_two_names_the_benchmark_wraps():
+    # bench/layers.py wraps on_unit_circle and real_quartic_invariants on
+    # this module, which no longer calls either; any other missing name is
+    # an AttributeError, as on a module without the hook
+    hook = infinity_module.__getattr__
+    assert hook("on_unit_circle") is on_unit_circle
+    assert hook("real_quartic_invariants") is real_quartic_invariants
+    assert not hasattr(infinity_module, "no_such_name")
+
+
 def test_coefficients_axial():
     q = infinity_quartic_coeffs(ObserverPolar(2.0, 0.0))
     assert q.as_tuple() == (2 + 0j, -1 + 0j, 0j, 1 + 0j, -2 + 0j)
@@ -194,7 +204,10 @@ def test_conjugation_symmetry():
 # it evaluated the source terms sin(delta - x)/r1 and cos(delta - x)/r1 at
 # r1 = inf: theta uniform, near 0, near +-pi/2, lit near pi, the cylinder
 # edge (Im f is exactly 1.0 at theta = 2.8017557441356713), r - 1 = 1e-15,
-# r = 1e300 and the axis
+# r = 1e300 and the axis. The last three, seed-1 benchmark observers near
+# the rim, pin _law_zero's safeguards: without its bisection fallback the
+# first moves by 5.8e-13 rad, and without its width stop, or with that stop
+# at 2^-30, the second or the third moves by an ulp or more
 PINNED_PLANE_WAVE = [
     (2.5, 0.7, "0x1.bd0be474f4802p-2", "0x1.d0667d4c5f7bcp-1", "0x1.af2ad5caf530ep-2"),
     (1.3, -1.1, "-0x1.b931d054a0befp-1", "0x1.4d627b9f8643ep-1", "-0x1.8495df42ca086p-1"),
@@ -211,6 +224,9 @@ PINNED_PLANE_WAVE = [
     (1e300, 1.0, "0x1.0000000000000p-1", "0x1.c1528065b7d50p-1", "0x1.eaee8744b05f0p-2"),
     (1e300, -3.0, "-0x1.8000000000000p+0", "0x1.21bd54fc5f9a7p-4", "-0x1.feb7a9b2c6d8bp-1"),
     (2.0, 0.0, "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+    (1.0000000010532115, -1.5707962703521434, "-0x1.921df812d165fp+0", "0x1.bd31716ab4045p-16", "-0x1.fffffffcf9cb1p-1"),
+    (1.000000012958803, 1.2632121528437787, "0x1.4361de752a6b9p+0", "0x1.3605f61050d64p-2", "0x1.e7f87ee363b1fp-1"),
+    (1.0000000058942558, -1.5617996339148843, "-0x1.8fd20ed111eccp+0", "0x1.26d234e86a969p-7", "-0x1.fffab1dafe2a2p-1"),
 ]
 
 
@@ -320,6 +336,13 @@ def test_mobius_rejects_root_at_one():
     rs = RootSet(roots=(1 + 0j,), residuals=(0.0,), polish_iterations=(0,), min_separation=math.inf)
     with pytest.raises(RootAtOne):
         mobius_real_image(rs)
+    # the pole's band is the open |w - 1| < 1e-12: a root 1e-13 from 1 is at
+    # the pole, and roots 1e-12 and 1e-10 away have the images -2e12, -2e10
+    near = RootSet(roots=(1 + 1e-13j,), residuals=(0.0,), polish_iterations=(0,), min_separation=math.inf)
+    with pytest.raises(RootAtOne):
+        mobius_real_image(near)
+    off = RootSet(roots=(1 + 1e-12j, 1 + 1e-10j), residuals=(0.0, 0.0), polish_iterations=(0, 0), min_separation=9.9e-11)
+    assert mobius_real_image(off) == pytest.approx((-2e12, -2e10), rel=1e-12)
 
 
 def _image_quartic(r, theta):

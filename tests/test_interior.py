@@ -4,6 +4,7 @@ import cmath
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -232,8 +233,13 @@ def test_minimizing_root_domain_errors():
         minimizing_root(1.2, 0.5)
     with pytest.raises(PointOutsideDomain):
         minimizing_root(0.5, 1 + 0j)  # boundary itself is rejected
+    with pytest.raises(PointOutsideDomain):
+        minimizing_root(1 + 0j, 0.5j)  # as either point
     with pytest.raises(CoincidentPoints):
         minimizing_root(0.3 + 0.2j, 0.3 + 0.2j)
+    with pytest.raises(CoincidentPoints):
+        minimizing_root(0.3 + 0.2j, 0.3 + 1e-15 + 0.2j)  # closer than 1e-14
+    minimizing_root(0.5 + 0j, 0.5 + 1e-14j)  # exactly 1e-14 apart answers
 
 
 def test_no_root_on_circle_with_absurd_tolerance(monkeypatch):
@@ -262,8 +268,8 @@ def test_least_focal_sum_takes_the_least_sum_of_the_projections():
     target = complex(0.6, 0.8)
     z1, z2 = 0.9 * target, 0.8 * target
     roots = ((1.0 + 8e-10) + 0j, (1.0 - 8e-10) * cmath.exp(1.4j), -(1.0 + 5e-10) + 0j, 0.999 * target)
-    w, fs, mask, ties = _least_focal_sum(z1, z2, roots)
-    assert mask == (True, True, True, False)
+    w, fs, ties = _least_focal_sum(z1, z2, roots)
+    assert tuple(on_unit_circle(r) for r in roots) == (True, True, True, False)
     assert w == roots[1] / abs(roots[1]) and w != roots[1]
     assert fs == abs(z1 - w) + abs(z2 - w) and ties == (1,)
     assert abs(z1 - target) + abs(z2 - target) < fs
@@ -278,12 +284,15 @@ def test_least_focal_sum_ties_within_1e_10_prefer_largest_im_then_re():
     roots = tuple(cmath.exp(1j * math.sqrt(3.0 * d)) for d in (3e-11, 9e-11, 2e-10)) + (-1.0 + 0j,)
     sums = [abs(z1 - w) + abs(z2 - w) for w in roots]
     assert sums[3] == 2.0 and sums[1] - 2.0 < 1e-10 < sums[2] - 2.0
-    w, fs, _, ties = _least_focal_sum(z1, z2, roots)
+    w, fs, ties = _least_focal_sum(z1, z2, roots)
     assert ties == (0, 1, 3) and w == roots[1] and fs == sums[1]
     # equal Im: the larger Re wins
     roots = (complex(-0.6, 0.8), complex(0.6, 0.8))
-    w, _, _, ties = _least_focal_sum(0.3 + 0j, -0.3 + 0j, roots)
+    w, _, ties = _least_focal_sum(0.3 + 0j, -0.3 + 0j, roots)
     assert ties == (0, 1) and w == complex(0.6, 0.8)
+    # the band includes its edge: this projection's sum is exactly 2 + 1e-10
+    w, fs, ties = _least_focal_sum(z1, z2, (cmath.exp(1.7320481551115725e-05j), -1.0 + 0j))
+    assert fs == 2.0 + 1e-10 and ties == (0, 1)
 
 
 # (solver, z1, z2, Re w, Im w, s, focal sum, tie_indices), the reals as
@@ -291,7 +300,11 @@ def test_least_focal_sum_ties_within_1e_10_prefer_largest_im_then_re():
 # first seed-1 benchmark pair of the uniform, near_rim, near_coincident and
 # near_coincident_origin families, a near_origin pair that takes the Newton
 # polygon's starts, the origin cubic, the diametral tie, a symmetric tie,
-# a point 1e-70 from the origin, an exterior pair and both grazing pairs
+# a point 1e-70 from the origin, an exterior pair and both grazing pairs.
+# The last two, seed-1 exterior pairs, pin _law_zero's stop: the first
+# moves by an ulp without the bisection fallback or without the width stop,
+# and the second by 2.2e-16 rad if the stop reads ulps of |x| alone and not
+# of the angle base + x
 PINNED_PAIRS = [
     ("minimizing_root", -0.43452816556302326 - 0.32998967730928713j, 0.32761416406021754 - 0.9162632269170236j,
      "0x1.47ea93fd9d0a4p-2", "-0x1.e509b0ecb440ap-1", "0x1.e8e16a2cab470p-1", "0x1.01cc2fa291e13p+0", (2,)),
@@ -318,6 +331,10 @@ PINNED_PAIRS = [
      "0x1.f7f70521d6ad4p-1", "0x1.6967bb126416ap-3", "0x1.ffffffffd3c13p-1", "0x1.314f37eff06dcp+0", (2,)),
     ("exterior_reflection", 2.8071166842147535 + 1.0335046750069157j, -0.8891013558124188 - 2.039739317983885j,
      "0x1.4756751bc9668p-1", "-0x1.89b15aca67f2ep-1", "0x1.ffffffffddf8cp-1", "0x1.33a53810b16a7p+2", (1,)),
+    ("exterior_reflection", 1.030661730617544 + 0.15109230967741644j, 3.688944390859664 - 2.6627075013129535j,
+     "0x1.fd96249104c6bp-1", "0x1.8d3d1f7127fadp-4", "0x1.f9748ff988ad3p-1", "0x1.f5e44df8864ffp+1", (1,)),
+    ("exterior_reflection", -0.04182122732444714 + 1.0257828296898728j, 1.0796287979345804 + 1.501658805422255j,
+     "0x1.54822fb2f2416p-7", "0x1.fff8ec4b3706fp-1", "0x1.f7476806a65e2p-1", "0x1.3d460b0c20dc1p+0", (2,)),
 ]
 
 
@@ -769,6 +786,7 @@ def test_exterior_pair_beyond_float64_names_the_pair():
     with pytest.raises(NonFinitePoint, match="float64"):
         exterior_reflection(complex(1.7e308, 1.7e308), 2.0)
     exterior_reflection(1e150, 1e150j)  # |z1|*|z2| = 1e300 is in range
+    exterior_reflection(2.0, complex(0.0, sys.float_info.max / 2.0))  # and so is exactly the largest float
 
 
 def test_exterior_domain_errors():
@@ -776,8 +794,13 @@ def test_exterior_domain_errors():
         exterior_reflection(0.5, 2.0)
     with pytest.raises(PointInsideDomain):
         exterior_reflection(2.0, 1.0 + 0j)  # the circle itself is excluded
+    with pytest.raises(PointInsideDomain):
+        exterior_reflection(1.0 + 0j, 2j)  # as either point
     with pytest.raises(CoincidentPoints):
         exterior_reflection(2.0 + 1j, 2.0 + 1j)
+    with pytest.raises(CoincidentPoints):
+        exterior_reflection(2.0 + 1j, 2.0 + 1e-15 + 1j)  # closer than 1e-14
+    assert exterior_reflection(2.0 + 0j, 2.0 + 1e-14j) is not None  # exactly 1e-14 apart
 
 
 def _count_solves(monkeypatch):
@@ -902,13 +925,13 @@ def test_the_pick_from_the_polish_order_is_the_pick_from_the_sorted_roots(monkey
         candidates = res.candidates
         assert "roots" not in vars(candidates)
         order = candidates._any_order
-        w, fs, _, _ = _least_focal_sum(z1, z2, order)
-        sorted_w, sorted_fs, mask, tie_set = _least_focal_sum(z1, z2, candidates.roots)
+        w, fs, _ = _least_focal_sum(z1, z2, order)
+        sorted_w, sorted_fs, tie_set = _least_focal_sum(z1, z2, candidates.roots)
         assert sorted(order, key=lambda r: (cmath.phase(r), abs(r))) == list(candidates.roots)
         assert (w.real.hex(), w.imag.hex(), fs.hex()) == (sorted_w.real.hex(), sorted_w.imag.hex(), sorted_fs.hex())
         assert (res.w.real.hex(), res.w.imag.hex()) == (w.real.hex(), w.imag.hex())
         assert res.focal_sum == max(fs, abs(z1 - z2))
-        assert res.on_circle_mask == mask and res.tie_indices == tie_set
+        assert res.tie_indices == tie_set
         assert res.on_circle_mask == tuple(on_unit_circle(r) for r in candidates.roots)
         assert len(calls) == before + 1, "reading the picture solved again"
         ties += len(tie_set) > 1

@@ -9,6 +9,7 @@ import pytest
 from catoptrix import DEFAULT_TOLERANCES, on_unit_circle, unit_from_angle
 from catoptrix.errors import NonFinitePoint
 from catoptrix.numeric import (
+    VISIBILITY_SLACK,
     ensure_point,
     segment_clears_disk,
     segment_min_distance_to_origin,
@@ -129,3 +130,8 @@ def test_segment_clears_disk():
     assert segment_clears_disk(2 + 0j, 1 + 0j)  # touches the circle at its endpoint
     assert not segment_clears_disk(2 + 0j, -1 + 0j)  # crosses the disk
     assert segment_clears_disk(2 + 2j, -2 + 2j)  # passes above
+    # the slack is inclusive: a segment whose nearest point is exactly
+    # 1 - VISIBILITY_SLACK from the origin clears the disk
+    x = 1.0 - VISIBILITY_SLACK
+    assert segment_min_distance_to_origin(complex(x, 5.0), complex(x, -5.0)) == x
+    assert segment_clears_disk(complex(x, 5.0), complex(x, -5.0))

@@ -286,8 +286,8 @@ def _non_finite_cases():
         s_metric, tangency_point, tangent_line, unit_from_angle, valid_arc,
     )
 
-    def polished_roots_of(*coeffs):
-        return polished_roots(coeffs)
+    def polished_roots_of(c2, c1, c0):
+        return polished_roots((c2, c1, c0))
 
     line = tangent_line(1.0)
     cases = [
@@ -325,12 +325,15 @@ def _non_finite_cases():
 def test_non_finite_numbers_raise_non_finite_point():
     # NaN or inf in any numeric argument, of every public function and
     # validating constructor that takes points or reals, raises
-    # NonFinitePoint rather than flowing into a result
+    # NonFinitePoint rather than flowing into a result, and its message
+    # starts with the argument's name: the argument is validated, not only
+    # the result it would have led to
     from catoptrix.errors import NonFinitePoint
 
     nan, inf = float("nan"), float("inf")
     returned = []
     for name, fn, args, numeric in _non_finite_cases():
+        params = list(inspect.signature(fn).parameters)
         for k in numeric:
             bad_values = (nan, inf, -inf)
             if isinstance(args[k], complex):
@@ -338,7 +341,10 @@ def test_non_finite_numbers_raise_non_finite_point():
             for bad in bad_values:
                 try:
                     fn(*args[:k], bad, *args[k + 1:])
-                except NonFinitePoint:
+                except NonFinitePoint as exc:
+                    if str(exc).startswith(params[k] + " "):
+                        continue
+                    returned.append(f"{name}(argument {k} = {bad!r}): {exc}")
                     continue
                 returned.append(f"{name}(argument {k} = {bad!r})")
     assert returned == []

@@ -18,6 +18,7 @@ from catoptrix import (
     ObserverPolar,
     QuarticCoeffs,
     RootNature,
+    RootSet,
     infinity_quartic_coeffs,
     infinity_real_coeffs,
     polished_roots,
@@ -73,6 +74,11 @@ def test_degenerate_leading_coefficient():
         polished_roots((0j, 1 + 0j))
     with pytest.raises(ValueError, match="degree 5 not supported"):
         polished_roots((1, 0, 0, 0, 0, 1))
+
+
+def test_polished_roots_takes_degree_one():
+    # the lowest degree it accepts: 2w - 1 has the one root 0.5
+    assert polished_roots((2.0, -1.0)).roots == (0.5 + 0j,)
 
 
 @pytest.mark.parametrize(
@@ -131,12 +137,28 @@ def test_polish_stops_at_a_nan_start_root(monkeypatch):
     assert len(calls) <= 1
 
 
+def test_polish_steps_down_to_a_derivative_of_1e_290():
+    # s*(w^4 - 1) from a start at 1.1, where |p'| = 5.3*s: at s = 1e-289 the
+    # root steps and reaches 1, and at s = 1e-292 it cannot step
+    from catoptrix import quartic
+
+    starts = [1.1 + 0j, 1j, -1 + 0j, -1j]
+    roots, _, iterations = quartic._polish((1e-289 + 0j, 0j, 0j, 0j, -1e-289 + 0j), starts, 1e-299)
+    assert abs(roots[0] - 1.0) <= 1e-15 and iterations[0] == 1
+    with pytest.raises(NoConvergence, match=re.escape("stalled at residual 4.641e-293")):
+        quartic._polish((1e-292 + 0j, 0j, 0j, 0j, -1e-292 + 0j), starts, 1e-302)
+
+
 @pytest.mark.parametrize(
     "name,args,message",
     [
         # p'(0) = 0 at a start above its bound: that root cannot step
         ("_polish", ((1 + 0j, 0j, 0j, 0j, -1 + 0j), [0j, 1 + 0j, 1j, -1 + 0j], 1e-10),
          "residual 1.000e+00 (bound 1.000e-10)"),
+        # p(1e3) overflows to inf under a finite bound, 1e290*(1e3)^4: the
+        # start raises at that evaluation
+        ("_polish", ((1e300 + 0j, 0j, 0j, 0j, -1 + 0j), [1e3 + 0j, 1j, -1 + 0j, -1j], 1e290),
+         "residual inf (bound 1.000e+302)"),
         # one root still above its bound after the 50th step
         ("polished_roots", ((
             -3.6482513417253646e+55 - 2.8304627597536388e-136j, 1.7612664010399393e+65 + 3.884550704505777e-105j,
@@ -149,7 +171,7 @@ def test_polish_stops_at_a_nan_start_root(monkeypatch):
             4.605099138816744e-44 + 5.879658496064775e+123j),),
          "residual 5.878e+123 (bound 5.120e+122)"),
     ],
-    ids=["derivative-stall", "step-cap", "two-at-the-cap"],
+    ids=["derivative-stall", "overflowing-residual", "step-cap", "two-at-the-cap"],
 )
 def test_a_root_that_cannot_step_raises_with_its_residual_and_bound(name, args, message):
     from catoptrix import quartic
@@ -232,6 +254,47 @@ def test_spread_quartics_between_the_bands_match_mpmath():
     for coeffs in _spread_quartics(15, (2.0, 4.0, 6.0, 8.0, 10.0, 12.0), 2):
         got = solve_quartic(QuarticCoeffs(*coeffs)).roots
         assert _max_relative_error(got, _mpmath_roots(coeffs)) <= 1e-12, coeffs
+
+
+def test_a_quartic_with_a_small_odd_term_keeps_its_digits():
+    # the depressed quartic's odd term is 7.8e-14 of its scale here, above
+    # the 1e-14 at which Ferrari drops it: the resolvent cubic keeps it, and
+    # every residual is within 2e-16 of max|c|. Dropped, the starts already
+    # pass the polish bound with residuals about 300 times larger
+    c = (4113.909045444745 - 4195.490403449601j, -0.5028335610446475 + 0j, 0j, 0j,
+         404.00272437724976 - 1325.2400486229114j)
+    rs = solve_quartic(QuarticCoeffs(*c))
+    assert max(rs.residuals) <= 1e-14 * max(abs(x) for x in c)
+
+
+def test_a_quartic_with_a_negligible_odd_term_is_pinned_bit_for_bit():
+    # the depressed quartic's odd term is 1.3e-15 of its scale here, below
+    # the 1e-14 at which Ferrari drops it, and the biquadratic roots pass
+    # the polish bound as they start: the roots as "Re Im" float.hex
+    c = (3.7270090672767675 + 11.720181423996609j, -0.00020421926805750144 - 0.0001862006624769173j, 0j, 0j,
+         -13.252307914823552 + 0j)
+    rs = solve_quartic(QuarticCoeffs(*c))
+    assert [f"{w.real.hex()} {w.imag.hex()}" for w in rs.roots] == [
+        "-0x1.43f2c6e828453p-2 -0x1.efde07c4d06c8p-1",
+        "0x1.efde4cc276bc3p-1 -0x1.43f4c9e9c2939p-2",
+        "0x1.43f553e2ce0c5p-2 0x1.efdd4b419a05ep-1",
+        "-0x1.efdd064523d8bp-1 0x1.43f350e355c65p-2",
+    ]
+    assert rs.polish_iterations == (0, 0, 0, 0)
+
+
+def test_spread_takes_a_middle_point_strictly_above_the_band():
+    # a middle coefficient exactly a factor 1e3 above the geometric
+    # interpolation of |c4| and |c0| does not make the quartic spread; any
+    # more does
+    from catoptrix.quartic import _spread
+
+    for k in (1, 2, 3):
+        mods = [1.0, 0.0, 0.0, 0.0, 1.0]
+        mods[k] = 1e3
+        assert not _spread(*mods)
+        mods[k] = 1.000001e3
+        assert _spread(*mods)
 
 
 def test_common_family_quartics_take_ferrari_starts(monkeypatch):
@@ -367,6 +430,9 @@ def test_close_pair_diagnostic():
     assert len(rs.roots) == 4  # both near-equal roots reported, no deflation
     rs2 = solve_quartic(QuarticCoeffs(1, -10, 35, -50, 24))
     assert not rs2.has_close_pair
+    # a pair is close strictly below a separation of 1e-7
+    for sep, close in ((1e-6, False), (1e-7, False), (1e-8, True)):
+        assert RootSet((0j, complex(sep, 0.0)), (0.0, 0.0), (0, 0), sep).has_close_pair is close
 
 
 def test_real_invariants_classification():
@@ -383,6 +449,11 @@ def test_real_invariants_classification():
     # scaled by 2^-997 with the rest, the leading 1e-300 underflows to zero
     with pytest.raises(DegenerateLeadingCoefficient):
         real_quartic_invariants(1e-300, 1e300, 0, 0, 1)
+    # the largest coefficient already in [0.5, 1), where a scale by 2^0 would
+    # change nothing: the underflowed delta is kept as it is
+    nat = real_quartic_invariants(0.75, 0.0, 0.0, 0.0, 1e-300)
+    assert (nat.delta, nat.p, nat.d) == (0.0, 0.0, 64.0 * 0.75 ** 3 * 1e-300)
+    assert nat.classification is RootNature.DEGENERATE
 
 
 @pytest.mark.parametrize("k", [-500, -200, -100, 0, 1, 60, 100, 150, 300, 1000])
