@@ -4,12 +4,17 @@ Subcommands: interior, infinity, envelope, directrix, oracle (smetric,
 infinity, discriminant). Every exit prints one JSON record to stdout (fixed
 field order, 17-significant-digit reals, so identical flags give
 byte-identical output; a NaN or infinite real prints as null); human-readable
-messages go to stderr. Runners do no I/O: each returns results, diagnostics
-and the text of each file its --csv/--svg flags ask for, and ``main`` alone
-writes the files and the record: ``command`` (``oracle-smetric`` and so on
-for the oracles), ``inputs`` (one echo of the parsed flags, angles in
-radians), ``results``, ``diagnostics`` (ending with each output flag's path,
-null if not written), ``status`` and, unless the status is ok, ``error``.
+messages go to stderr. Runners do no I/O: each returns results and
+diagnostics as the library's own values, and the text of each file its
+--csv/--svg flags ask for. ``_emit`` alone owns the wire format: a complex
+number prints as [re, im], a tuple as an array, and a value record
+(``EllipseParams``, the normalized ``LineCoeffs``) as an object of its fields
+in declaration order. ``main`` alone writes the files and the record:
+``command`` (``oracle-smetric`` and so on for the oracles; each leaf
+subparser declares its command name and runner once, as defaults),
+``inputs`` (one echo of the parsed flags, angles in radians), ``results``,
+``diagnostics`` (ending with each output flag's path, null if not written),
+``status`` and, unless the status is ok, ``error``.
 Exit code 0 on ok, 2 on any other status: a domain error's code,
 InvalidArgument, OSError (a file that cannot be written; ``results`` is null)
 or UsageError (argparse rejected the flags; the record's other fields are null).
@@ -57,7 +62,19 @@ def _fmt_float(x: float) -> str:
 
 
 def _emit(obj: Any) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-digit reals, NaN/inf as null."""
+    """Deterministic JSON: insertion-ordered keys, 17-digit reals, NaN/inf as
+    null, a complex number as [re, im], a tuple or list as an array, and a
+    value record as an object of its fields in declaration order."""
+    # the kinds records hold most come first; a bool is tested before int,
+    # its base class
+    if isinstance(obj, float):
+        return _fmt_float(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_emit(v) for v in obj]) + "]"
+    if isinstance(obj, complex):
+        return f"[{_emit(obj.real)}, {_emit(obj.imag)}]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join([f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items()]) + "}"
     if obj is None:
         return "null"
     if obj is True:
@@ -68,18 +85,10 @@ def _emit(obj: Any) -> str:
         return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
+    fields = getattr(obj, "_fields", None)  # a numeric._Record, read without importing numeric
+    if fields is not None:
+        return _emit({name: getattr(obj, name) for name in fields})
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _parse_point(text: str) -> complex:
@@ -139,6 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--z1", type=_parse_point, required=True, metavar="RE,IM")
     p_int.add_argument("--z2", type=_parse_point, required=True, metavar="RE,IM")
     p_int.add_argument("--svg", metavar="PATH", default=None)
+    p_int.set_defaults(run=_run_interior)
 
     p_inf = sub.add_parser("infinity", help="reflection point for a plane wave from the +x side")
     p_inf.add_argument("--r", type=float, required=True)
@@ -146,6 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
     p_inf.add_argument("--verify", action="store_true", help="add image-quartic invariants, Moebius images")
     p_inf.add_argument("--svg", metavar="PATH", default=None)
+    p_inf.set_defaults(run=_run_infinity)
 
     p_env = sub.add_parser("envelope", help="sample the directrix-envelope limacon")
     p_env.add_argument("--a", type=float, required=True)
@@ -153,11 +164,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_env.add_argument("--csv", metavar="PATH", default=None)
     p_env.add_argument("--svg", metavar="PATH", default=None)
     p_env.add_argument("--directrices", type=int, default=None, help="directrix lines to overlay in the SVG")
+    p_env.set_defaults(run=_run_envelope)
 
     p_dir = sub.add_parser("directrix", help="directrix of the tangential parabola at w = e^{i*phi}")
     p_dir.add_argument("--a", type=float, required=True)
     p_dir.add_argument("--phi", type=float, required=True)
     p_dir.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
+    p_dir.set_defaults(run=_run_directrix)
 
     p_or = sub.add_parser("oracle", help="brute-force cross-checks")
     or_sub = p_or.add_subparsers(dest="oracle_command", required=True)
@@ -165,11 +178,13 @@ def _build_parser() -> argparse.ArgumentParser:
     o_sm = or_sub.add_parser("smetric", help="grid maximization of the metric ratio")
     o_sm.add_argument("--z1", type=_parse_point, required=True, metavar="RE,IM")
     o_sm.add_argument("--z2", type=_parse_point, required=True, metavar="RE,IM")
+    o_sm.set_defaults(command="oracle-smetric", run=_run_oracle_smetric)
 
     o_in = or_sub.add_parser("infinity", help="grid minimization of the plane-wave path")
     o_in.add_argument("--r", type=float, required=True)
     o_in.add_argument("--theta", type=float, required=True)
     o_in.add_argument("--degrees", action="store_true")
+    o_in.set_defaults(command="oracle-infinity", run=_run_oracle_infinity)
 
     o_di = or_sub.add_parser("discriminant", help="Sylvester-resultant quartic discriminant")
     group = o_di.add_argument_group("coefficients")
@@ -177,6 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--r", type=float, default=None, help="build the image-quartic coefficients from r, theta")
     group.add_argument("--theta", type=float, default=None)
     o_di.add_argument("--degrees", action="store_true")
+    o_di.set_defaults(command="oracle-discriminant", run=_run_oracle_discriminant)
 
     return parser
 
@@ -189,12 +205,12 @@ def _run_interior(args: argparse.Namespace) -> _Run:
 
     result = minimizing_root(args.z1, args.z2)
     ellipse = _ellipse_of(result)
-    diagnostics: dict[str, Any] = {
-        "candidates": [_pair(w) for w in result.candidates.roots],
-        "on_circle": list(result.on_circle_mask),
-        "residuals": list(result.candidates.residuals),
+    diagnostics = {
+        "candidates": result.candidates.roots,
+        "on_circle": result.on_circle_mask,
+        "residuals": result.candidates.residuals,
         "reflection_residual": result.reflection_residual,
-        "tie_indices": list(result.tie_indices),
+        "tie_indices": result.tie_indices,
         "degree_dropped": result.degree_dropped,
     }
     files = {}
@@ -202,17 +218,7 @@ def _run_interior(args: argparse.Namespace) -> _Run:
         from .svg import interior_figure
 
         files["svg"] = interior_figure(args.z1, args.z2, result, ellipse)
-    return {
-        "w": _pair(result.w),
-        "s": result.s_value,
-        "focal_sum": result.focal_sum,
-        "ellipse": {
-            "focal_sum": ellipse.focal_sum,
-            "major": ellipse.major,
-            "minor": ellipse.minor,
-            "eccentricity": ellipse.eccentricity,
-        },
-    }, diagnostics, files
+    return {"w": result.w, "s": result.s_value, "focal_sum": result.focal_sum, "ellipse": ellipse}, diagnostics, files
 
 
 def _run_infinity(args: argparse.Namespace) -> _Run:
@@ -223,7 +229,7 @@ def _run_infinity(args: argparse.Namespace) -> _Run:
     result = infinity_reflection(obs)
     diagnostics: dict[str, Any] = {
         "root_moduli": [abs(w) for w in result.all_roots.roots],
-        "residuals": list(result.all_roots.residuals),
+        "residuals": result.all_roots.residuals,
         "verify": None,
     }
     if args.verify:
@@ -244,7 +250,7 @@ def _run_infinity(args: argparse.Namespace) -> _Run:
             "d": d,
             "classification": nature.value,
             "four_real_distinct": four_real_distinct,
-            "mobius_images": list(result.mobius_images) if result.mobius_images else None,
+            "mobius_images": result.mobius_images,
         }
     files = {}
     if args.svg:
@@ -252,13 +258,13 @@ def _run_infinity(args: argparse.Namespace) -> _Run:
 
         files["svg"] = infinity_figure(obs, result)
     return {
-        "w": _pair(result.w),
+        "w": result.w,
         "phi": result.phi,
         "path_defect": result.path_defect,
         "reality_residual": result.reality_residual,
         "degenerate_axis": result.degenerate_axis,
-        "roots": [_pair(w) for w in result.all_roots.roots],
-        "mobius_images": list(result.mobius_images) if result.mobius_images else None,
+        "roots": result.all_roots.roots,
+        "mobius_images": result.mobius_images,
     }, diagnostics, files
 
 
@@ -296,7 +302,7 @@ def _run_envelope(args: argparse.Namespace) -> _Run:
         lines = [directrix(args.a, unit_from_angle(-math.pi + math.tau * (j + 1) / k)) for j in range(k)]
         files["svg"] = envelope_figure(args.a, thetas, lines)
     diagnostics = {"max_implicit_residual": max(abs(r[3]) for r in rows)}
-    return {"phi_max": phi_max, "samples": [list(row) for row in rows]}, diagnostics, files
+    return {"phi_max": phi_max, "samples": rows}, diagnostics, files
 
 
 def _run_directrix(args: argparse.Namespace) -> _Run:
@@ -305,19 +311,14 @@ def _run_directrix(args: argparse.Namespace) -> _Run:
 
     w = unit_from_angle(args.phi)
     line = directrix(args.a, w)
-    normalized = line.normalized()
     dist = point_line_distance(w, line)
     focus_dist = abs(w - args.a)
     return {
-        "w": _pair(w),
-        "line": {
-            "alpha": _pair(normalized.alpha),
-            "beta": _pair(normalized.beta),
-            "gamma": _pair(normalized.gamma),
-        },
-        "line_real_form": list(line.real_form()),
-        "mirror_point": _pair(mirror_point(args.a, w)),
-        "tangency_point": _pair(tangency_point(args.a, w)),
+        "w": w,
+        "line": line.normalized(),
+        "line_real_form": line.real_form(),
+        "mirror_point": mirror_point(args.a, w),
+        "tangency_point": tangency_point(args.a, w),
         "focus_directrix_distance": dist,
         "tangency_focus_distance": focus_dist,
     }, {"distance_mismatch": abs(dist - focus_dist)}, {}
@@ -329,8 +330,8 @@ def _run_oracle_smetric(args: argparse.Namespace) -> _Run:
 
     w, s = oracle_smetric(args.z1, args.z2)
     closed = minimizing_root(args.z1, args.z2)
-    return {"w": _pair(w), "s": s}, {
-        "closed_form": {"w": _pair(closed.w), "s": closed.s_value},
+    return {"w": w, "s": s}, {
+        "closed_form": {"w": closed.w, "s": closed.s_value},
         "angle_deviation": abs(cmath.phase(w * closed.w.conjugate())),
         "s_deviation": abs(s - closed.s_value),
     }, {}
@@ -343,8 +344,8 @@ def _run_oracle_infinity(args: argparse.Namespace) -> _Run:
     obs = ObserverPolar(args.r, args.theta)
     w, defect = oracle_infinity_path(obs)
     closed = infinity_reflection(obs)
-    return {"w": _pair(w), "phi": cmath.phase(w), "path_defect": defect}, {
-        "closed_form": {"w": _pair(closed.w), "phi": closed.phi},
+    return {"w": w, "phi": cmath.phase(w), "path_defect": defect}, {
+        "closed_form": {"w": closed.w, "phi": closed.phi},
         "angle_deviation": abs(cmath.phase(w * closed.w.conjugate())),
     }, {}
 
@@ -364,22 +365,9 @@ def _run_oracle_discriminant(args: argparse.Namespace) -> _Run:
     }, {}
 
 
-_RUNNERS = {
-    "interior": _run_interior,
-    "infinity": _run_infinity,
-    "envelope": _run_envelope,
-    "directrix": _run_directrix,
-    "oracle-smetric": _run_oracle_smetric,
-    "oracle-infinity": _run_oracle_infinity,
-    "oracle-discriminant": _run_oracle_discriminant,
-}
-
-
 def _prepare(args: argparse.Namespace) -> None:
-    """Put the flags in the form runners and echo share: the oracle's full
-    command name, angles in radians, the discriminant's coefficients."""
-    if args.command == "oracle":
-        args.command = f"oracle-{args.oracle_command}"
+    """Put the flags in the form runners and echo share: angles in radians,
+    the discriminant's coefficients."""
     for key in ("theta", "phi"):
         if getattr(args, "degrees", False) and getattr(args, key, None) is not None:
             setattr(args, key, math.radians(getattr(args, key)))
@@ -397,12 +385,8 @@ def _prepare(args: argparse.Namespace) -> None:
 
 def _echo_inputs(args: argparse.Namespace) -> dict[str, Any]:
     # the parsed inputs, in the parser's definition order (that of vars(args))
-    skip = {"command", "oracle_command", "svg", "csv", "verify", "degrees"}
-    return {
-        key: _pair(value) if isinstance(value, complex) else value
-        for key, value in vars(args).items()
-        if key not in skip and value is not None
-    }
+    skip = {"command", "oracle_command", "run", "svg", "csv", "verify", "degrees"}
+    return {key: value for key, value in vars(args).items() if key not in skip and value is not None}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -413,7 +397,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(_join_flag_values(argv))
         _prepare(args)
-        results, diagnostics, files = _RUNNERS[args.command](args)
+        results, diagnostics, files = args.run(args)
         # the command's output flags end its diagnostics: the path once written
         diagnostics.update((key, None) for key in ("csv", "svg") if key in vars(args))
         for key, text in files.items():

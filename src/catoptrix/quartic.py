@@ -470,6 +470,33 @@ _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 
 
+def _formulas(a, b, c, d, e):
+    """(delta, p, d) of a*x^4 + b*x^3 + c*x^2 + d*x + e in the coefficients'
+    own arithmetic. The constants are integers: on floats they round as
+    float constants would, and on Fractions the invariants are exact."""
+    delta = (
+        256 * e ** 3 * a ** 3
+        + (-192 * e * e * d * b - 128 * e * e * c * c + 144 * e * d * d * c - 27 * d ** 4) * a * a
+        + (
+            (144 * e * e * c - 6 * e * d * d) * b * b
+            + (-80 * e * d * c * c + 18 * d ** 3 * c) * b
+            + 16 * e * c ** 4
+            - 4 * d * d * c ** 3
+        ) * a
+        - 27 * e * e * b ** 4
+        + (18 * e * d * c - 4 * d ** 3) * b ** 3
+        + (-4 * e * c ** 3 + d * d * c * c) * b * b
+    )
+    p = 8 * a * c - 3 * b * b
+    dd = 64 * a ** 3 * e - 16 * a * a * c * c + 16 * a * b * b * c - 16 * a * a * d * b - 3 * b ** 4
+    return delta, p, dd
+
+
+def _normal(delta: float, p: float, dd: float) -> bool:
+    """Whether delta, p and d are all normal floats."""
+    return _TINY <= abs(delta) <= _HUGE and _TINY <= abs(p) <= _HUGE and _TINY <= abs(dd) <= _HUGE
+
+
 def _invariants(a: float, b: float, c: float, d: float, e: float) -> tuple[float, float, float, int]:
     """(delta, p, d, k) of finite coefficients, a != 0, such that
     delta*2^(6k), p*2^(2k) and d*2^(4k) are the invariants.
@@ -480,22 +507,8 @@ def _invariants(a: float, b: float, c: float, d: float, e: float) -> tuple[float
     the bits.
     """
     try:
-        delta = (
-            256.0 * e ** 3 * a ** 3
-            + (-192.0 * e * e * d * b - 128.0 * e * e * c * c + 144.0 * e * d * d * c - 27.0 * d ** 4) * a * a
-            + (
-                (144.0 * e * e * c - 6.0 * e * d * d) * b * b
-                + (-80.0 * e * d * c * c + 18.0 * d ** 3 * c) * b
-                + 16.0 * e * c ** 4
-                - 4.0 * d * d * c ** 3
-            ) * a
-            - 27.0 * e * e * b ** 4
-            + (18.0 * e * d * c - 4.0 * d ** 3) * b ** 3
-            + (-4.0 * e * c ** 3 + d * d * c * c) * b * b
-        )
-        p = 8.0 * a * c - 3.0 * b * b
-        dd = 64.0 * a ** 3 * e - 16.0 * a * a * c * c + 16.0 * a * b * b * c - 16.0 * a * a * d * b - 3.0 * b ** 4
-        if _TINY <= abs(delta) <= _HUGE and _TINY <= abs(p) <= _HUGE and _TINY <= abs(dd) <= _HUGE:
+        delta, p, dd = _formulas(a, b, c, d, e)
+        if _normal(delta, p, dd):
             return delta, p, dd, 0
         fits = math.isfinite(delta) and math.isfinite(p) and math.isfinite(dd)
     except OverflowError:
@@ -531,12 +544,18 @@ def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) ->
     are classified scaled by a power of two into [0.5, 1). The invariants
     are homogeneous in the coefficients, of degrees 6, 2 and 4, so the scale
     keeps their signs; their values are scaled back, to +-inf, 0 or a
-    subnormal where they do not fit a normal float, and the classification
-    is that of the scaled values. Invariants that fit unscaled keep their
-    bits. The scaled terms keep their digits while every coefficient is
-    within about 2^-170 (1e-51) of the largest; a smaller one can underflow
-    there, and a leading coefficient that scales to zero raises as a zero
-    one does.
+    subnormal where they do not fit a normal float. Invariants that fit
+    unscaled keep their bits. The scaled terms keep their digits while every
+    coefficient is within about 2^-170 (1e-51) of the largest; a smaller one
+    can underflow there, and a leading coefficient that scales to zero
+    raises as a zero one does.
+
+    The classification is that of the signs of the evaluated invariants,
+    scaled where they were scaled. Where one of them is still 0, subnormal
+    or infinite, its sign may be lost, and the classification is that of the
+    exact rational invariants of the same coefficients instead; the returned
+    values stay the float ones. A normal value whose terms cancelled can
+    still carry the wrong sign.
     """
     a = ensure_real(a, "a")
     b = ensure_real(b, "b")
@@ -546,7 +565,14 @@ def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) ->
     if a == 0.0:
         raise DegenerateLeadingCoefficient("leading coefficient a is zero")
     delta, p, dd, k = _invariants(a, b, c, d, e)
-    cls = _nature(delta, p, dd)
+    if _normal(delta, p, dd):
+        cls = _nature(delta, p, dd)
+    else:
+        # a value out of the normal range may have lost its sign to under- or
+        # overflow: the class is that of the exact rational invariants
+        from fractions import Fraction
+
+        cls = _nature(*_formulas(*map(Fraction, (a, b, c, d, e))))
     # exact, and so a no-op, for k == 0
     delta, p, dd = _ldexp(delta, 6 * k), _ldexp(p, 2 * k), _ldexp(dd, 4 * k)
     return RealQuarticNature(delta=delta, p=p, d=dd, classification=cls)

@@ -79,6 +79,18 @@ def test_domain_error_exit_code_and_record():
     assert "error" in record and "InvalidObserver" in err
 
 
+def test_emit_is_the_one_wire_format_rule():
+    # a complex number prints as [re, im], a tuple as an array and a value
+    # record as an object of its fields in declaration order
+    from catoptrix.cli import _emit
+    from catoptrix.interior import EllipseParams
+
+    record = {"w": complex(-0.0, 0.5), "t": (1.0, math.inf), "e": EllipseParams(2.0, 1.0, 0.5, 0.25)}
+    assert _emit(record) == (
+        '{"w": [0, 0.5], "t": [1, null], "e": {"focal_sum": 2, "major": 1, "minor": 0.5, "eccentricity": 0.25}}'
+    )
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

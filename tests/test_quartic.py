@@ -450,10 +450,44 @@ def test_real_invariants_classification():
     with pytest.raises(DegenerateLeadingCoefficient):
         real_quartic_invariants(1e-300, 1e300, 0, 0, 1)
     # the largest coefficient already in [0.5, 1), where a scale by 2^0 would
-    # change nothing: the underflowed delta is kept as it is
+    # change nothing: the underflowed delta is kept as it is, and the class is
+    # that of the exact invariants, delta = 256*0.75^3*e^3 > 0 and P = 0:
+    # four distinct non-real roots
     nat = real_quartic_invariants(0.75, 0.0, 0.0, 0.0, 1e-300)
     assert (nat.delta, nat.p, nat.d) == (0.0, 0.0, 64.0 * 0.75 ** 3 * 1e-300)
-    assert nat.classification is RootNature.DEGENERATE
+    assert nat.classification is RootNature.NOT_FOUR_REAL_DISTINCT
+
+
+def _image_quartic_over_r(r, theta):
+    s, c = math.sin(theta), math.cos(theta)
+    return s, 2 * (2 * c - 1 / r), -6 * s, -2 * (2 * c + 1 / r), s
+
+
+@pytest.mark.parametrize(
+    "coeffs,values",
+    [
+        # spread past 1e51: delta overflows and D underflows to 0.0 in the
+        # scaled evaluation; the exact signs are delta > 0, P < 0 and D < 0,
+        # and the 600-digit roots +-5.08e83, -1.96e-56 and -1.05e-139 are four
+        # distinct reals
+        (
+            (-1416305829088414.8, -4.1236013537161915e-185, 3.6599049447530384e182, 7.175298981565731e126,
+             7.506250638885653e-13),
+            (math.inf, -4.1468357657305927e198, 0.0),
+        ),
+        # the image quartic divided by r, an ulp from the rim near a quarter
+        # turn: its float delta rounds to 0.0, where verify_circle_theorem
+        # proves four real roots (tests/test_infinity.py)
+        (_image_quartic_over_r(1.0000000000000002, 1.5707963079004843), (0.0, -59.9999990930682, -1007.9999637227282)),
+    ],
+    ids=["spread-past-1e51", "image-quartic-at-the-rim"],
+)
+def test_real_invariants_out_of_the_normal_range_classify_by_their_exact_signs(coeffs, values):
+    # the values keep their float bits; the class is taken from the exact
+    # rational invariants of the same float coefficients
+    nat = real_quartic_invariants(*coeffs)
+    assert (nat.delta, nat.p, nat.d) == values
+    assert nat.classification is RootNature.FOUR_REAL_DISTINCT
 
 
 @pytest.mark.parametrize("k", [-500, -200, -100, 0, 1, 60, 100, 150, 300, 1000])
