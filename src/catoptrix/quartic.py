@@ -22,7 +22,7 @@ import itertools
 import math
 import sys
 
-from .errors import DegenerateLeadingCoefficient, InvalidObserver, NoConvergence
+from .errors import DegenerateLeadingCoefficient, InvalidObserver, NoConvergence, NonFinitePoint
 from .numeric import DEFAULT_TOLERANCES, _Record, ensure_point, ensure_real
 
 __all__ = [
@@ -457,14 +457,6 @@ def polished_roots(coeffs: tuple[complex, ...]) -> RootSet:
     return _solve(coeffs)
 
 
-def _ldexp(x: float, n: int) -> float:
-    """x * 2**n, or +-inf where that overflows float64."""
-    try:
-        return math.ldexp(x, n)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
 # the range of normal floats: an invariant outside it has over- or underflowed
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
@@ -473,7 +465,7 @@ _HUGE = sys.float_info.max
 def _formulas(a, b, c, d, e):
     """(delta, p, d) of a*x^4 + b*x^3 + c*x^2 + d*x + e in the coefficients'
     own arithmetic. The constants are integers: on floats they round as
-    float constants would, and on Fractions the invariants are exact."""
+    float constants would, and on integers the invariants are exact."""
     delta = (
         256 * e ** 3 * a ** 3
         + (-192 * e * e * d * b - 128 * e * e * c * c + 144 * e * d * d * c - 27 * d ** 4) * a * a
@@ -492,36 +484,12 @@ def _formulas(a, b, c, d, e):
     return delta, p, dd
 
 
-def _normal(delta: float, p: float, dd: float) -> bool:
-    """Whether delta, p and d are all normal floats."""
-    return _TINY <= abs(delta) <= _HUGE and _TINY <= abs(p) <= _HUGE and _TINY <= abs(dd) <= _HUGE
-
-
-def _invariants(a: float, b: float, c: float, d: float, e: float) -> tuple[float, float, float, int]:
-    """(delta, p, d, k) of finite coefficients, a != 0, such that
-    delta*2^(6k), p*2^(2k) and d*2^(4k) are the invariants.
-
-    k == 0 unless an invariant overflows, or underflows while every
-    coefficient is below 1: then the coefficients are scaled by 2^-k into
-    [0.5, 1), which keeps the signs and, while no term under- or overflows,
-    the bits.
-    """
+def _rounded(n: int, m: int) -> float:
+    """n / m rounded once to the nearest float, +-inf past the largest."""
     try:
-        delta, p, dd = _formulas(a, b, c, d, e)
-        if _normal(delta, p, dd):
-            return delta, p, dd, 0
-        fits = math.isfinite(delta) and math.isfinite(p) and math.isfinite(dd)
+        return n / m
     except OverflowError:
-        fits = False
-    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d), abs(e)))[1]
-    if fits and k >= 0:
-        # nothing overflowed, and scaling down lifts no underflow
-        return delta, p, dd, 0
-    scaled = [math.ldexp(x, -k) for x in (a, b, c, d, e)]
-    if scaled[0] == 0.0:
-        raise DegenerateLeadingCoefficient("leading coefficient a is zero")
-    delta, p, dd, _ = _invariants(*scaled)
-    return delta, p, dd, k
+        return math.inf if n > 0 else -math.inf
 
 
 def _nature(delta: float, p: float, d: float) -> RootNature:
@@ -539,23 +507,16 @@ def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) ->
     The quartic has four distinct real roots iff delta > 0, p < 0 and d < 0;
     delta == 0 marks repeated roots (classified Degenerate).
 
-    Coefficients so large that an invariant would overflow float64, or all
-    below 1 and so small that one would underflow below the normal range,
-    are classified scaled by a power of two into [0.5, 1). The invariants
-    are homogeneous in the coefficients, of degrees 6, 2 and 4, so the scale
-    keeps their signs; their values are scaled back, to +-inf, 0 or a
-    subnormal where they do not fit a normal float. Invariants that fit
-    unscaled keep their bits. The scaled terms keep their digits while every
-    coefficient is within about 2^-170 (1e-51) of the largest; a smaller one
-    can underflow there, and a leading coefficient that scales to zero
-    raises as a zero one does.
-
-    The classification is that of the signs of the evaluated invariants,
-    scaled where they were scaled. Where one of them is still 0, subnormal
-    or infinite, its sign may be lost, and the classification is that of the
-    exact rational invariants of the same coefficients instead; the returned
-    values stay the float ones. A normal value whose terms cancelled can
-    still carry the wrong sign.
+    Where the float evaluation gives three normal floats, those are the
+    values, and the classification is that of their signs; a normal value
+    whose terms cancelled can still carry the wrong sign. Where one of them
+    is 0, subnormal or infinite, or a power overflows on the way, the same
+    formulas run exactly on integers instead: each coefficient is n/q, q
+    the largest of their power-of-two denominators, so the invariants are
+    exact integers over q^6, q^2 and q^4. Each value is that quotient
+    rounded once to the nearest float, +-inf past the largest, and the
+    classification is that of the exact signs. So any finite coefficients
+    with a != 0 get an answer.
     """
     a = ensure_real(a, "a")
     b = ensure_real(b, "b")
@@ -564,18 +525,18 @@ def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) ->
     e = ensure_real(e, "e")
     if a == 0.0:
         raise DegenerateLeadingCoefficient("leading coefficient a is zero")
-    delta, p, dd, k = _invariants(a, b, c, d, e)
-    if _normal(delta, p, dd):
-        cls = _nature(delta, p, dd)
-    else:
-        # a value out of the normal range may have lost its sign to under- or
-        # overflow: the class is that of the exact rational invariants
-        from fractions import Fraction
-
-        cls = _nature(*_formulas(*map(Fraction, (a, b, c, d, e))))
-    # exact, and so a no-op, for k == 0
-    delta, p, dd = _ldexp(delta, 6 * k), _ldexp(p, 2 * k), _ldexp(dd, 4 * k)
-    return RealQuarticNature(delta=delta, p=p, d=dd, classification=cls)
+    try:
+        delta, p, dd = _formulas(a, b, c, d, e)
+        normal = _TINY <= abs(delta) <= _HUGE and _TINY <= abs(p) <= _HUGE and _TINY <= abs(dd) <= _HUGE
+    except OverflowError:
+        normal = False
+    if normal:
+        return RealQuarticNature(delta=delta, p=p, d=dd, classification=_nature(delta, p, dd))
+    ratios = [x.as_integer_ratio() for x in (a, b, c, d, e)]
+    q = max([m for _, m in ratios])
+    exact = _formulas(*[n * (q // m) for n, m in ratios])
+    delta, p, dd = [_rounded(n, q ** k) for n, k in zip(exact, (6, 2, 4))]
+    return RealQuarticNature(delta=delta, p=p, d=dd, classification=_nature(*exact))
 
 
 def infinity_real_coeffs(r: float, theta: float) -> tuple[float, float, float, float, float]:
@@ -589,7 +550,9 @@ def infinity_real_coeffs(r: float, theta: float) -> tuple[float, float, float, f
             - 2*(2r*cos(t) + 1)*z + r*sin(t) = 0.
 
     The leading coefficient vanishes for theta = 0 (mod pi), where the map
-    degenerates.
+    degenerates. Past r of about 3.0e307, where 6r overflows float64, a
+    coefficient is not finite for any theta, and the call raises
+    NonFinitePoint naming r and theta.
     """
     r = ensure_real(r, "r")
     theta = ensure_real(theta, "theta")
@@ -602,4 +565,7 @@ def infinity_real_coeffs(r: float, theta: float) -> tuple[float, float, float, f
     c = -6.0 * r * st
     d = -2.0 * (2.0 * r * ct + 1.0)
     e = r * st
+    # each one tested, not their sum, which can overflow where each one fits
+    if not (math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise NonFinitePoint(f"observer r={r!r}, theta={theta!r}: its image quartic's coefficients overflow float64")
     return (a, b, c, d, e)

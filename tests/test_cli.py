@@ -336,7 +336,7 @@ def test_infinity_verify_block_keeps_its_digits_at_the_rim(theta):
     # is within 16 ulps of the 50-digit invariants of the same float observer
     import mpmath
 
-    from catoptrix.quartic import _invariants
+    from catoptrix.quartic import _formulas
 
     r = 1.0000000000000002
     rc, out, _ = _run(["infinity", "--r", repr(r), "--theta", repr(theta), "--verify"])
@@ -344,8 +344,7 @@ def test_infinity_verify_block_keeps_its_digits_at_the_rim(theta):
     verify = json.loads(out)["diagnostics"]["verify"]
     with mpmath.workdps(50):
         s, c, rr = mpmath.sin(theta), mpmath.cos(theta), mpmath.mpf(r)
-        *exact, k = _invariants(rr * s, 2 * (2 * rr * c - 1), -6 * rr * s, -2 * (2 * rr * c + 1), rr * s)
-        assert k == 0
+        exact = _formulas(rr * s, 2 * (2 * rr * c - 1), -6 * rr * s, -2 * (2 * rr * c + 1), rr * s)
         for name, ref in zip(("delta", "p", "d"), exact):
             assert abs(verify[name] - ref) <= 16 * math.ulp(float(ref)), (name, verify[name], ref)
     assert verify["classification"] == "FourRealDistinct"
@@ -539,6 +538,17 @@ def test_oracle_discriminant_command_for_a_far_observer():
     record = json.loads(proc.stdout)
     assert record["diagnostics"]["classification"] == "FourRealDistinct"
     assert record["diagnostics"]["sign_agreement"] is True
+
+
+def test_oracle_discriminant_command_past_float64_names_the_observer():
+    # past r of about 3.0e307 the image quartic's coefficients overflow: the
+    # error names r and theta, and the record echoes them as given
+    rc, out, _ = _run(["oracle", "discriminant", "--r", "1e308", "--theta", "0.5"])
+    record = json.loads(out)
+    assert rc == 2
+    assert record["status"] == "NonFinitePoint"
+    assert record["inputs"] == {"r": 1e308, "theta": 0.5}
+    assert record["error"].startswith("observer r=1e+308, theta=0.5: ")
 
 
 # python -m catoptrix.cli, as users and the benchmark run it: cli is then

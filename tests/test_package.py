@@ -1,7 +1,8 @@
 """The package's public surface: __all__ and the names it binds agree, each
 export is listed in its module's __all__, no public function takes a
-tolerance, importing the package loads none of its modules, and no module
-keeps a private name or an import that nothing uses."""
+tolerance, importing the package loads none of its modules, no module
+keeps a private name or an import that nothing uses, and README's quick
+start runs as written."""
 
 import ast
 import importlib
@@ -436,3 +437,23 @@ def test_every_bench_record_parses_and_names_its_pr():
     for path in records:
         n = int(path.stem.split("_", 1)[1])
         assert json.loads(path.read_text())["pr"] == n, path.name
+
+
+def test_readme_quick_start_runs_as_written():
+    # the python block under "## Library quick start", run statement by
+    # statement; each expression's value is kept by its source text, and the
+    # block's three commented claims are checked against those values
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace: dict = {}
+    values = {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README", "eval")
+            values[ast.get_source_segment(block, node)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    assert values["verify_circle_theorem(obs)"] is True
+    assert values["s_metric(0.5, -0.5)"] == 0.5
+    assert values["ellipse_params(0.4, 0.3j).eccentricity"] == namespace["res"].s_value

@@ -9,6 +9,8 @@ import cmath
 import math
 import random
 import re
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -33,6 +35,7 @@ from catoptrix.errors import (
     ShadowRegion,
 )
 from catoptrix.oracle import oracle_quartic_discriminant
+from catoptrix.quartic import _formulas
 
 
 def _match_multisets(got, expected, tol):
@@ -446,13 +449,16 @@ def test_real_invariants_classification():
     assert nat.classification is RootNature.DEGENERATE
     with pytest.raises(DegenerateLeadingCoefficient):
         real_quartic_invariants(0, 1, 1, 1, 1)
-    # scaled by 2^-997 with the rest, the leading 1e-300 underflows to zero
-    with pytest.raises(DegenerateLeadingCoefficient):
-        real_quartic_invariants(1e-300, 1e300, 0, 0, 1)
-    # the largest coefficient already in [0.5, 1), where a scale by 2^0 would
-    # change nothing: the underflowed delta is kept as it is, and the class is
-    # that of the exact invariants, delta = 256*0.75^3*e^3 > 0 and P = 0:
-    # four distinct non-real roots
+    # a tiny but nonzero leading coefficient never raises: the exact
+    # invariants are dominated by delta ~ -27*b^4*e^2, P = -3*b^2 and
+    # D ~ -3*b^4, all far past the largest float, and delta < 0 gives two
+    # real and two non-real roots
+    nat = real_quartic_invariants(1e-300, 1e300, 0, 0, 1)
+    assert (nat.delta, nat.p, nat.d) == (-math.inf, -math.inf, -math.inf)
+    assert nat.classification is RootNature.NOT_FOUR_REAL_DISTINCT
+    # delta underflows: each value is the exact one rounded once, and the
+    # class is that of the exact invariants, delta = 256*0.75^3*e^3 > 0 and
+    # P = 0: four distinct non-real roots
     nat = real_quartic_invariants(0.75, 0.0, 0.0, 0.0, 1e-300)
     assert (nat.delta, nat.p, nat.d) == (0.0, 0.0, 64.0 * 0.75 ** 3 * 1e-300)
     assert nat.classification is RootNature.NOT_FOUR_REAL_DISTINCT
@@ -463,46 +469,117 @@ def _image_quartic_over_r(r, theta):
     return s, 2 * (2 * c - 1 / r), -6 * s, -2 * (2 * c + 1 / r), s
 
 
+_SPREAD_PAST_1E51 = (
+    -1416305829088414.8, -4.1236013537161915e-185, 3.6599049447530384e182, 7.175298981565731e126,
+    7.506250638885653e-13,
+)
+
+
 @pytest.mark.parametrize(
     "coeffs,values",
     [
-        # spread past 1e51: delta overflows and D underflows to 0.0 in the
-        # scaled evaluation; the exact signs are delta > 0, P < 0 and D < 0,
-        # and the 600-digit roots +-5.08e83, -1.96e-56 and -1.05e-139 are four
+        # spread past 1e51: delta overflows, and the exact D is about
+        # -4.3e396; the exact signs are delta > 0, P < 0 and D < 0, and the
+        # 600-digit roots +-5.08e83, -1.96e-56 and -1.05e-139 are four
         # distinct reals
-        (
-            (-1416305829088414.8, -4.1236013537161915e-185, 3.6599049447530384e182, 7.175298981565731e126,
-             7.506250638885653e-13),
-            (math.inf, -4.1468357657305927e198, 0.0),
-        ),
+        (_SPREAD_PAST_1E51, (math.inf, -4.1468357657305927e198, -math.inf)),
         # the image quartic divided by r, an ulp from the rim near a quarter
         # turn: its float delta rounds to 0.0, where verify_circle_theorem
-        # proves four real roots (tests/test_infinity.py)
-        (_image_quartic_over_r(1.0000000000000002, 1.5707963079004843), (0.0, -59.9999990930682, -1007.9999637227282)),
+        # proves four real roots (tests/test_infinity.py); the exact delta of
+        # the float coefficients is about 2.96e-12
+        (
+            _image_quartic_over_r(1.0000000000000002, 1.5707963079004843),
+            (2.963827919737452e-12, -59.9999990930682, -1007.9999637227282),
+        ),
     ],
     ids=["spread-past-1e51", "image-quartic-at-the-rim"],
 )
 def test_real_invariants_out_of_the_normal_range_classify_by_their_exact_signs(coeffs, values):
-    # the values keep their float bits; the class is taken from the exact
-    # rational invariants of the same float coefficients
+    # each value is the exact invariant of the same float coefficients
+    # rounded once, and the class is that of the exact signs
     nat = real_quartic_invariants(*coeffs)
     assert (nat.delta, nat.p, nat.d) == values
     assert nat.classification is RootNature.FOUR_REAL_DISTINCT
 
 
+# the least rational that rounds to +inf: the largest float plus half its ulp
+_PAST_MAX = Fraction(sys.float_info.max) + Fraction(math.ulp(sys.float_info.max)) / 2
+
+
+def _is_nearest_float(v, x):
+    """Whether the float v is a nearest float to the rational x: +-inf from
+    _PAST_MAX on, else no neighbour of v is closer to x."""
+    if math.isinf(v):
+        return x >= _PAST_MAX if v > 0 else x <= -_PAST_MAX
+    err = abs(Fraction(v) - x)
+    neighbours = (math.nextafter(v, -math.inf), math.nextafter(v, math.inf))
+    return abs(x) < _PAST_MAX and all(math.isinf(n) or abs(Fraction(n) - x) >= err for n in neighbours)
+
+
+def _normal_float_invariants(coeffs):
+    """The float evaluation of the invariants where all three are normal
+    floats, else None."""
+    try:
+        values = _formulas(*coeffs)
+    except OverflowError:
+        return None
+    return values if all(sys.float_info.min <= abs(v) <= sys.float_info.max for v in values) else None
+
+
 @pytest.mark.parametrize("k", [-500, -200, -100, 0, 1, 60, 100, 150, 300, 1000])
 def test_real_invariants_of_coefficients_scaled_by_a_power_of_two(k):
     # delta, p and d are homogeneous in the coefficients, of degrees 6, 2 and
-    # 4: coefficients scaled by 2^k keep the classification and scale each
-    # value by 2^(degree*k) exactly, or give +-inf where that overflows, and
-    # 0 or a subnormal where it underflows (delta from k = -200, d at -500)
+    # 4: coefficients scaled by 2^k keep the classification. Where all three
+    # scaled values stay normal, each is the base value scaled by
+    # 2^(degree*k) bit for bit. Elsewhere (k = -500, -200, 300 and 1000) each
+    # is the base's exact invariant times 2^(degree*k) rounded once: +-inf
+    # past the largest float, 0 or a subnormal below the normal range
     base = infinity_real_coeffs(2.0, 0.3)
     ref = real_quartic_invariants(*base)
     nat = real_quartic_invariants(*[math.ldexp(c, k) for c in base])
     assert nat.classification is ref.classification is RootNature.FOUR_REAL_DISTINCT
-    for got, value, degree in ((nat.delta, ref.delta, 6), (nat.p, ref.p, 2), (nat.d, ref.d, 4)):
-        fits = math.frexp(value)[1] + degree * k <= 1024
-        assert got == (math.ldexp(value, degree * k) if fits else math.copysign(math.inf, value))
+    got = (nat.delta, nat.p, nat.d)
+    scaled = [(v, g * k) for v, g in zip((ref.delta, ref.p, ref.d), (6, 2, 4))]
+    if all(-1021 <= math.frexp(v)[1] + n <= 1024 for v, n in scaled):
+        assert got == tuple(math.ldexp(v, n) for v, n in scaled)
+    else:
+        exact = _formulas(*map(Fraction, base))
+        for v, x, (_, n) in zip(got, exact, scaled):
+            assert _is_nearest_float(v, x * Fraction(2) ** n), (v, x, n)
+
+
+def test_real_invariants_match_the_exact_ones_on_wide_coefficients():
+    # coefficients +-10^U(-300, 300) and the named cases above: no set
+    # raises, the class is the sign class of the exact invariants, the
+    # values are the float evaluation bit for bit where that gives three
+    # normal floats, and each value is the exact one rounded once elsewhere
+    rng = random.Random(34)
+    sets = [tuple(rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-300, 300) for _ in range(5)) for _ in range(300)]
+    base = infinity_real_coeffs(2.0, 0.3)
+    sets += [(1e-300, 1e300, 0.0, 0.0, 1.0), (0.75, 0.0, 0.0, 0.0, 1e-300), _SPREAD_PAST_1E51]
+    sets += [_image_quartic_over_r(1.0000000000000002, 1.5707963079004843)]
+    sets += [tuple(math.ldexp(c, k) for c in base) for k in (-500, -200, 300, 1000)]
+    exact_path = 0
+    for coeffs in sets:
+        nat = real_quartic_invariants(*coeffs)
+        got = (nat.delta, nat.p, nat.d)
+        exact = _formulas(*map(Fraction, coeffs))
+        delta, p, d = exact
+        sign_class = (
+            RootNature.DEGENERATE if delta == 0
+            else RootNature.FOUR_REAL_DISTINCT if delta > 0 and p < 0 and d < 0
+            else RootNature.NOT_FOUR_REAL_DISTINCT
+        )
+        assert nat.classification is sign_class, coeffs
+        floats = _normal_float_invariants(coeffs)
+        if floats is not None:
+            assert got == floats, coeffs
+            continue
+        exact_path += 1
+        for v, x in zip(got, exact):
+            assert _is_nearest_float(v, x), (coeffs, v)
+    # the draw reaches both paths
+    assert 0 < exact_path < len(sets)
 
 
 def test_delta_equals_resultant_discriminant():
@@ -524,6 +601,15 @@ def test_image_quartic_coefficients():
     assert (a, b, c, d, e) == pytest.approx((0.0, 6.0, 0.0, -10.0, 0.0), abs=1e-12)
     with pytest.raises(InvalidObserver):
         infinity_real_coeffs(1.0, 0.3)
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.0, -3.0])
+def test_image_quartic_coefficients_past_float64_raise_naming_the_observer(theta):
+    # past r of about 3.0e307, -6*r overflows: the c coefficient is inf or
+    # NaN for every theta, and the call raises rather than return it
+    assert all(math.isfinite(c) for c in infinity_real_coeffs(2.99e307, theta))
+    with pytest.raises(NonFinitePoint, match=rf"^observer r=1e\+308, theta={re.escape(repr(theta))}: "):
+        infinity_real_coeffs(1e308, theta)
 
 
 def test_image_quartic_palindromic_ends():
