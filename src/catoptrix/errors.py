@@ -11,7 +11,9 @@ class CatoptrixError(Exception):
 
 class NonFinitePoint(CatoptrixError, ValueError):
     """A coordinate was NaN or infinite, an exterior pair lies so far out
-    that |z1|*|z2| overflows float64, or an envelope residual overflows."""
+    that |z1|*|z2| overflows float64, an envelope residual overflows, or the
+    image quartic's coefficients (quartic.infinity_real_coeffs) overflow
+    float64 past r of about 3.0e307."""
 
 
 class DegenerateLeadingCoefficient(CatoptrixError):

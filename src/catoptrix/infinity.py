@@ -316,10 +316,10 @@ def verify_circle_theorem(obs: ObserverPolar) -> bool:
       least 180, and A rounds to at most 60: D <= -48.
 
     So verify returns True on its whole off-axis domain, which is the
-    theorem. Where the generic invariants (quartic.real_quartic_invariants)
-    of the same quartic give False, within a few ulps of the rim and theta
-    near +-pi/2, it is because their delta cancels to a rounded 0.0. The
-    three forms are still computed and tested, as the documented check.
+    theorem. The generic invariants (quartic.real_quartic_invariants) of
+    the same quartic are exact for its float coefficients, so their class
+    can differ only where rounding the coefficients moved a sign. The three
+    forms are still computed and tested, as the documented check.
     """
     theta = obs.theta
     if theta == 0.0 or abs(theta) == math.pi:

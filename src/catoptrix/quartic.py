@@ -20,7 +20,6 @@ import cmath
 import enum
 import itertools
 import math
-import sys
 
 from .errors import DegenerateLeadingCoefficient, InvalidObserver, NoConvergence, NonFinitePoint
 from .numeric import DEFAULT_TOLERANCES, _Record, ensure_point, ensure_real
@@ -457,31 +456,20 @@ def polished_roots(coeffs: tuple[complex, ...]) -> RootSet:
     return _solve(coeffs)
 
 
-# the range of normal floats: an invariant outside it has over- or underflowed
-_TINY = sys.float_info.min
-_HUGE = sys.float_info.max
-
-
-def _formulas(a, b, c, d, e):
-    """(delta, p, d) of a*x^4 + b*x^3 + c*x^2 + d*x + e in the coefficients'
-    own arithmetic. The constants are integers: on floats they round as
-    float constants would, and on integers the invariants are exact."""
-    delta = (
-        256 * e ** 3 * a ** 3
-        + (-192 * e * e * d * b - 128 * e * e * c * c + 144 * e * d * d * c - 27 * d ** 4) * a * a
-        + (
-            (144 * e * e * c - 6 * e * d * d) * b * b
-            + (-80 * e * d * c * c + 18 * d ** 3 * c) * b
-            + 16 * e * c ** 4
-            - 4 * d * d * c ** 3
-        ) * a
-        - 27 * e * e * b ** 4
-        + (18 * e * d * c - 4 * d ** 3) * b ** 3
-        + (-4 * e * c ** 3 + d * d * c * c) * b * b
-    )
-    p = 8 * a * c - 3 * b * b
-    dd = 64 * a ** 3 * e - 16 * a * a * c * c + 16 * a * b * b * c - 16 * a * a * d * b - 3 * b ** 4
-    return delta, p, dd
+def _formulas(a: int, b: int, c: int, d: int, e: int) -> tuple[int, int, int]:
+    """(delta, p, d) of a*x^4 + b*x^3 + c*x^2 + d*x + e for integer
+    coefficients, exactly. delta is the discriminant in the classical I/J
+    form, (4*I^3 - J^2)/27 with I = 12ae - 3bd + c^2 and J = 72ace + 9bcd
+    - 2c^3 - 27ad^2 - 27eb^2, and the division is exact, since delta is an
+    integer polynomial in the coefficients; p = 8ac - 3b^2 and d = 64a^3e
+    - 16a^2c^2 + 16ab^2c - 16a^2bd - 3b^4. Each is written over shared
+    products, which saves big-integer multiplications."""
+    ae, bd, cc, bb = a * e, b * d, c * c, b * b
+    i = 12 * ae - 3 * bd + cc
+    j = (72 * ae + 9 * bd - 2 * cc) * c - 27 * (a * d * d + bb * e)
+    p = 8 * a * c - 3 * bb
+    dd = 16 * a * (4 * a * ae - a * cc + bb * c - a * bd) - 3 * bb * bb
+    return (4 * i * i * i - j * j) // 27, p, dd
 
 
 def _rounded(n: int, m: int) -> float:
@@ -507,16 +495,13 @@ def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) ->
     The quartic has four distinct real roots iff delta > 0, p < 0 and d < 0;
     delta == 0 marks repeated roots (classified Degenerate).
 
-    Where the float evaluation gives three normal floats, those are the
-    values, and the classification is that of their signs; a normal value
-    whose terms cancelled can still carry the wrong sign. Where one of them
-    is 0, subnormal or infinite, or a power overflows on the way, the same
-    formulas run exactly on integers instead: each coefficient is n/q, q
-    the largest of their power-of-two denominators, so the invariants are
-    exact integers over q^6, q^2 and q^4. Each value is that quotient
-    rounded once to the nearest float, +-inf past the largest, and the
-    classification is that of the exact signs. So any finite coefficients
-    with a != 0 get an answer.
+    The invariants are exact: each coefficient is n/q, q the largest of
+    their power-of-two denominators, so _formulas on the integers n gives
+    delta, p and d exactly over q^6, q^2 and q^4. Each value is that
+    quotient rounded once to the nearest float, +-inf past the largest, and
+    the classification is that of the exact signs. So any finite
+    coefficients with a != 0 get an answer, and its class is never that of
+    a rounded value whose terms cancelled.
     """
     a = ensure_real(a, "a")
     b = ensure_real(b, "b")
@@ -525,17 +510,11 @@ def real_quartic_invariants(a: float, b: float, c: float, d: float, e: float) ->
     e = ensure_real(e, "e")
     if a == 0.0:
         raise DegenerateLeadingCoefficient("leading coefficient a is zero")
-    try:
-        delta, p, dd = _formulas(a, b, c, d, e)
-        normal = _TINY <= abs(delta) <= _HUGE and _TINY <= abs(p) <= _HUGE and _TINY <= abs(dd) <= _HUGE
-    except OverflowError:
-        normal = False
-    if normal:
-        return RealQuarticNature(delta=delta, p=p, d=dd, classification=_nature(delta, p, dd))
     ratios = [x.as_integer_ratio() for x in (a, b, c, d, e)]
     q = max([m for _, m in ratios])
     exact = _formulas(*[n * (q // m) for n, m in ratios])
-    delta, p, dd = [_rounded(n, q ** k) for n, k in zip(exact, (6, 2, 4))]
+    q2 = q * q
+    delta, p, dd = map(_rounded, exact, (q2 * q2 * q2, q2, q2 * q2))
     return RealQuarticNature(delta=delta, p=p, d=dd, classification=_nature(*exact))
 
 

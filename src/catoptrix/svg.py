@@ -4,11 +4,14 @@ deterministic output, no plotting dependency."""
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .envelope import LineCoeffs, envelope_param, valid_arc
-from .infinity import InfinityResult, ObserverPolar
-from .interior import EllipseParams, ReflectionResult
+from .envelope import envelope_param, valid_arc
+
+if TYPE_CHECKING:
+    from .envelope import LineCoeffs
+    from .infinity import InfinityResult, ObserverPolar
+    from .interior import EllipseParams, ReflectionResult
 
 _SIZE = 640
 

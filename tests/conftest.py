@@ -6,6 +6,30 @@ import random
 
 import pytest
 
+
+def textbook_invariants(a, b, c, d, e):
+    """(delta, P, D) of a*x^4 + b*x^3 + c*x^2 + d*x + e, with delta the
+    discriminant in its expanded textbook form, in the coefficients' own
+    arithmetic: exact on Fractions, to working precision on mpmath numbers.
+    quartic.real_quartic_invariants evaluates delta in the I/J form instead,
+    so this reference shares no formula for it with the code under test."""
+    delta = (
+        256 * e ** 3 * a ** 3
+        + (-192 * e * e * d * b - 128 * e * e * c * c + 144 * e * d * d * c - 27 * d ** 4) * a * a
+        + (
+            (144 * e * e * c - 6 * e * d * d) * b * b
+            + (-80 * e * d * c * c + 18 * d ** 3 * c) * b
+            + 16 * e * c ** 4
+            - 4 * d * d * c ** 3
+        ) * a
+        - 27 * e * e * b ** 4
+        + (18 * e * d * c - 4 * d ** 3) * b ** 3
+        + (-4 * e * c ** 3 + d * d * c * c) * b * b
+    )
+    p = 8 * a * c - 3 * b * b
+    dd = 64 * a ** 3 * e - 16 * a * a * c * c + 16 * a * b * b * c - 16 * a * a * d * b - 3 * b ** 4
+    return delta, p, dd
+
 # the six interior pair families of the benchmark (bench/families.py), drawn
 # here the same way so that the tests need not import the benchmark
 INTERIOR_FAMILIES = ("uniform", "near_rim", "near_origin", "near_coincident", "near_coincident_origin", "symmetric")

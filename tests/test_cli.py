@@ -336,7 +336,7 @@ def test_infinity_verify_block_keeps_its_digits_at_the_rim(theta):
     # is within 16 ulps of the 50-digit invariants of the same float observer
     import mpmath
 
-    from catoptrix.quartic import _formulas
+    from conftest import textbook_invariants
 
     r = 1.0000000000000002
     rc, out, _ = _run(["infinity", "--r", repr(r), "--theta", repr(theta), "--verify"])
@@ -344,7 +344,7 @@ def test_infinity_verify_block_keeps_its_digits_at_the_rim(theta):
     verify = json.loads(out)["diagnostics"]["verify"]
     with mpmath.workdps(50):
         s, c, rr = mpmath.sin(theta), mpmath.cos(theta), mpmath.mpf(r)
-        exact = _formulas(rr * s, 2 * (2 * rr * c - 1), -6 * rr * s, -2 * (2 * rr * c + 1), rr * s)
+        exact = textbook_invariants(rr * s, 2 * (2 * rr * c - 1), -6 * rr * s, -2 * (2 * rr * c + 1), rr * s)
         for name, ref in zip(("delta", "p", "d"), exact):
             assert abs(verify[name] - ref) <= 16 * math.ulp(float(ref)), (name, verify[name], ref)
     assert verify["classification"] == "FourRealDistinct"
@@ -482,16 +482,19 @@ def _src_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_numpy_loads_only_for_the_oracles():
+def test_numpy_loads_only_for_the_oracles(tmp_path):
     # a fresh interpreter, because this one has numpy loaded already; each
-    # command loads only the modules it runs, and svg and oracle none of them.
-    # dataclasses, and with it inspect, loads only with interior, whose
-    # ReflectionResult is still a dataclass; numpy imports inspect itself
+    # command loads only the modules it runs, and svg and oracle none of them:
+    # svg loads envelope, which it draws with, and no module whose types it
+    # only names. dataclasses, and with it inspect, loads only with interior,
+    # whose ReflectionResult is still a dataclass; numpy imports inspect itself
     code = textwrap.dedent(
         """
-        import contextlib, io, sys
+        import contextlib, io, os, sys
         import catoptrix, catoptrix.cli
         from catoptrix.cli import main
+
+        out = sys.argv[1]
 
         def loaded():
             return {m.split(".")[1] for m in sys.modules if m.startswith("catoptrix.")}
@@ -507,8 +510,10 @@ def test_numpy_loads_only_for_the_oracles():
             assert loaded() == expected, (argv, loaded())
 
         for argv, added in [
-            (["infinity", "--r", "2", "--theta", "0.7", "--verify"], {"numeric", "quartic", "infinity"}),
-            (["envelope", "--a", "2", "--samples", "16"], {"envelope"}),
+            (["envelope", "--a", "2", "--samples", "16"], {"numeric", "envelope"}),
+            (["envelope", "--a", "2", "--samples", "16", "--svg", os.path.join(out, "e.svg")], {"svg"}),
+            (["infinity", "--r", "2", "--theta", "0.7", "--verify"], {"quartic", "infinity"}),
+            (["infinity", "--r", "2", "--theta", "0.7", "--svg", os.path.join(out, "i.svg")], set()),
             (["directrix", "--a", "2", "--phi", "0.3"], set()),
         ]:
             run(argv, added)
@@ -521,7 +526,7 @@ def test_numpy_loads_only_for_the_oracles():
         """
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, str(tmp_path)], env=_src_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
 

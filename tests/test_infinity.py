@@ -424,12 +424,12 @@ def test_image_invariants_match_the_generic_invariants_at_50_digits():
     # invariants of the same image quartic at the same float observer
     import mpmath
 
-    from catoptrix.quartic import _formulas
+    from conftest import textbook_invariants
 
     with mpmath.workdps(50):
         for r, theta in _image_invariants_observers():
             s, c, rho = mpmath.sin(theta), mpmath.cos(theta), 1 / mpmath.mpf(r)
-            exact = _formulas(s, 2 * (2 * c - rho), -6 * s, -2 * (2 * c + rho), s)
+            exact = textbook_invariants(s, 2 * (2 * c - rho), -6 * s, -2 * (2 * c + rho), s)
             for name, got, ref in zip(("delta", "P", "D"), infinity_module._image_invariants(r, theta), exact):
                 assert abs(got - ref) <= 64 * math.ulp(float(ref)), (name, r, theta, got, ref)
 

@@ -35,7 +35,7 @@ from catoptrix.errors import (
     ShadowRegion,
 )
 from catoptrix.oracle import oracle_quartic_discriminant
-from catoptrix.quartic import _formulas
+from conftest import textbook_invariants
 
 
 def _match_multisets(got, expected, tol):
@@ -516,16 +516,6 @@ def _is_nearest_float(v, x):
     return abs(x) < _PAST_MAX and all(math.isinf(n) or abs(Fraction(n) - x) >= err for n in neighbours)
 
 
-def _normal_float_invariants(coeffs):
-    """The float evaluation of the invariants where all three are normal
-    floats, else None."""
-    try:
-        values = _formulas(*coeffs)
-    except OverflowError:
-        return None
-    return values if all(sys.float_info.min <= abs(v) <= sys.float_info.max for v in values) else None
-
-
 @pytest.mark.parametrize("k", [-500, -200, -100, 0, 1, 60, 100, 150, 300, 1000])
 def test_real_invariants_of_coefficients_scaled_by_a_power_of_two(k):
     # delta, p and d are homogeneous in the coefficients, of degrees 6, 2 and
@@ -543,27 +533,25 @@ def test_real_invariants_of_coefficients_scaled_by_a_power_of_two(k):
     if all(-1021 <= math.frexp(v)[1] + n <= 1024 for v, n in scaled):
         assert got == tuple(math.ldexp(v, n) for v, n in scaled)
     else:
-        exact = _formulas(*map(Fraction, base))
+        exact = textbook_invariants(*map(Fraction, base))
         for v, x, (_, n) in zip(got, exact, scaled):
             assert _is_nearest_float(v, x * Fraction(2) ** n), (v, x, n)
 
 
 def test_real_invariants_match_the_exact_ones_on_wide_coefficients():
     # coefficients +-10^U(-300, 300) and the named cases above: no set
-    # raises, the class is the sign class of the exact invariants, the
-    # values are the float evaluation bit for bit where that gives three
-    # normal floats, and each value is the exact one rounded once elsewhere
+    # raises, the class is the sign class of the exact invariants, and
+    # every value is the exact one rounded once, in the normal range too
     rng = random.Random(34)
     sets = [tuple(rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-300, 300) for _ in range(5)) for _ in range(300)]
     base = infinity_real_coeffs(2.0, 0.3)
     sets += [(1e-300, 1e300, 0.0, 0.0, 1.0), (0.75, 0.0, 0.0, 0.0, 1e-300), _SPREAD_PAST_1E51]
     sets += [_image_quartic_over_r(1.0000000000000002, 1.5707963079004843)]
     sets += [tuple(math.ldexp(c, k) for c in base) for k in (-500, -200, 300, 1000)]
-    exact_path = 0
     for coeffs in sets:
         nat = real_quartic_invariants(*coeffs)
         got = (nat.delta, nat.p, nat.d)
-        exact = _formulas(*map(Fraction, coeffs))
+        exact = textbook_invariants(*map(Fraction, coeffs))
         delta, p, d = exact
         sign_class = (
             RootNature.DEGENERATE if delta == 0
@@ -571,15 +559,19 @@ def test_real_invariants_match_the_exact_ones_on_wide_coefficients():
             else RootNature.NOT_FOUR_REAL_DISTINCT
         )
         assert nat.classification is sign_class, coeffs
-        floats = _normal_float_invariants(coeffs)
-        if floats is not None:
-            assert got == floats, coeffs
-            continue
-        exact_path += 1
         for v, x in zip(got, exact):
             assert _is_nearest_float(v, x), (coeffs, v)
-    # the draw reaches both paths
-    assert 0 < exact_path < len(sets)
+
+
+def test_real_invariants_whose_float_terms_cancel_classify_by_their_exact_signs():
+    # the image quartic divided by r, an ulp from the rim near a quarter
+    # turn: all three invariants are normal, but a float evaluation of delta
+    # cancels to about -4.5e-13, the wrong sign. The exact delta of these
+    # float coefficients is about +2.72e-12, and verify_circle_theorem
+    # proves four real roots there
+    nat = real_quartic_invariants(*_image_quartic_over_r(1.0000000000000002, 1.570796308135573))
+    assert (nat.delta, nat.p, nat.d) == (2.719738773537748e-12, -59.99999910435245, -1007.9999641740983)
+    assert nat.classification is RootNature.FOUR_REAL_DISTINCT
 
 
 def test_delta_equals_resultant_discriminant():
