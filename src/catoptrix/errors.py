@@ -11,9 +11,11 @@ class CatoptrixError(Exception):
 
 class NonFinitePoint(CatoptrixError, ValueError):
     """A coordinate was NaN or infinite, an exterior pair lies so far out
-    that |z1|*|z2| overflows float64, an envelope residual overflows, or the
+    that |z1|*|z2| overflows float64, an envelope residual overflows, the
     image quartic's coefficients (quartic.infinity_real_coeffs) overflow
-    float64 past r of about 3.0e307."""
+    float64 past r of about 3.0e307, or the oracle's Sylvester determinant
+    of finite coefficients comes out NaN (oracle.oracle_quartic_discriminant;
+    one that overflows is returned as +-inf)."""
 
 
 class DegenerateLeadingCoefficient(CatoptrixError):
@@ -21,7 +23,11 @@ class DegenerateLeadingCoefficient(CatoptrixError):
 
 
 class NoConvergence(CatoptrixError):
-    """Root polishing failed to reach the residual bound."""
+    """A quartic solve gave no answer: root polishing failed to reach the
+    residual bound, or float arithmetic overflowed while solving ("float
+    overflow while solving"). The second covers an interior pair with a
+    point within about 1e-77 of the origin (interior.minimizing_root), whose
+    quartic has a root of modulus about 1/|z|."""
 
 
 class PointOutsideDomain(CatoptrixError):

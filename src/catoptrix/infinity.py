@@ -158,24 +158,6 @@ class InfinityResult(_Record):
     degenerate_axis: bool
     _observer: ObserverPolar
 
-    def __init__(
-        self,
-        w: complex,
-        phi: float,
-        path_defect: float,
-        reality_residual: float,
-        degenerate_axis: bool,
-        _observer: ObserverPolar,
-    ) -> None:
-        # item by item: update(w=w, ...) builds a keyword dict first
-        fields = self.__dict__
-        fields["w"] = w
-        fields["phi"] = phi
-        fields["path_defect"] = path_defect
-        fields["reality_residual"] = reality_residual
-        fields["degenerate_axis"] = degenerate_axis
-        fields["_observer"] = _observer
-
     @functools.cached_property
     def all_roots(self) -> RootSet:
         return solve_quartic(infinity_quartic_coeffs(self._observer))

@@ -80,15 +80,15 @@ _GRAZING_GAP = 4.0 * math.acos(1.0 - VISIBILITY_SLACK)
 _TIE_EPS = 1e-10
 
 
-# the one dataclass among the value types: bench/test_bench.py builds
-# off-circle answers from a real one with dataclasses.replace, so interior
-# still imports dataclasses. Its own __init__ writes the instance dict; the
-# generated one sets each field through object.__setattr__. minimizing_root
-# adds the unread RootSet it picked from as candidates, and nothing else: a
-# kept result costs the collector no more objects than that, and the mask
-# and ties are computed on first read
-@dataclass(frozen=True, init=False)
-class ReflectionResult:
+# a record like the others: _Record gives its constructor, equality, hash
+# and repr. It is also declared a dataclass, only for dataclasses.replace and
+# FrozenInstanceError, with which bench/test_bench.py builds off-circle
+# answers from a real one; so interior still imports dataclasses.
+# minimizing_root adds the unread RootSet it picked from as candidates, and
+# nothing else: a kept result costs the collector no more objects than
+# that, and the mask and ties are computed on first read
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class ReflectionResult(_Record):
     """Chosen reflection point with full diagnostics.
 
     w                    selected boundary point (on the circle)
@@ -129,23 +129,6 @@ class ReflectionResult:
     degree_dropped: bool
     _pair: tuple[complex, complex]
 
-    def __init__(
-        self,
-        w: complex,
-        s_value: float,
-        focal_sum: float,
-        reflection_residual: float,
-        degree_dropped: bool,
-        _pair: tuple[complex, complex],
-    ) -> None:
-        fields = self.__dict__
-        fields["w"] = w
-        fields["s_value"] = s_value
-        fields["focal_sum"] = focal_sum
-        fields["reflection_residual"] = reflection_residual
-        fields["degree_dropped"] = degree_dropped
-        fields["_pair"] = _pair
-
     @functools.cached_property
     def candidates(self) -> RootSet:
         return _candidates(interior_quartic_coeffs(*self._pair))
@@ -173,9 +156,6 @@ class EllipseParams(_Record):
     major: float
     minor: float
     eccentricity: float
-
-    def __init__(self, focal_sum: float, major: float, minor: float, eccentricity: float) -> None:
-        self.__dict__.update(focal_sum=focal_sum, major=major, minor=minor, eccentricity=eccentricity)
 
 
 def interior_quartic_coeffs(z1: complex, z2: complex) -> QuarticCoeffs:

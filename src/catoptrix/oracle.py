@@ -80,6 +80,7 @@ from .errors import (
     CoincidentPoints,
     DegenerateLeadingCoefficient,
     InvalidObserver,
+    NonFinitePoint,
 )
 from .infinity import ObserverPolar
 from .numeric import (
@@ -291,6 +292,9 @@ def oracle_quartic_discriminant(a: float, b: float, c: float, d: float, e: float
 
     With this row layout the normalization constant is exactly +1: on x^4 - 1
     the determinant route gives -256, matching the closed-form discriminant.
+    A value past the largest float is returned as +-inf, with no warning;
+    finite coefficients whose determinant comes out NaN in float64 (a 4*a
+    past the largest float, say) raise NonFinitePoint.
     """
     import numpy as np
 
@@ -313,4 +317,10 @@ def oracle_quartic_discriminant(a: float, b: float, c: float, d: float, e: float
         ],
         dtype=float,
     )
-    return float(np.linalg.det(s) / a)
+    # a determinant past the largest float overflows to +-inf, as the
+    # invariants of real_quartic_invariants do; a NaN is no value at all
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = float(np.linalg.det(s) / a)
+    if math.isnan(delta):
+        raise NonFinitePoint(f"the Sylvester determinant of a={a!r}, b={b!r}, c={c!r}, d={d!r}, e={e!r} is NaN")
+    return delta

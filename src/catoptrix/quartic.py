@@ -104,17 +104,6 @@ class RootSet(_Record):
     polish_iterations: tuple[int, ...]
     min_separation: float
 
-    def __init__(
-        self,
-        roots: tuple[complex, ...],
-        residuals: tuple[float, ...],
-        polish_iterations: tuple[int, ...],
-        min_separation: float,
-    ) -> None:
-        self.__dict__.update(
-            roots=roots, residuals=residuals, polish_iterations=polish_iterations, min_separation=min_separation
-        )
-
     def __getattr__(self, name: str) -> object:
         # runs only for a name the instance dict lacks: a field of a set that
         # _polished_rootset made, on its first read, or no field at all
@@ -160,9 +149,6 @@ class RealQuarticNature(_Record):
     p: float
     d: float
     classification: RootNature
-
-    def __init__(self, delta: float, p: float, d: float, classification: RootNature) -> None:
-        self.__dict__.update(delta=delta, p=p, d=d, classification=classification)
 
 
 def _horner_pair(coeffs: tuple[complex, ...], w: complex) -> tuple[complex, complex]:

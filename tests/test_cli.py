@@ -532,17 +532,43 @@ def test_numpy_loads_only_for_the_oracles(tmp_path):
 
 
 def test_oracle_discriminant_command_for_a_far_observer():
-    # the image quartic's invariants overflow float64 here; the command, run
-    # as users run it, prints one record (numpy warns on stderr that the
-    # resultant overflows)
+    # the image quartic's invariants and its resultant overflow float64 here;
+    # the command, run as users run it, prints one record and nothing on
+    # stderr: both deltas are +inf, printed as null
     argv = ["oracle", "discriminant", "--r", "1e80", "--theta", "0.3"]
     proc = subprocess.run(
         [sys.executable, "-m", "catoptrix.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=60
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     record = json.loads(proc.stdout)
     assert record["diagnostics"]["classification"] == "FourRealDistinct"
     assert record["diagnostics"]["sign_agreement"] is True
+
+
+def test_oracle_discriminant_command_past_float64_prints_one_record_with_warnings_as_errors():
+    # a resultant that overflows is +inf with no numpy warning, so every
+    # warning an error still gives one record; one that comes out NaN is a
+    # NonFinitePoint record naming the coefficients, not an ok record with a
+    # sign agreement read from NaN
+    env = {**_src_env(), "PYTHONWARNINGS": "error"}
+    cases = [
+        (["--r", "1e60", "--theta", "0.5"], 0, "ok"),
+        (["--coeffs", "1e200,1,1,1,1e200"], 0, "ok"),
+        (["--coeffs", "1e308,1e308,1e308,1e308,1e308"], 2, "NonFinitePoint"),
+    ]
+    for flags, code, status in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "catoptrix.cli", "oracle", "discriminant", *flags],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code, (flags, proc.stderr)
+        record = json.loads(proc.stdout)
+        assert record["status"] == status, flags
+        if code == 0:
+            assert proc.stderr == "" and record["results"]["resultant_delta"] is None, flags
+            assert record["diagnostics"]["sign_agreement"] is True, flags
+        else:
+            assert record["error"].startswith("the Sylvester determinant of a=1e+308, b=1e+308, "), flags
 
 
 def test_oracle_discriminant_command_past_float64_names_the_observer():

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -15,6 +16,7 @@ import pytest
 
 from catoptrix import (
     ObserverPolar,
+    infinity_real_coeffs,
     infinity_reflection,
     oracle_infinity_path,
     oracle_quartic_discriminant,
@@ -27,6 +29,7 @@ from catoptrix.errors import (
     CoincidentPoints,
     DegenerateLeadingCoefficient,
     InvalidObserver,
+    NonFinitePoint,
     PointOutsideDomain,
 )
 
@@ -161,6 +164,24 @@ def test_discriminant_sign_agreement_bulk():
 def test_discriminant_rejects_degenerate():
     with pytest.raises(DegenerateLeadingCoefficient):
         oracle_quartic_discriminant(0, 1, 2, 3, 4)
+
+
+def test_discriminant_past_float64_overflows_to_inf_and_a_nan_raises():
+    # finite coefficients whose Sylvester determinant overflows: the value is
+    # +-inf, as the closed form's delta is, with no numpy warning; far
+    # observers of the plane wave, r from 5e50 to 1e300, give +inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (5e50, 1e60, 1e100, 1e200, 1e300):
+            for theta in (0.3, 0.5, 1.5, 2.5, -0.7, -2.9):
+                coeffs = infinity_real_coeffs(r, theta)
+                assert oracle_quartic_discriminant(*coeffs) == math.inf, (r, theta)
+                assert real_quartic_invariants(*coeffs).delta == math.inf, (r, theta)
+        assert oracle_quartic_discriminant(1e200, 1, 1, 1, 1e200) == math.inf
+        assert oracle_quartic_discriminant(-1e200, 1, 1, 1, 1e200) == -math.inf
+        # 4*a overflows to inf in the matrix, and the determinant is NaN
+        with pytest.raises(NonFinitePoint, match=r"a=1e\+308, b=1e\+308, .* is NaN"):
+            oracle_quartic_discriminant(1e308, 1e308, 1e308, 1e308, 1e308)
 
 
 def _reference_smetric(z1, z2):

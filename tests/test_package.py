@@ -353,11 +353,12 @@ def test_non_finite_numbers_raise_non_finite_point():
 
 def _records():
     """(record, its constructor arguments, another record of its class, the
-    repr it had as a frozen dataclass) for each value type that is not a
-    dataclass."""
+    repr a frozen dataclass gives) for each value type, a numeric._Record;
+    ReflectionResult, the one also declared a dataclass, with a synthetic
+    pair that no solve checks."""
     from catoptrix import (
         DEFAULT_TOLERANCES, EllipseParams, InfinityResult, LineCoeffs, ObserverPolar,
-        QuarticCoeffs, RealQuarticNature, RootNature, RootSet,
+        QuarticCoeffs, RealQuarticNature, ReflectionResult, RootNature, RootSet,
     )
 
     four, degenerate = RootNature.FOUR_REAL_DISTINCT, RootNature.DEGENERATE
@@ -380,6 +381,10 @@ def _records():
         (LineCoeffs, (1 + 0j, 1 + 0j, -2 + 0j), (1, 1, 2), "LineCoeffs(alpha=(1+0j), beta=(1+0j), gamma=(-2+0j))"),
         (EllipseParams, (1.0, 0.5, 0.25, 0.5), (1.0, 0.5, 0.25, 0.25),
          "EllipseParams(focal_sum=1.0, major=0.5, minor=0.25, eccentricity=0.5)"),
+        (ReflectionResult, (1j, 0.5, 1.0, 0.0, False, (0.3 + 0.1j, -0.2 + 0.4j)),
+         (1j, 0.5, 1.0, 0.0, False, (0.3 + 0.1j, -0.2 + 0.5j)),
+         "ReflectionResult(w=1j, s_value=0.5, focal_sum=1.0, reflection_residual=0.0, degree_dropped=False, "
+         "_pair=((0.3+0.1j), (-0.2+0.4j)))"),
     ]
     return [(cls(*args), args, cls(*other), text) for cls, args, other, text in table]
 
@@ -409,6 +414,35 @@ def test_value_types_are_immutable_records():
         ]:
             assert type(clone) is cls and clone == record and hash(clone) == hash(record)
             assert repr(clone) == text
+
+
+def test_plain_records_get_the_constructor_their_fields_declare():
+    # every value type is a record; each that does not validate or coerce
+    # its inputs gets a compiled __init__ with one parameter per annotated
+    # field, in order, named Class.__init__ in its TypeErrors as a written
+    # one would be
+    from catoptrix.numeric import _Record
+
+    records = _records()
+    assert {type(record) for record, *_ in records} == set(_Record.__subclasses__())
+    for record, args, _, _ in records:
+        cls = type(record)
+        signature = inspect.signature(cls)
+        assert list(signature.parameters) == list(cls.__annotations__) == list(cls._fields), cls
+        for name, param in signature.parameters.items():
+            assert param.kind is param.POSITIONAL_OR_KEYWORD and param.default is param.empty, (cls, name)
+            assert param.annotation == cls.__annotations__[name], (cls, name)
+        assert signature.return_annotation == "None", cls
+        assert cls(**dict(zip(cls._fields, args))) == record, cls
+        name = f"{cls.__qualname__}.__init__()"
+        for bad_args, bad_kwargs in [(args[:-1], {}), (args + (0,), {}), (args, {"extra": 0}), ((), {})]:
+            with pytest.raises(TypeError) as info:
+                cls(*bad_args, **bad_kwargs)
+            assert str(info.value).startswith(name), (cls, str(info.value))
+        # the three that validate and coerce their inputs keep the
+        # constructor written in their module
+        written = cls.__init__.__code__.co_filename == sys.modules[cls.__module__].__file__
+        assert written == (cls.__name__ in ("QuarticCoeffs", "ObserverPolar", "LineCoeffs")), cls
 
 
 def test_infinity_result_compares_and_hashes_without_solving(monkeypatch):
