@@ -73,6 +73,9 @@ def _draw(rng, family, k):
     if family == "near_coincident_origin":
         z1 = _polar(_log_uniform(rng, -3.0, -2.0), _angle(rng))
         return z1, z1 + _polar(abs(z1) * _log_uniform(rng, -6.0, -1.0), _angle(rng))
+    if family == "exterior":
+        # both points in the annulus 1 < |z| < 5, as the benchmark draws them
+        return tuple(_polar(1.0 + 4.0 * rng.random(), _angle(rng)) for _ in range(2))
     # symmetric: diametral and mirror-image pairs, whose focal sums tie
     z = _in_disk(rng, rmin=1e-3)
     return z, (-z, z.conjugate(), -z.conjugate())[k % 3]

@@ -1,9 +1,11 @@
 """Finite-source reflection: minimizing root, metric, ellipse, exterior variant."""
 
 import cmath
+import hashlib
 import io
 import json
 import math
+import random
 import sys
 from contextlib import redirect_stdout
 
@@ -25,6 +27,7 @@ from catoptrix import (
 )
 from catoptrix.cli import main as cli_main
 from catoptrix.errors import (
+    CatoptrixError,
     CoincidentPoints,
     NoConvergence,
     NonFinitePoint,
@@ -34,6 +37,7 @@ from catoptrix.errors import (
 )
 from catoptrix.interior import _least_focal_sum
 from catoptrix.numeric import VISIBILITY_SLACK, segment_clears_disk, unit_from_angle
+from conftest import _draw
 
 # boundary-grid oracle values for (0.4, 0.3i), grid 10^6 with golden refinement
 ORACLE_PHI_04_03I = 0.52293227382887064
@@ -433,6 +437,61 @@ def test_pair_pictures_are_pinned_bit_for_bit(solver, z1, z2, roots, residuals, 
     assert picture.polish_iterations == iterations
     assert picture.min_separation.hex() == separation
     assert res.on_circle_mask == mask
+
+
+# one sha256 per family over 200 seeded pairs (random.Random(38)): the
+# answer and the root picture of each, every float by its hex, the error a
+# pair raises, or None for an exterior pair without an answer. near_origin
+# puts 50 points at 0 (degree dropped), and near_origin and
+# near_coincident_origin take 220 and 427 polish steps. A change that moves
+# any bit of them must update the hash of each family it moves and say why.
+PINNED_FAMILIES = {
+    "uniform": "1aaefd24256a603318f1181db8f840701ca6efa2d154ca4f4203915e794f8901",
+    "near_rim": "5b021c741bcac6aaed1a290467f2facb0372497103532a22483ec665e05116e0",
+    "near_origin": "8a7bc4d05a777e749a1f87535f8c749c171d8592c965c79998ba7e43b243f84b",
+    "near_coincident": "ec0eee20479a6cb936e087f1c19eb35146d602f0443171f7f99e4132dba0fab9",
+    "near_coincident_origin": "d9cc2cf179035e742446a049c34e5f0b33ebb6699d316d7aa1cc73bde2fd9a9b",
+    "symmetric": "764bb5ec615c7b67b1c5971cbee7fe844d0e7f655f645faf2ebda9bb8e75a12f",
+    "exterior": "900556f638194a8c3b6cf5a285732c3dbab045f1a94cb98533d6e62bbb69554b",
+}
+
+
+def _bits(x):
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, complex):
+        return f"{x.real.hex()} {x.imag.hex()}"
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(_bits, x)) + ")"
+    return repr(x)
+
+
+def _family_picture_hash(family):
+    rng = random.Random(38)
+    exterior = family == "exterior"
+    solver = exterior_reflection if exterior else minimizing_root
+    digest = hashlib.sha256()
+    k = 0
+    while k < 200:
+        z1, z2 = _draw(rng, family, k)
+        if (exterior or max(abs(z1), abs(z2)) < 1.0) and abs(z1 - z2) >= 1e-12:
+            try:
+                res = record = solver(z1, z2)  # an exterior pair may have no answer: None
+            except CatoptrixError as exc:
+                record = (type(exc).__name__, str(exc))
+            else:
+                if res is not None:
+                    c = res.candidates
+                    record = (res.w, res.s_value, res.focal_sum, res.reflection_residual, c.roots, c.residuals,
+                              c.polish_iterations, c.min_separation, res.on_circle_mask, res.tie_indices)
+            digest.update(f"{_bits(z1)} {_bits(z2)} {_bits(record)}\n".encode())
+            k += 1
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("family", PINNED_FAMILIES)
+def test_family_pictures_are_pinned_bit_for_bit(family):
+    assert _family_picture_hash(family) == PINNED_FAMILIES[family]
 
 
 def test_s_metric_symmetric_family():

@@ -123,21 +123,79 @@ def test_a_badly_scaled_quartic_solves_from_polygon_starts():
         assert _max_relative_error(rs.roots, expected) <= 1e-12
 
 
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_polish_stops_at_a_nan_start_root(monkeypatch):
-    # Newton cannot leave NaN: the first non-finite p(w) ends the polish
+    # Newton cannot leave NaN: the first non-finite p(w) ends the polish, at
+    # the first evaluation, before any slope is taken; the degree-4 value and
+    # the generic chain alike
     from catoptrix import quartic
 
-    calls = []
-    horner_pair = quartic._horner_pair
+    values = _counting(monkeypatch, quartic, "_value")
+    slopes = _counting(monkeypatch, quartic, "_horner_pair")
+    for coeffs in [(1 + 0j, 0j, 0j, 0j, -1 + 0j), (1 + 0j, 0j, 0j, -1 + 0j)]:
+        starts = [complex(math.nan, math.nan)] * (len(coeffs) - 1)
+        with pytest.raises(NoConvergence, match=re.escape("stalled at residual inf (bound 1.000e-10)")):
+            quartic._polish(coeffs, starts, 1e-10)
+        assert (len(values), len(slopes)) == (1, 0)
+        values.clear()
 
-    def counting(coeffs, w):
-        calls.append(w)
-        return horner_pair(coeffs, w)
 
-    monkeypatch.setattr(quartic, "_horner_pair", counting)
-    with pytest.raises(NoConvergence, match="stalled at residual inf"):
-        quartic._polish((1 + 0j, 0j, 0j, 0j, -1 + 0j), [complex(math.nan, math.nan)] * 4, 1e-10)
-    assert len(calls) <= 1
+def _reference_pair(coeffs, w):
+    # Horner's value and derivative chains as the polish has always run
+    # them: b <- b*w + a and c <- c*w + b, from b = c_n and c = 0j
+    b, c = coeffs[0], 0j
+    for a in coeffs[1:]:
+        c = c * w + b
+        b = b * w + a
+    return b, c
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_polish_values_and_slopes_keep_the_bits_of_one_horner_pass(monkeypatch, interior_family_pairs):
+    # the polish evaluates p alone at every pending root and p' only at a
+    # root that steps; each must have the bits, signed zeros included, of
+    # the one-pass value and derivative it replaced. A chain written in
+    # another order (the power form, Estrin's, a zero start) fails here;
+    # c0 + w*(c1 + ...) does not, as IEEE sums and CPython's complex product
+    # commute bit for bit
+    from catoptrix import minimizing_root, quartic
+
+    values = _counting(monkeypatch, quartic, "_value")
+    slopes = _counting(monkeypatch, quartic, "_horner_pair")
+    for _, solve in _unread_solves(interior_family_pairs):
+        solve()
+    # the real-coefficient quartic of (0.5, -0.5) and the cubic of (0, 0.5)
+    minimizing_root(0.5, -0.5)
+    minimizing_root(0, 0.5)
+    assert len(values) > 300 and len(slopes) > 30
+    monkeypatch.undo()
+    coefficient_sets = {coeffs for coeffs, _ in values}
+    assert {len(coeffs) for coeffs in coefficient_sets} == {4, 5}
+    # and a quartic whose coefficients have signed zero real parts
+    coefficient_sets.add(tuple(complex(-0.0, y) for y in (1.0, -0.0, -2.0, 0.0, -0.0)))
+    parts = (0.0, -0.0, 1e-150, -1e150, math.inf, -math.inf, math.nan)
+    specials = [complex(x, y) for x in parts for y in parts]
+    points = [(coeffs, w) for coeffs in coefficient_sets for w in specials]
+    # the tails of degree 1 and 2 take the generic chain
+    points += [(coeffs[:n], w) for coeffs, w in points if len(coeffs) == 5 for n in (2, 3)]
+    for coeffs, w in values + slopes + points:
+        value, slope = quartic._horner_pair(coeffs, w)
+        assert _hex(quartic._value(coeffs, w)) == _hex(value), (coeffs, w)
+        assert (_hex(value), _hex(slope)) == tuple(map(_hex, _reference_pair(coeffs, w))), (coeffs, w)
 
 
 def test_polish_steps_down_to_a_derivative_of_1e_290():
